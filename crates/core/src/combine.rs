@@ -5,29 +5,34 @@
 //! the first five results come from SQE_T, the next 195 results come from
 //! SQE_T&S and the rest of the results come from SQE_S."
 
+use std::hash::Hash;
+
 /// One segment of the combined ranking: take results from `run` until the
 /// combined list reaches `until_rank` (1-based, inclusive). The last
 /// segment should use `usize::MAX` to absorb the tail.
 #[derive(Debug, Clone)]
-pub struct RankSegment<'a> {
+pub struct RankSegment<'a, T = String> {
     /// The source ranking (document ids, best first).
-    pub run: &'a [String],
+    pub run: &'a [T],
     /// Fill the combined list up to this rank with this source.
     pub until_rank: usize,
 }
 
 /// Stitches ranked lists by rank range, skipping documents already taken
 /// by an earlier segment. Sources shorter than their range simply yield
-/// fewer documents; later segments continue the fill.
-pub fn combine_rankings(segments: &[RankSegment<'_>]) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    let mut seen: rustc_hash::FxHashSet<&str> = rustc_hash::FxHashSet::default();
+/// fewer documents; later segments continue the fill. Any id type that
+/// names a document uniquely works: external-id strings, or the doc ids
+/// of one searcher (the serving layer combines on those and maps only
+/// the combined list to external ids).
+pub fn combine_rankings<T: Eq + Hash + Clone>(segments: &[RankSegment<'_, T>]) -> Vec<T> {
+    let mut out: Vec<T> = Vec::new();
+    let mut seen: rustc_hash::FxHashSet<&T> = rustc_hash::FxHashSet::default();
     for seg in segments {
         let mut source = seg.run.iter();
         while out.len() < seg.until_rank {
             match source.next() {
                 Some(doc) => {
-                    if seen.insert(doc.as_str()) {
+                    if seen.insert(doc) {
                         out.push(doc.clone());
                     }
                 }
@@ -40,12 +45,7 @@ pub fn combine_rankings(segments: &[RankSegment<'_>]) -> Vec<String> {
 
 /// The paper's SQE_C configuration: ranks 1–5 from `sqe_t`, 6–200 from
 /// `sqe_ts`, the rest (up to `depth`) from `sqe_s`.
-pub fn sqe_c(
-    sqe_t: &[String],
-    sqe_ts: &[String],
-    sqe_s: &[String],
-    depth: usize,
-) -> Vec<String> {
+pub fn sqe_c<T: Eq + Hash + Clone>(sqe_t: &[T], sqe_ts: &[T], sqe_s: &[T], depth: usize) -> Vec<T> {
     combine_rankings(&[
         RankSegment {
             run: sqe_t,
@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn empty_sources_yield_empty() {
-        let combined = sqe_c(&[], &[], &[], 100);
+        let combined: Vec<String> = sqe_c(&[], &[], &[], 100);
         assert!(combined.is_empty());
     }
 
@@ -218,6 +218,19 @@ mod tests {
         ];
         let combined = sqe_c(&t, &ts, &[], 5);
         assert_eq!(combined, vec!["a", "b", "c", "d", "e"]);
+    }
+
+    #[test]
+    fn combining_doc_ids_matches_combining_their_names() {
+        // Ids and names are in bijection, so stitching on ids and
+        // naming the result equals stitching on names.
+        let name = |d: &u32| format!("doc{d}");
+        let t: Vec<u32> = vec![3, 1, 4];
+        let ts: Vec<u32> = (0..250).rev().collect();
+        let s: Vec<u32> = (100..400).collect();
+        let by_id: Vec<String> = sqe_c(&t, &ts, &s, 300).iter().map(name).collect();
+        let names = |v: &[u32]| v.iter().map(name).collect::<Vec<_>>();
+        assert_eq!(by_id, sqe_c(&names(&t), &names(&ts), &names(&s), 300));
     }
 
     #[test]

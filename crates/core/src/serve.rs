@@ -578,12 +578,11 @@ impl<'a> QueryService<'a> {
         let ts = self.stage_run(searcher, text, nodes, &MotifSet::t_and_s(), scratch);
         let s = self.stage_run(searcher, text, nodes, &MotifSet::square(), scratch);
         let c0 = self.clock.now_nanos();
-        let ids = combine::sqe_c(
-            &ids_of(searcher, &t),
-            &ids_of(searcher, &ts),
-            &ids_of(searcher, &s),
-            self.cfg.depth,
-        );
+        let docs = combine::sqe_c(&doc_ids(&t), &doc_ids(&ts), &doc_ids(&s), self.cfg.depth);
+        let ids = docs
+            .into_iter()
+            .map(|d| searcher.external_id(d).to_owned())
+            .collect();
         let c1 = self.clock.now_nanos();
         self.metrics.stages.combine.record(c1.saturating_sub(c0));
         self.metrics.stages.total.record(c1.saturating_sub(t0));
@@ -857,6 +856,12 @@ impl<'a> QueryService<'a> {
 }
 
 /// External ids of `hits` against one pinned searcher view.
+/// The doc ids of `hits`, in rank order: what `SQE_C` combines on, so
+/// only the combined list is mapped to external ids.
+pub(crate) fn doc_ids(hits: &[SearchHit]) -> Vec<DocId> {
+    hits.iter().map(|h| h.doc).collect()
+}
+
 fn ids_of(searcher: &Searcher, hits: &[SearchHit]) -> Vec<String> {
     hits.iter()
         .map(|h| searcher.external_id(h.doc).to_owned())

@@ -34,8 +34,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use kbgraph::{ArticleId, KbGraph};
 use searchlite::bm25::Bm25Params;
-use searchlite::index::PositionalScratch;
-use searchlite::ql::SearchHit;
+use searchlite::ql::{QlScratch, SearchHit};
 use searchlite::shard::{
     bm25_global_stats, bm25_rank_shard, bm25_resolve_shard, merge_top_k, ql_global_pcs,
     ql_rank_shard, ql_resolve_shard, Bm25ShardResolve, QlShardResolve,
@@ -51,7 +50,7 @@ use crate::expand;
 use crate::metrics::{Clock, MetricsSnapshot, NullClock, ServeMetrics};
 use crate::pipeline::{SqeConfig, SqeScratch};
 use crate::query_graph::QueryGraphBuilder;
-use crate::serve::{run_indexed, ServeConfig, ServeRequest};
+use crate::serve::{doc_ids, run_indexed, ServeConfig, ServeRequest};
 use crate::spec::MotifSet;
 
 /// The mutable side of a shard set: per-shard corpora plus the global
@@ -477,8 +476,7 @@ impl<'a> ShardedService<'a> {
     /// mapping, `scorecmp` merge. Hit ids are global ingest ordinals.
     pub fn rank_ql(&self, query: &Query, k: usize) -> Vec<SearchHit> {
         let views = self.pinned_views();
-        let mut pos = PositionalScratch::new();
-        scatter_ql(&views, query, self.cfg.ql, k, &mut pos)
+        scatter_ql(&views, query, self.cfg.ql, k, &mut QlScratch::new())
     }
 
     /// Scatter-gather BM25 over a raw structured query (global `N`, df
@@ -547,7 +545,7 @@ impl<'a> ShardedService<'a> {
             .map(|v| v.searcher.analyzer())
             .expect("invariant: a sharded service always has at least one shard");
         let query = expand::build_query(self.graph, text, nodes, &expansions, analyzer, &cfg.expand);
-        let hits = scatter_ql(views, &query, cfg.ql, cfg.depth, scratch.ql.positional());
+        let hits = scatter_ql(views, &query, cfg.ql, cfg.depth, &mut scratch.ql);
         let t2 = self.clock.now_nanos();
         self.metrics.stages.expand.record(t1.saturating_sub(t0));
         self.metrics.stages.rank.record(t2.saturating_sub(t1));
@@ -598,12 +596,8 @@ impl<'a> ShardedService<'a> {
         let ts = self.stage_run(views, text, nodes, &MotifSet::t_and_s(), scratch);
         let s = self.stage_run(views, text, nodes, &MotifSet::square(), scratch);
         let c0 = self.clock.now_nanos();
-        let ids = combine::sqe_c(
-            &ids_of_sharded(views, &t),
-            &ids_of_sharded(views, &ts),
-            &ids_of_sharded(views, &s),
-            self.cfg.depth,
-        );
+        let docs = combine::sqe_c(&doc_ids(&t), &doc_ids(&ts), &doc_ids(&s), self.cfg.depth);
+        let ids = docs.into_iter().map(|d| external_id_sharded(views, d)).collect();
         let c1 = self.clock.now_nanos();
         self.metrics.stages.combine.record(c1.saturating_sub(c0));
         self.metrics.stages.total.record(c1.saturating_sub(t0));
@@ -756,7 +750,7 @@ impl<'a> ShardedService<'a> {
                     .expect("invariant: a sharded service always has at least one shard");
                 let query = expand::user_part(text, analyzer);
                 let hits =
-                    scatter_ql(views, &query, self.cfg.ql, self.cfg.depth, scratch.ql.positional());
+                    scatter_ql(views, &query, self.cfg.ql, self.cfg.depth, &mut scratch.ql);
                 let t1 = self.clock.now_nanos();
                 self.metrics.stages.rank.record(t1.saturating_sub(t0));
                 Ok(hits)
@@ -813,7 +807,7 @@ impl<'a> ShardedService<'a> {
             .map(|v| v.searcher.analyzer())
             .expect("invariant: a sharded service always has at least one shard");
         let query = expand::build_query(self.graph, text, nodes, &expansions, analyzer, &cfg.expand);
-        let hits = scatter_ql(views, &query, cfg.ql, cfg.depth, scratch.ql.positional());
+        let hits = scatter_ql(views, &query, cfg.ql, cfg.depth, &mut scratch.ql);
         let t2 = self.clock.now_nanos();
         self.metrics.stages.rank.record(t2.saturating_sub(t1));
         Ok(hits)
@@ -872,39 +866,40 @@ fn scatter_ql(
     query: &Query,
     params: searchlite::ql::QlParams,
     k: usize,
-    pos: &mut PositionalScratch,
+    scratch: &mut QlScratch,
 ) -> Vec<SearchHit> {
     let partials: Vec<QlShardResolve> = views
         .iter()
-        .map(|v| ql_resolve_shard(&v.searcher, query, pos))
+        .map(|v| ql_resolve_shard(&v.searcher, query, scratch.positional()))
         .collect();
     let pcs = ql_global_pcs(&partials);
     let mut all: Vec<(u32, f64)> = Vec::new();
     for (view, partial) in views.iter().zip(&partials) {
-        for (local, score) in ql_rank_shard(&view.searcher, partial, &pcs, params, k) {
+        for (local, score) in ql_rank_shard(&view.searcher, partial, &pcs, params, k, scratch) {
             all.push((global_ordinal(view, local), score));
         }
     }
     merge_top_k(all, k)
 }
 
-/// External ids of global-ordinal hits: each shard's ordinal table is
-/// strictly increasing, so the owning shard is found by binary search.
+/// External ids of global-ordinal hits.
 fn ids_of_sharded(views: &[ShardView], hits: &[SearchHit]) -> Vec<String> {
-    hits.iter()
-        .map(|h| {
-            views
-                .iter()
-                .find_map(|v| {
-                    v.ordinals.binary_search(&h.doc.0).ok().map(|local| {
-                        let local = u32::try_from(local)
-                            .expect("invariant: per-shard doc count fits in u32");
-                        v.searcher.external_id(DocId(local)).to_owned()
-                    })
-                })
-                .expect("invariant: hit ordinals originate from these views")
+    hits.iter().map(|h| external_id_sharded(views, h.doc)).collect()
+}
+
+/// The external id of a global ordinal: each shard's ordinal table is
+/// strictly increasing, so the owning shard is found by binary search.
+fn external_id_sharded(views: &[ShardView], doc: DocId) -> String {
+    views
+        .iter()
+        .find_map(|v| {
+            v.ordinals.binary_search(&doc.0).ok().map(|local| {
+                let local =
+                    u32::try_from(local).expect("invariant: per-shard doc count fits in u32");
+                v.searcher.external_id(DocId(local)).to_owned()
+            })
         })
-        .collect()
+        .expect("invariant: hit ordinals originate from these views")
 }
 
 #[cfg(test)]

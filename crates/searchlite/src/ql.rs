@@ -12,12 +12,21 @@
 //! [`Searcher`], whose merged statistics are exact integer sums over its
 //! segments — so the scores (and therefore the ranking) are identical for
 //! any partition of the same corpus.
+//!
+//! There is one scoring kernel for the single-searcher and the sharded
+//! paths: resolve the query ([`crate::shard::ql_resolve_shard`]), derive
+//! the collection probabilities from exact integer counts
+//! ([`crate::shard::ql_global_pcs`]), then walk per-segment postings
+//! cursors document at a time. A single searcher is the one-shard case.
+//! The kernel computes each feature's `λ/Σλ`, `μ·P(f|C)` and absent-feature
+//! term `ln(0 + μ·P(f|C))` once per query and adds the per-feature terms
+//! of every document in query order, so each score has the bits the
+//! plain formula gives.
 
-use rustc_hash::FxHashMap;
-
-use crate::index::{DocId, PositionalScratch, TermId};
+use crate::index::{DocId, PositionalScratch};
 use crate::searcher::Searcher;
-use crate::structured::{Feature, Query};
+use crate::shard::{self, QlShardResolve, ShardFeature, ShardFeatureKind};
+use crate::structured::Query;
 use crate::topk::TopK;
 
 /// Parameters of the Dirichlet query-likelihood scorer.
@@ -44,155 +53,214 @@ pub struct SearchHit {
     pub score: f64,
 }
 
-/// A query feature resolved against a concrete searcher.
-enum ResolvedFeature {
-    /// In-vocabulary single term.
-    Term { term: TermId, weight: f64, pc: f64 },
-    /// Out-of-vocabulary term: contributes only background smoothing.
-    OovTerm { weight: f64, pc: f64 },
-    /// Exact phrase with precomputed per-document frequencies.
-    Phrase {
-        tfs: FxHashMap<u32, u32>,
-        weight: f64,
-        pc: f64,
-    },
+/// Per-query constants of one feature's Dirichlet term.
+#[derive(Debug, Clone, Copy)]
+struct FeatureConst {
+    /// `λ_f / Σλ`.
+    coef: f64,
+    /// `μ · P(f|C)`.
+    mpc: f64,
+    /// `ln(0 + μ·P(f|C))`: the log-numerator of a document without `f`.
+    absent: f64,
 }
 
-impl ResolvedFeature {
-    fn weight(&self) -> f64 {
-        match self {
-            ResolvedFeature::Term { weight, .. }
-            | ResolvedFeature::OovTerm { weight, .. }
-            | ResolvedFeature::Phrase { weight, .. } => *weight,
-        }
-    }
-}
-
-/// Resolves the query against the searcher: maps tokens to term ids, runs
-/// phrase intersections once, and computes collection probabilities.
-/// `pos` is the reusable staging buffer for the positional kernels.
-fn resolve(
-    searcher: &Searcher,
-    query: &Query,
-    pos: &mut PositionalScratch,
-) -> Vec<ResolvedFeature> {
-    let mut resolved = Vec::with_capacity(query.len());
-    for wf in query.features() {
-        match &wf.feature {
-            Feature::Term(tok) => match searcher.term_id(tok) {
-                Some(t) => resolved.push(ResolvedFeature::Term {
-                    term: t,
-                    weight: wf.weight,
-                    pc: searcher.collection_prob(Some(t)),
-                }),
-                None => resolved.push(ResolvedFeature::OovTerm {
-                    weight: wf.weight,
-                    pc: searcher.collection_prob(None),
-                }),
-            },
-            Feature::Phrase(tokens) => {
-                let ids: Option<Vec<TermId>> =
-                    tokens.iter().map(|t| searcher.term_id(t)).collect();
-                match ids {
-                    Some(ids) => {
-                        let postings = searcher.phrase_postings_with(&ids, pos);
-                        resolved.push(positional_feature(searcher, postings, wf.weight));
-                    }
-                    None => resolved.push(ResolvedFeature::OovTerm {
-                        weight: wf.weight,
-                        pc: searcher.collection_prob(None),
-                    }),
-                }
-            }
-            Feature::Unordered { tokens, window } => {
-                let ids: Option<Vec<TermId>> =
-                    tokens.iter().map(|t| searcher.term_id(t)).collect();
-                match ids {
-                    Some(ids) => {
-                        let postings =
-                            searcher.unordered_window_postings_with(&ids, *window, pos);
-                        resolved.push(positional_feature(searcher, postings, wf.weight));
-                    }
-                    None => resolved.push(ResolvedFeature::OovTerm {
-                        weight: wf.weight,
-                        pc: searcher.collection_prob(None),
-                    }),
-                }
-            }
-        }
-    }
-    resolved
-}
-
-/// Wraps positional postings (phrase or unordered window) as a resolved
-/// feature with an on-the-fly collection probability.
-fn positional_feature(
-    searcher: &Searcher,
-    postings: Vec<(DocId, u32)>,
-    weight: f64,
-) -> ResolvedFeature {
-    let coll: u64 = postings.iter().map(|&(_, tf)| tf as u64).sum();
-    let tfs: FxHashMap<u32, u32> = postings.into_iter().map(|(d, tf)| (d.0, tf)).collect();
-    ResolvedFeature::Phrase {
-        tfs,
-        weight,
-        pc: searcher.collection_prob_for_count(coll),
-    }
-}
-
-/// Scores one document under the resolved features.
-fn score_resolved(
-    searcher: &Searcher,
-    features: &[ResolvedFeature],
-    doc: DocId,
+/// The per-feature constants for `features` under the gathered `pcs`.
+/// Returns `false` when the weights do not sum to a positive total, in
+/// which case every candidate scores `-inf`.
+fn feature_consts(
+    features: &[ShardFeature],
+    pcs: &[f64],
     mu: f64,
-) -> f64 {
-    let total: f64 = features.iter().map(|f| f.weight()).sum();
-    if total <= 0.0 {
+    out: &mut Vec<FeatureConst>,
+) -> bool {
+    let total: f64 = features.iter().map(|f| f.weight).sum();
+    out.clear();
+    out.extend(features.iter().zip(pcs).map(|(f, &pc)| {
+        let mpc = mu * pc;
+        FeatureConst {
+            coef: f.weight / total,
+            mpc,
+            absent: (0.0 + mpc).ln(),
+        }
+    }));
+    total > 0.0
+}
+
+/// Document-length part of the formula, `ln(|D| + μ)`.
+fn log_denom(doc_len: u32, mu: f64) -> f64 {
+    (f64::from(doc_len) + mu).ln()
+}
+
+/// Doc id of an exhausted cursor; real ids are below the doc count.
+const END: u32 = u32::MAX;
+
+/// A feature's position in the kernel's postings arena: the current
+/// document and its frequency, and the next unread entry of its run.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    doc: u32,
+    tf: u32,
+    next: usize,
+    end: usize,
+}
+
+impl Cursor {
+    fn advance(&mut self, postings: &[(u32, u32)]) {
+        match postings.get(self.next).filter(|_| self.next < self.end) {
+            Some(&(doc, tf)) => {
+                self.doc = doc;
+                self.tf = tf;
+                self.next += 1;
+            }
+            None => self.doc = END,
+        }
+    }
+}
+
+/// The document-at-a-time kernel and its reusable buffers.
+#[derive(Debug)]
+struct Kernel {
+    consts: Vec<FeatureConst>,
+    cursors: Vec<Cursor>,
+    /// One segment's `(local doc, tf)` postings of every feature,
+    /// concatenated in feature order; each run is sorted by doc.
+    postings: Vec<(u32, u32)>,
+    top: TopK,
+}
+
+impl Kernel {
+    fn new() -> Kernel {
+        Kernel {
+            consts: Vec::new(),
+            cursors: Vec::new(),
+            postings: Vec::new(),
+            top: TopK::new(0),
+        }
+    }
+
+    /// Scores every document that matches at least one feature and
+    /// returns the best `k` as `(searcher doc id, score)`, ranked.
+    /// Segments are walked in doc order, and within a segment all
+    /// cursors advance together over the union of their documents.
+    fn score_segments(
+        &mut self,
+        searcher: &Searcher,
+        features: &[ShardFeature],
+        pcs: &[f64],
+        mu: f64,
+        k: usize,
+    ) -> Vec<(u32, f64)> {
+        let Kernel {
+            consts,
+            cursors,
+            postings,
+            top,
+        } = self;
+        let live = feature_consts(features, pcs, mu, consts);
+        top.reset(k);
+        for (s, base, index) in searcher.segment_bases() {
+            let docs = u32::try_from(index.num_docs())
+                .expect("invariant: segment doc count fits in u32");
+            postings.clear();
+            cursors.clear();
+            for f in features {
+                let start = postings.len();
+                match &f.kind {
+                    ShardFeatureKind::Term(Some(t)) => {
+                        if let Some(p) = searcher.segment_postings(s, *t) {
+                            postings.extend(p.docs().iter().copied().zip(p.tfs().iter().copied()));
+                        }
+                    }
+                    ShardFeatureKind::Term(None) => {}
+                    ShardFeatureKind::Positional(list) => {
+                        // The list is sorted by searcher doc id: this
+                        // segment's run starts at the first id ≥ `base`.
+                        let lo = list.partition_point(|&(d, _)| d.0 < base);
+                        let rest = list.get(lo..).unwrap_or_default();
+                        let run = rest.get(..rest.partition_point(|&(d, _)| d.0 - base < docs));
+                        postings.extend(run.unwrap_or_default().iter().map(|&(d, tf)| (d.0 - base, tf)));
+                    }
+                }
+                let mut cursor = Cursor {
+                    doc: END,
+                    tf: 0,
+                    next: start,
+                    end: postings.len(),
+                };
+                cursor.advance(postings);
+                cursors.push(cursor);
+            }
+            let doc_lens = index.doc_lens();
+            let mut doc = cursors.iter().map(|c| c.doc).min().unwrap_or(END);
+            while doc != END {
+                let len = doc_lens
+                    .get(doc as usize)
+                    .copied()
+                    .expect("invariant: postings reference documents of their segment");
+                let denom = log_denom(len, mu);
+                let mut score = 0.0;
+                let mut next = END;
+                for (c, fc) in cursors.iter_mut().zip(consts.iter()) {
+                    let log_num = if c.doc == doc {
+                        let log_num = (f64::from(c.tf) + fc.mpc).ln();
+                        c.advance(postings);
+                        log_num
+                    } else {
+                        fc.absent
+                    };
+                    score += fc.coef * (log_num - denom);
+                    next = next.min(c.doc);
+                }
+                top.push(base + doc, if live { score } else { f64::NEG_INFINITY });
+                doc = next;
+            }
+        }
+        top.drain_sorted()
+    }
+}
+
+/// Scores a single document, matching or not (used by tests that check
+/// the formula against hand calculations).
+pub fn score_document(searcher: &Searcher, query: &Query, doc: DocId, params: QlParams) -> f64 {
+    let partial = shard::ql_resolve_shard(searcher, query, &mut PositionalScratch::default());
+    let pcs = shard::ql_global_pcs(std::slice::from_ref(&partial));
+    let mut consts = Vec::new();
+    if !feature_consts(&partial.features, &pcs, params.mu, &mut consts) {
         return f64::NEG_INFINITY;
     }
-    let dl = searcher.doc_len(doc) as f64;
-    let denom = (dl + mu).ln();
+    let denom = log_denom(searcher.doc_len(doc), params.mu);
     let mut score = 0.0;
-    for f in features {
-        let (tf, w, pc) = match f {
-            ResolvedFeature::Term { term, weight, pc } => {
-                (searcher.tf(*term, doc) as f64, *weight, *pc)
-            }
-            ResolvedFeature::OovTerm { weight, pc } => (0.0, *weight, *pc),
-            ResolvedFeature::Phrase { tfs, weight, pc } => {
-                (tfs.get(&doc.0).copied().unwrap_or(0) as f64, *weight, *pc)
-            }
+    for (f, fc) in partial.features.iter().zip(&consts) {
+        let tf = match &f.kind {
+            ShardFeatureKind::Term(Some(t)) => searcher.tf(*t, doc),
+            ShardFeatureKind::Term(None) => 0,
+            ShardFeatureKind::Positional(list) => list
+                .binary_search_by_key(&doc, |&(d, _)| d)
+                .ok()
+                .and_then(|i| list.get(i))
+                .map_or(0, |&(_, tf)| tf),
         };
-        score += w / total * ((tf + mu * pc).ln() - denom);
+        score += fc.coef * ((f64::from(tf) + fc.mpc).ln() - denom);
     }
     score
 }
 
-/// Scores a single document (used by feedback and by tests that check the
-/// formula against hand calculations).
-pub fn score_document(searcher: &Searcher, query: &Query, doc: DocId, params: QlParams) -> f64 {
-    let resolved = resolve(searcher, query, &mut PositionalScratch::default());
-    score_resolved(searcher, &resolved, doc, params.mu)
-}
-
-/// Reusable buffers for [`rank_with_scratch`]: the candidate union, the
-/// bounded top-k collector, and the positional staging buffers survive
-/// across queries so batch serving does not reallocate per query.
+/// Reusable buffers for [`rank_with_scratch`]: the positional staging
+/// buffers and the kernel's constants, cursors, postings arena and
+/// top-k heap survive across queries so batch serving does not
+/// reallocate them per query.
 #[derive(Debug)]
 pub struct QlScratch {
-    candidates: Vec<u32>,
-    top: TopK,
     pos: PositionalScratch,
+    kernel: Kernel,
 }
 
 impl QlScratch {
     /// Creates empty scratch buffers.
     pub fn new() -> Self {
         QlScratch {
-            candidates: Vec::new(),
-            top: TopK::new(0),
             pos: PositionalScratch::new(),
+            kernel: Kernel::new(),
         }
     }
 
@@ -201,6 +269,23 @@ impl QlScratch {
     /// layer's entity-phrase statistics do).
     pub fn positional(&mut self) -> &mut PositionalScratch {
         &mut self.pos
+    }
+
+    /// Phase 2 of QL scoring on one searcher (a shard, or the whole
+    /// corpus): the best `k` of its candidates under the gathered `pcs`,
+    /// as `(searcher doc id, score)` pairs, ranked.
+    pub(crate) fn rank_partial(
+        &mut self,
+        searcher: &Searcher,
+        partial: &QlShardResolve,
+        pcs: &[f64],
+        mu: f64,
+        k: usize,
+    ) -> Vec<(u32, f64)> {
+        if partial.features.is_empty() {
+            return Vec::new();
+        }
+        self.kernel.score_segments(searcher, &partial.features, pcs, mu, k)
     }
 }
 
@@ -226,35 +311,10 @@ pub fn rank_with_scratch(
     k: usize,
     scratch: &mut QlScratch,
 ) -> Vec<SearchHit> {
-    let resolved = resolve(searcher, query, &mut scratch.pos);
-    if resolved.is_empty() {
-        return Vec::new();
-    }
-    // Candidate union.
-    let candidates = &mut scratch.candidates;
-    candidates.clear();
-    for f in &resolved {
-        match f {
-            ResolvedFeature::Term { term, .. } => {
-                searcher.push_docs(*term, candidates);
-            }
-            ResolvedFeature::Phrase { tfs, .. } => {
-                candidates.extend(tfs.keys().copied());
-            }
-            ResolvedFeature::OovTerm { .. } => {}
-        }
-    }
-    candidates.sort_unstable();
-    candidates.dedup();
-    scratch.top.reset(k);
-    for &doc in candidates.iter() {
-        let s = score_resolved(searcher, &resolved, DocId(doc), params.mu);
-        scratch.top.push(doc, s);
-    }
-    scratch
-        .top
-        .drain_sorted()
-        .into_iter()
+    let partial = shard::ql_resolve_shard(searcher, query, &mut scratch.pos);
+    let pcs = shard::ql_global_pcs(std::slice::from_ref(&partial));
+    let hits = scratch.rank_partial(searcher, &partial, &pcs, params.mu, k);
+    hits.into_iter()
         .map(|(doc, score)| SearchHit {
             doc: DocId(doc),
             score,

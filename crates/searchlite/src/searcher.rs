@@ -19,7 +19,7 @@ use std::sync::Arc;
 use rustc_hash::FxHashMap;
 
 use crate::analysis::Analyzer;
-use crate::index::{DocId, Index, PositionalScratch, TermId};
+use crate::index::{DocId, Index, PositionalScratch, TermId, TermPostings};
 use crate::segment::Segment;
 
 /// Local term id marking "term absent from this segment".
@@ -236,19 +236,23 @@ impl Searcher {
         }
     }
 
-    /// Appends the global ids of every document containing `t`, in
-    /// ascending order (segments are visited in base order and each
-    /// posting list is sorted). Replaces `Index::postings(t).docs()`
-    /// for candidate generation.
-    pub fn push_docs(&self, t: TermId, out: &mut Vec<u32>) {
-        for (s, seg) in self.inner.segments.iter().enumerate() {
-            let l = self.inner.seg_local[s][t.index()];
-            if l == ABSENT {
-                continue;
-            }
-            let base = self.inner.bases[s];
-            out.extend(seg.index().postings(TermId(l)).docs().iter().map(|&d| d + base));
-        }
+    /// The segments with the global doc id of each one's first document,
+    /// in global document order — the per-segment walk of the QL kernel.
+    pub(crate) fn segment_bases(&self) -> impl Iterator<Item = (usize, u32, &Index)> + '_ {
+        self.inner
+            .segments
+            .iter()
+            .zip(&self.inner.bases)
+            .enumerate()
+            .map(|(s, (seg, &base))| (s, base, seg.index()))
+    }
+
+    /// Segment `s`'s postings of global term `t` (segment-local doc
+    /// ids), or `None` when the segment lacks the term.
+    pub(crate) fn segment_postings(&self, s: usize, t: TermId) -> Option<&TermPostings> {
+        let local = *self.inner.seg_local.get(s)?.get(t.index())?;
+        let seg = self.inner.segments.get(s)?;
+        (local != ABSENT).then(|| seg.index().postings(TermId(local)))
     }
 
     /// All `(doc, tf)` postings of a global term, in global doc order.
@@ -432,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn tf_and_push_docs_cross_segment() {
+    fn tf_and_segment_postings_cross_segment() {
         let mono = monolithic();
         let s = segmented(&[2, 4]);
         let cable = s.term_id("cable").expect("indexed");
@@ -441,8 +445,14 @@ mod tests {
             assert_eq!(s.tf(cable, d), mono.tf(cable, d));
         }
         let mut docs = Vec::new();
-        s.push_docs(cable, &mut docs);
+        for (seg, base, _) in s.segment_bases() {
+            if let Some(p) = s.segment_postings(seg, cable) {
+                docs.extend(p.docs().iter().map(|&d| d + base));
+            }
+        }
         assert_eq!(docs, mono.postings(cable).docs());
+        let spaceship = TermId(u32::try_from(s.num_terms()).expect("small test corpus"));
+        assert!(s.segment_postings(0, spaceship).is_none(), "unknown term ids have no postings");
     }
 
     #[test]

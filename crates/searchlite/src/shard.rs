@@ -29,7 +29,7 @@
 use rustc_hash::FxHashMap;
 
 use crate::index::{DocId, PositionalScratch, TermId};
-use crate::ql::{QlParams, SearchHit};
+use crate::ql::{QlParams, QlScratch, SearchHit};
 use crate::searcher::Searcher;
 use crate::structured::{Feature, Query};
 use crate::topk::TopK;
@@ -86,19 +86,19 @@ impl ShardRouter {
 // ------------------------------------------------------------- QL ----
 
 /// The shard-local shape of one query feature.
-enum ShardFeatureKind {
+pub(crate) enum ShardFeatureKind {
     /// Single term; `None` when the token is absent from this shard's
     /// vocabulary (it may still exist in other shards).
     Term(Option<TermId>),
     /// Phrase or unordered window, pre-intersected against this shard:
-    /// local doc id → positional frequency. Empty when any token is
-    /// locally out of vocabulary or the pattern never matches here.
-    Positional(FxHashMap<u32, u32>),
+    /// `(doc, positional frequency)` sorted by doc. Empty when any token
+    /// is locally out of vocabulary or the pattern never matches here.
+    Positional(Vec<(DocId, u32)>),
 }
 
-struct ShardFeature {
-    kind: ShardFeatureKind,
-    weight: f64,
+pub(crate) struct ShardFeature {
+    pub(crate) kind: ShardFeatureKind,
+    pub(crate) weight: f64,
     /// This shard's integer contribution to the feature's collection
     /// count (collection tf for terms, summed positional frequency for
     /// phrases/windows). Stays an integer until the gather step.
@@ -108,7 +108,7 @@ struct ShardFeature {
 /// One shard's partial resolution of a query: per-feature local postings
 /// plus the shard's integer contributions to the global statistics.
 pub struct QlShardResolve {
-    features: Vec<ShardFeature>,
+    pub(crate) features: Vec<ShardFeature>,
     collection_len: u64,
 }
 
@@ -120,9 +120,10 @@ impl QlShardResolve {
     }
 }
 
-/// Phase 1 of sharded QL: resolves `query` against one shard, computing
-/// local postings and integer stat contributions. Every query feature
-/// yields exactly one entry, so partials from all shards align by index.
+/// Phase 1 of QL scoring: resolves `query` against one shard (or the
+/// whole corpus), computing local postings and integer stat
+/// contributions. Every query feature yields exactly one entry, so
+/// partials from all shards align by index.
 pub fn ql_resolve_shard(
     searcher: &Searcher,
     query: &Query,
@@ -161,17 +162,12 @@ pub fn ql_resolve_shard(
 }
 
 fn positional_shard_feature(postings: Option<Vec<(DocId, u32)>>) -> (ShardFeatureKind, u64) {
-    match postings {
-        Some(postings) => {
-            let count: u64 = postings.iter().map(|&(_, tf)| u64::from(tf)).sum();
-            let tfs: FxHashMap<u32, u32> = postings.into_iter().map(|(d, tf)| (d.0, tf)).collect();
-            (ShardFeatureKind::Positional(tfs), count)
-        }
-        // A locally out-of-vocabulary token: this shard holds no
-        // occurrence, so it contributes 0 to the global count — exactly
-        // what a monolithic index would count for these documents.
-        None => (ShardFeatureKind::Positional(FxHashMap::default()), 0),
-    }
+    // A locally out-of-vocabulary token: this shard holds no
+    // occurrence, so it contributes 0 to the global count — exactly
+    // what a monolithic index would count for these documents.
+    let postings = postings.unwrap_or_default();
+    let count: u64 = postings.iter().map(|&(_, tf)| u64::from(tf)).sum();
+    (ShardFeatureKind::Positional(postings), count)
 }
 
 /// The gather step: sums every shard's integer contributions and derives
@@ -196,9 +192,9 @@ pub fn ql_global_pcs(partials: &[QlShardResolve]) -> Vec<f64> {
 }
 
 /// Phase 2 of sharded QL: scores this shard's candidates with the
-/// *global* collection probabilities and the shard-local tf / |D|,
-/// replicating the monolithic Dirichlet formula term by term, and keeps
-/// the shard's top `k` as `(local doc id, score)` pairs. The caller maps
+/// *global* collection probabilities and the shard-local tf / |D| —
+/// the same kernel as [`crate::ql::rank_with_scratch`] — and keeps the
+/// shard's top `k` as `(local doc id, score)` pairs. The caller maps
 /// local ids to global ingest ordinals and merges with [`merge_top_k`].
 pub fn ql_rank_shard(
     searcher: &Searcher,
@@ -206,54 +202,9 @@ pub fn ql_rank_shard(
     pcs: &[f64],
     params: QlParams,
     k: usize,
+    scratch: &mut QlScratch,
 ) -> Vec<(u32, f64)> {
-    if partial.features.is_empty() {
-        return Vec::new();
-    }
-    let total: f64 = partial.features.iter().map(|f| f.weight).sum();
-    let mut candidates: Vec<u32> = Vec::new();
-    for f in &partial.features {
-        match &f.kind {
-            ShardFeatureKind::Term(Some(t)) => searcher.push_docs(*t, &mut candidates),
-            ShardFeatureKind::Term(None) => {}
-            ShardFeatureKind::Positional(tfs) => candidates.extend(tfs.keys().copied()),
-        }
-    }
-    candidates.sort_unstable();
-    candidates.dedup();
-    let mut top = TopK::new(k);
-    for &doc in &candidates {
-        top.push(doc, score_shard_doc(searcher, partial, pcs, total, DocId(doc), params.mu));
-    }
-    top.into_sorted()
-}
-
-/// The monolithic `score_resolved` with the collection probabilities
-/// injected from the gather step. Identical operations in identical
-/// order ⇒ identical bits.
-fn score_shard_doc(
-    searcher: &Searcher,
-    partial: &QlShardResolve,
-    pcs: &[f64],
-    total: f64,
-    doc: DocId,
-    mu: f64,
-) -> f64 {
-    if total <= 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    let dl = searcher.doc_len(doc) as f64;
-    let denom = (dl + mu).ln();
-    let mut score = 0.0;
-    for (f, &pc) in partial.features.iter().zip(pcs) {
-        let tf = match &f.kind {
-            ShardFeatureKind::Term(Some(t)) => searcher.tf(*t, doc) as f64,
-            ShardFeatureKind::Term(None) => 0.0,
-            ShardFeatureKind::Positional(tfs) => tfs.get(&doc.0).copied().unwrap_or(0) as f64,
-        };
-        score += f.weight / total * ((tf + mu * pc).ln() - denom);
-    }
-    score
+    scratch.rank_partial(searcher, partial, pcs, params.mu, k)
 }
 
 // ----------------------------------------------------------- BM25 ----
@@ -463,9 +414,10 @@ mod tests {
             .map(|s| ql_resolve_shard(s, query, &mut pos))
             .collect();
         let pcs = ql_global_pcs(&partials);
+        let mut scratch = QlScratch::new();
         let mut all = Vec::new();
         for ((searcher, partial), ords) in searchers.iter().zip(&partials).zip(&ordinals) {
-            for (local, score) in ql_rank_shard(searcher, partial, &pcs, params, k) {
+            for (local, score) in ql_rank_shard(searcher, partial, &pcs, params, k, &mut scratch) {
                 all.push((ords[local as usize], score));
             }
         }

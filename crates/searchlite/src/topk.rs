@@ -72,11 +72,13 @@ impl TopK {
 
     /// Drains the held candidates as a ranked list (best first), leaving
     /// the collector empty but with its heap allocation intact — the
-    /// scratch-buffer entry point for batch serving.
+    /// scratch-buffer entry point for batch serving. Doc ids are unique
+    /// within one collector, so the order is total and an unstable sort
+    /// gives the same list as a stable one.
     pub fn drain_sorted(&mut self) -> Vec<(u32, f64)> {
-        let mut v: Vec<HeapEntry> = self.heap.drain().collect();
-        v.sort_by(|a, b| scorecmp::by_score_desc_then_id(a.score, b.score, a.doc, b.doc));
-        v.into_iter().map(|e| (e.doc, e.score)).collect()
+        let mut v: Vec<(u32, f64)> = self.heap.drain().map(|e| (e.doc, e.score)).collect();
+        v.sort_unstable_by(|a, b| scorecmp::by_score_desc_then_id(a.1, b.1, a.0, b.0));
+        v
     }
 
     /// Empties the collector and re-arms it for the best `k` entries,
