@@ -117,9 +117,39 @@ impl Cursor {
     }
 }
 
-/// The document-at-a-time kernel and its reusable buffers.
+/// Scores a single document, matching or not (used by tests that check
+/// the formula against hand calculations).
+pub fn score_document(searcher: &Searcher, query: &Query, doc: DocId, params: QlParams) -> f64 {
+    let partial = shard::ql_resolve_shard(searcher, query, &mut PositionalScratch::default());
+    let pcs = shard::ql_global_pcs(std::slice::from_ref(&partial));
+    let mut consts = Vec::new();
+    if !feature_consts(&partial.features, &pcs, params.mu, &mut consts) {
+        return f64::NEG_INFINITY;
+    }
+    let denom = log_denom(searcher.doc_len(doc), params.mu);
+    let mut score = 0.0;
+    for (f, fc) in partial.features.iter().zip(&consts) {
+        let tf = match &f.kind {
+            ShardFeatureKind::Term(Some(t)) => searcher.tf(*t, doc),
+            ShardFeatureKind::Term(None) => 0,
+            ShardFeatureKind::Positional(list) => list
+                .binary_search_by_key(&doc, |&(d, _)| d)
+                .ok()
+                .and_then(|i| list.get(i))
+                .map_or(0, |&(_, tf)| tf),
+        };
+        score += fc.coef * ((f64::from(tf) + fc.mpc).ln() - denom);
+    }
+    score
+}
+
+/// Reusable buffers for [`rank_with_scratch`]: the positional staging
+/// buffers and the kernel's per-feature constants, cursors, postings
+/// arena and top-k heap survive across queries so batch serving does
+/// not reallocate them per query.
 #[derive(Debug)]
-struct Kernel {
+pub struct QlScratch {
+    pos: PositionalScratch,
     consts: Vec<FeatureConst>,
     cursors: Vec<Cursor>,
     /// One segment's `(local doc, tf)` postings of every feature,
@@ -128,9 +158,11 @@ struct Kernel {
     top: TopK,
 }
 
-impl Kernel {
-    fn new() -> Kernel {
-        Kernel {
+impl QlScratch {
+    /// Creates empty scratch buffers.
+    pub fn new() -> Self {
+        QlScratch {
+            pos: PositionalScratch::new(),
             consts: Vec::new(),
             cursors: Vec::new(),
             postings: Vec::new(),
@@ -138,23 +170,37 @@ impl Kernel {
         }
     }
 
-    /// Scores every document that matches at least one feature and
+    /// The positional staging buffers, for callers that run phrase or
+    /// window intersections outside [`rank_with_scratch`] (the expansion
+    /// layer's entity-phrase statistics do).
+    pub fn positional(&mut self) -> &mut PositionalScratch {
+        &mut self.pos
+    }
+
+    /// Phase 2 of QL scoring on one searcher (a shard, or the whole
+    /// corpus), the document-at-a-time kernel: scores every document
+    /// that matches at least one feature under the gathered `pcs` and
     /// returns the best `k` as `(searcher doc id, score)`, ranked.
     /// Segments are walked in doc order, and within a segment all
     /// cursors advance together over the union of their documents.
-    fn score_segments(
+    pub(crate) fn rank_partial(
         &mut self,
         searcher: &Searcher,
-        features: &[ShardFeature],
+        partial: &QlShardResolve,
         pcs: &[f64],
         mu: f64,
         k: usize,
     ) -> Vec<(u32, f64)> {
-        let Kernel {
+        let features = &partial.features;
+        if features.is_empty() {
+            return Vec::new();
+        }
+        let QlScratch {
             consts,
             cursors,
             postings,
             top,
+            ..
         } = self;
         let live = feature_consts(features, pcs, mu, consts);
         top.reset(k);
@@ -177,8 +223,9 @@ impl Kernel {
                         // segment's run starts at the first id ≥ `base`.
                         let lo = list.partition_point(|&(d, _)| d.0 < base);
                         let rest = list.get(lo..).unwrap_or_default();
-                        let run = rest.get(..rest.partition_point(|&(d, _)| d.0 - base < docs));
-                        postings.extend(run.unwrap_or_default().iter().map(|&(d, tf)| (d.0 - base, tf)));
+                        let len = rest.partition_point(|&(d, _)| d.0 - base < docs);
+                        let run = rest.get(..len).unwrap_or_default();
+                        postings.extend(run.iter().map(|&(d, tf)| (d.0 - base, tf)));
                     }
                 }
                 let mut cursor = Cursor {
@@ -219,76 +266,6 @@ impl Kernel {
     }
 }
 
-/// Scores a single document, matching or not (used by tests that check
-/// the formula against hand calculations).
-pub fn score_document(searcher: &Searcher, query: &Query, doc: DocId, params: QlParams) -> f64 {
-    let partial = shard::ql_resolve_shard(searcher, query, &mut PositionalScratch::default());
-    let pcs = shard::ql_global_pcs(std::slice::from_ref(&partial));
-    let mut consts = Vec::new();
-    if !feature_consts(&partial.features, &pcs, params.mu, &mut consts) {
-        return f64::NEG_INFINITY;
-    }
-    let denom = log_denom(searcher.doc_len(doc), params.mu);
-    let mut score = 0.0;
-    for (f, fc) in partial.features.iter().zip(&consts) {
-        let tf = match &f.kind {
-            ShardFeatureKind::Term(Some(t)) => searcher.tf(*t, doc),
-            ShardFeatureKind::Term(None) => 0,
-            ShardFeatureKind::Positional(list) => list
-                .binary_search_by_key(&doc, |&(d, _)| d)
-                .ok()
-                .and_then(|i| list.get(i))
-                .map_or(0, |&(_, tf)| tf),
-        };
-        score += fc.coef * ((f64::from(tf) + fc.mpc).ln() - denom);
-    }
-    score
-}
-
-/// Reusable buffers for [`rank_with_scratch`]: the positional staging
-/// buffers and the kernel's constants, cursors, postings arena and
-/// top-k heap survive across queries so batch serving does not
-/// reallocate them per query.
-#[derive(Debug)]
-pub struct QlScratch {
-    pos: PositionalScratch,
-    kernel: Kernel,
-}
-
-impl QlScratch {
-    /// Creates empty scratch buffers.
-    pub fn new() -> Self {
-        QlScratch {
-            pos: PositionalScratch::new(),
-            kernel: Kernel::new(),
-        }
-    }
-
-    /// The positional staging buffers, for callers that run phrase or
-    /// window intersections outside [`rank_with_scratch`] (the expansion
-    /// layer's entity-phrase statistics do).
-    pub fn positional(&mut self) -> &mut PositionalScratch {
-        &mut self.pos
-    }
-
-    /// Phase 2 of QL scoring on one searcher (a shard, or the whole
-    /// corpus): the best `k` of its candidates under the gathered `pcs`,
-    /// as `(searcher doc id, score)` pairs, ranked.
-    pub(crate) fn rank_partial(
-        &mut self,
-        searcher: &Searcher,
-        partial: &QlShardResolve,
-        pcs: &[f64],
-        mu: f64,
-        k: usize,
-    ) -> Vec<(u32, f64)> {
-        if partial.features.is_empty() {
-            return Vec::new();
-        }
-        self.kernel.score_segments(searcher, &partial.features, pcs, mu, k)
-    }
-}
-
 impl Default for QlScratch {
     fn default() -> Self {
         QlScratch::new()
@@ -313,8 +290,9 @@ pub fn rank_with_scratch(
 ) -> Vec<SearchHit> {
     let partial = shard::ql_resolve_shard(searcher, query, &mut scratch.pos);
     let pcs = shard::ql_global_pcs(std::slice::from_ref(&partial));
-    let hits = scratch.rank_partial(searcher, &partial, &pcs, params.mu, k);
-    hits.into_iter()
+    scratch
+        .rank_partial(searcher, &partial, &pcs, params.mu, k)
+        .into_iter()
         .map(|(doc, score)| SearchHit {
             doc: DocId(doc),
             score,
