@@ -855,13 +855,13 @@ impl<'a> QueryService<'a> {
     }
 }
 
-/// External ids of `hits` against one pinned searcher view.
 /// The doc ids of `hits`, in rank order: what `SQE_C` combines on, so
 /// only the combined list is mapped to external ids.
 pub(crate) fn doc_ids(hits: &[SearchHit]) -> Vec<DocId> {
     hits.iter().map(|h| h.doc).collect()
 }
 
+/// External ids of `hits` against one pinned searcher view.
 fn ids_of(searcher: &Searcher, hits: &[SearchHit]) -> Vec<String> {
     hits.iter()
         .map(|h| searcher.external_id(h.doc).to_owned())

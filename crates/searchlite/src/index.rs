@@ -621,9 +621,12 @@ impl Index {
 
     /// Counts unordered co-occurrences of all terms within any window of
     /// `window` consecutive positions (Indri's `#uwN`). Matches are
-    /// counted as non-overlapping minimal intervals: the scan repeatedly
-    /// finds the smallest span covering one occurrence of every term,
-    /// counts it if it fits the window, and advances past its start.
+    /// counted as non-overlapping intervals, scanning left to right:
+    /// from the current start, take the first occurrence of every term
+    /// at or after it; if those span fewer than `window` positions,
+    /// count a match and restart after the span's last position,
+    /// otherwise restart one past its first position. A term listed
+    /// twice is satisfied by one occurrence.
     /// Convenience wrapper over [`Index::unordered_window_tf_with`].
     pub fn unordered_window_tf(&self, terms: &[TermId], doc: DocId, window: u32) -> u32 {
         self.unordered_window_tf_with(terms, doc, window, &mut PositionalScratch::default())
