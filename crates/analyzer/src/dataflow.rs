@@ -229,10 +229,10 @@ pub(crate) fn find_calls(e: &Expr) -> Vec<(String, u32)> {
     ];
     let mut out = Vec::new();
     e.walk(&mut |n| match n {
-        Expr::MethodCall { method, line, .. } => {
-            if !LOCK_METHODS.contains(&method.as_str()) && !PLUMBING.contains(&method.as_str()) {
-                out.push((method.clone(), *line));
-            }
+        Expr::MethodCall { method, line, .. }
+            if !LOCK_METHODS.contains(&method.as_str()) && !PLUMBING.contains(&method.as_str()) =>
+        {
+            out.push((method.clone(), *line));
         }
         Expr::Call { callee, line, .. } => {
             if let Expr::Path { segs, .. } = callee.as_ref() {
@@ -586,10 +586,8 @@ pub fn eval_prov(e: &Expr, env: &ProvEnv) -> Prov {
                 p.stat = true;
             }
         }
-        Expr::Field { name, .. } => {
-            if STAT_NAMES.contains(&name.as_str()) {
-                p.stat = true;
-            }
+        Expr::Field { name, .. } if STAT_NAMES.contains(&name.as_str()) => {
+            p.stat = true;
         }
         Expr::MethodCall { method, .. } => {
             if STAT_NAMES.contains(&method.as_str()) {
@@ -599,15 +597,11 @@ pub fn eval_prov(e: &Expr, env: &ProvEnv) -> Prov {
                 p.float = true;
             }
         }
-        Expr::Cast { ty, .. } => {
-            if is_float_ty(ty) {
-                p.float = true;
-            }
+        Expr::Cast { ty, .. } if is_float_ty(ty) => {
+            p.float = true;
         }
-        Expr::Lit { text, .. } => {
-            if is_float_lit(text) {
-                p.float = true;
-            }
+        Expr::Lit { text, .. } if is_float_lit(text) => {
+            p.float = true;
         }
         _ => {}
     });
@@ -632,15 +626,11 @@ pub struct TaintFinding {
 fn stat_target(lhs: &Expr) -> bool {
     let mut hit = false;
     lhs.walk(&mut |n| match n {
-        Expr::Path { segs, .. } => {
-            if segs.iter().any(|s| STAT_NAMES.contains(&s.as_str())) {
-                hit = true;
-            }
+        Expr::Path { segs, .. } if segs.iter().any(|s| STAT_NAMES.contains(&s.as_str())) => {
+            hit = true;
         }
-        Expr::Field { name, .. } => {
-            if STAT_NAMES.contains(&name.as_str()) {
-                hit = true;
-            }
+        Expr::Field { name, .. } if STAT_NAMES.contains(&name.as_str()) => {
+            hit = true;
         }
         _ => {}
     });
@@ -702,32 +692,30 @@ pub fn float_taint(model: &WorkspaceModel) -> Vec<TaintFinding> {
         let mut visit = |stmt: &Stmt<'_>, env: &ProvEnv| {
             let Stmt::Expr(e) = stmt else { return };
             e.walk(&mut |n| match n {
-                Expr::Assign { op, lhs, rhs, line } => {
-                    if op != "=" && stat_target(lhs) && eval_prov(rhs, env).float {
-                        out.push(TaintFinding {
-                            qual: qual.clone(),
-                            file: file.rel.clone(),
-                            line: *line,
-                            what: format!(
-                                "float-tainted value accumulated into corpus stat `{}`",
-                                lhs.text()
-                            ),
-                        });
-                    }
+                Expr::Assign { op, lhs, rhs, line }
+                    if op != "=" && stat_target(lhs) && eval_prov(rhs, env).float =>
+                {
+                    out.push(TaintFinding {
+                        qual: qual.clone(),
+                        file: file.rel.clone(),
+                        line: *line,
+                        what: format!(
+                            "float-tainted value accumulated into corpus stat `{}`",
+                            lhs.text()
+                        ),
+                    });
                 }
-                Expr::Cast { expr, ty, line } => {
-                    if is_float_ty(ty) && eval_prov(expr, env).stat {
-                        out.push(TaintFinding {
-                            qual: qual.clone(),
-                            file: file.rel.clone(),
-                            line: *line,
-                            what: format!(
-                                "corpus stat `{}` cast to `{}` before the exact-integer merge",
-                                expr.text(),
-                                ty
-                            ),
-                        });
-                    }
+                Expr::Cast { expr, ty, line } if is_float_ty(ty) && eval_prov(expr, env).stat => {
+                    out.push(TaintFinding {
+                        qual: qual.clone(),
+                        file: file.rel.clone(),
+                        line: *line,
+                        what: format!(
+                            "corpus stat `{}` cast to `{}` before the exact-integer merge",
+                            expr.text(),
+                            ty
+                        ),
+                    });
                 }
                 _ => {}
             });

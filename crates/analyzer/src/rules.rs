@@ -444,7 +444,6 @@ const HOT_FILES: &[&str] = &[
     "crates/core/src/spec.rs",
     "crates/core/src/cache.rs",
     "crates/core/src/serve.rs",
-    "crates/core/src/sharded.rs",
     "crates/admission/src/controller.rs",
     "crates/admission/src/deadline.rs",
     "crates/admission/src/ladder.rs",
@@ -659,7 +658,6 @@ const ENTRY_FILES: &[&str] = &[
     "crates/core/src/spec.rs",
     "crates/core/src/cache.rs",
     "crates/core/src/serve.rs",
-    "crates/core/src/sharded.rs",
     "crates/admission/src/controller.rs",
     "crates/admission/src/deadline.rs",
     "crates/admission/src/ladder.rs",
@@ -920,11 +918,10 @@ impl AstRule for HashIterationDeterminism {
                         for bs in &body.stmts {
                             bs.walk(&mut |b| match b {
                                 Expr::MethodCall { recv, method, .. }
-                                    if method == "push" || method == "push_str" =>
+                                    if (method == "push" || method == "push_str")
+                                        && !sorted.contains(&recv.text()) =>
                                 {
-                                    if !sorted.contains(&recv.text()) {
-                                        sink = true;
-                                    }
+                                    sink = true;
                                 }
                                 Expr::Macro { name, .. }
                                     if name.ends_with("write") || name.ends_with("writeln") =>
@@ -963,23 +960,22 @@ impl AstRule for HashIterationDeterminism {
                             }
                         });
                     }
-                    Expr::MethodCall { method, line, .. } if method == "collect" => {
-                        if !handled_collects.contains(line)
-                            && Self::collect_is_bad(e, None, &roots, model, impl_ty)
-                        {
-                            flag(*line, "`collect()` from hash iteration", out);
-                        }
+                    Expr::MethodCall { method, line, .. }
+                        if method == "collect"
+                            && !handled_collects.contains(line)
+                            && Self::collect_is_bad(e, None, &roots, model, impl_ty) =>
+                    {
+                        flag(*line, "`collect()` from hash iteration", out);
                     }
                     Expr::MethodCall {
                         recv, method, args, line, ..
-                    } if method == "extend" => {
-                        if args
+                    } if method == "extend"
+                        && args
                             .iter()
                             .any(|a| subtree_touches_hash(a, &roots, model, impl_ty))
-                            && !sorted.contains(&recv.text())
-                        {
-                            flag(*line, "`extend(..)` from hash iteration", out);
-                        }
+                        && !sorted.contains(&recv.text()) =>
+                    {
+                        flag(*line, "`extend(..)` from hash iteration", out);
                     }
                     _ => {}
                 });
@@ -1069,11 +1065,7 @@ impl AstRule for LossyIdCast {
                     let mut risky = false;
                     expr.walk(&mut |n| match n {
                         Expr::MethodCall { method, .. } if method == "len" => risky = true,
-                        Expr::Path { segs, .. } => {
-                            if segs.iter().any(|s| idish(s)) {
-                                risky = true;
-                            }
-                        }
+                        Expr::Path { segs, .. } if segs.iter().any(|s| idish(s)) => risky = true,
                         Expr::Field { name, .. } if idish(name) => risky = true,
                         _ => {}
                     });
@@ -1175,18 +1167,15 @@ impl AstRule for MustAuditAfterMutation {
                             }
                         }
                     }
-                    Expr::Path { segs, .. } => {
+                    Expr::Path { segs, .. }
                         if segs
                             .iter()
-                            .any(|s| s.to_ascii_lowercase().contains("audit"))
-                        {
-                            has_audit = true;
-                        }
+                            .any(|s| s.to_ascii_lowercase().contains("audit")) =>
+                    {
+                        has_audit = true;
                     }
-                    Expr::Macro { name, .. } => {
-                        if name.to_ascii_lowercase().contains("audit") {
-                            has_audit = true;
-                        }
+                    Expr::Macro { name, .. } if name.to_ascii_lowercase().contains("audit") => {
+                        has_audit = true;
                     }
                     _ => {}
                 });
@@ -1219,6 +1208,10 @@ impl AstRule for MustAuditAfterMutation {
 /// deadlock waiting for the right interleaving.
 pub struct LockOrderConsistency;
 
+/// One function's first acquisition of a lock pair: `(fn display name,
+/// workspace-relative file, line)`.
+type LockSite = (String, String, u32);
+
 impl AstRule for LockOrderConsistency {
     fn name(&self) -> &'static str {
         "lock-order-consistency"
@@ -1241,7 +1234,7 @@ impl AstRule for LockOrderConsistency {
     ) {
         let lm = dataflow::lock_model(model);
         // (held, acquired) → first acquisition site per function.
-        let mut edges: BTreeMap<(String, String), Vec<(String, String, u32)>> = BTreeMap::new();
+        let mut edges: BTreeMap<(String, String), Vec<LockSite>> = BTreeMap::new();
         for f in &lm.fns {
             if f.is_test {
                 continue;

@@ -105,8 +105,26 @@ fn adhoc_query(ctx: &ExperimentContext, text: &str) {
     }
 }
 
+/// Why a subcommand failed, as the process exit code: 1 for a failed
+/// write or read, 2 for a usage error.
+type CliResult = Result<(), u8>;
+
+/// Reports the outcome of writing a report to `out`.
+fn written(out: &str, result: std::io::Result<()>) -> CliResult {
+    match result {
+        Ok(()) => {
+            eprintln!("wrote {out}");
+            Ok(())
+        }
+        Err(e) => {
+            eprintln!("writing {out} failed: {e}");
+            Err(1)
+        }
+    }
+}
+
 /// Runs the serve-bench load generator and writes `BENCH_serve.json`.
-fn run_serve_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[String]) {
+fn run_serve_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[String]) -> CliResult {
     let smoke = args.iter().any(|a| a == "--smoke");
     let mut opts = if smoke {
         serve_bench::ServeBenchOptions::smoke()
@@ -117,7 +135,7 @@ fn run_serve_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[Stri
         let counts: Vec<usize> = list.split(',').filter_map(|t| t.trim().parse().ok()).collect();
         if counts.is_empty() {
             eprintln!("--threads: expected a comma-separated list of worker counts, got '{list}'");
-            std::process::exit(2);
+            return Err(2);
         }
         opts.thread_counts = counts;
     }
@@ -126,7 +144,7 @@ fn run_serve_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[Stri
             Ok(shards) if shards >= 1 => opts.shards = shards,
             _ => {
                 eprintln!("--shards: expected a positive integer, got '{n}'");
-                std::process::exit(2);
+                return Err(2);
             }
         }
     }
@@ -136,18 +154,12 @@ fn run_serve_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[Stri
         .unwrap_or("BENCH_serve.json");
     let report = serve_bench::run_serve_bench(ctx, context_name, &opts);
     print!("{}", serve_bench::format_report(&report));
-    match serve_bench::write_report(&report, std::path::Path::new(out)) {
-        Ok(()) => eprintln!("wrote {out}"),
-        Err(e) => {
-            eprintln!("writing {out} failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    written(out, serve_bench::write_report(&report, std::path::Path::new(out)))
 }
 
 /// Enumerates the generalized motif space against the planted optimal
 /// query graphs and writes `BENCH_motif.json`.
-fn run_motif_search_cli(ctx: &ExperimentContext, context_name: &str, args: &[String]) {
+fn run_motif_search_cli(ctx: &ExperimentContext, context_name: &str, args: &[String]) -> CliResult {
     let smoke = args.iter().any(|a| a == "--smoke");
     let opts = if smoke {
         motif_search::MotifSearchOptions::smoke()
@@ -160,18 +172,12 @@ fn run_motif_search_cli(ctx: &ExperimentContext, context_name: &str, args: &[Str
         .unwrap_or("BENCH_motif.json");
     let report = motif_search::run_motif_search(ctx, context_name, &opts);
     print!("{}", motif_search::format_report(&report));
-    match motif_search::write_report(&report, std::path::Path::new(out)) {
-        Ok(()) => eprintln!("wrote {out}"),
-        Err(e) => {
-            eprintln!("writing {out} failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    written(out, motif_search::write_report(&report, std::path::Path::new(out)))
 }
 
 /// Runs the open-loop admission/deadline load generator and writes
 /// `BENCH_load.json`.
-fn run_load_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[String]) {
+fn run_load_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[String]) -> CliResult {
     let smoke = args.iter().any(|a| a == "--smoke");
     let mut opts = if smoke {
         load_bench::LoadBenchOptions::smoke()
@@ -186,7 +192,7 @@ fn run_load_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[Strin
             .collect();
         if rates.is_empty() {
             eprintln!("--rate: expected a comma-separated list of positive qps values, got '{list}'");
-            std::process::exit(2);
+            return Err(2);
         }
         opts.explicit_rates = rates;
     }
@@ -195,7 +201,7 @@ fn run_load_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[Strin
             Ok(workers) if workers >= 1 => opts.workers = workers,
             _ => {
                 eprintln!("--threads: expected a positive integer, got '{n}'");
-                std::process::exit(2);
+                return Err(2);
             }
         }
     }
@@ -204,7 +210,7 @@ fn run_load_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[Strin
             Ok(shards) if shards >= 1 => opts.shards = shards,
             _ => {
                 eprintln!("--shards: expected a positive integer, got '{n}'");
-                std::process::exit(2);
+                return Err(2);
             }
         }
     }
@@ -214,17 +220,11 @@ fn run_load_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[Strin
         .unwrap_or("BENCH_load.json");
     let report = load_bench::run_load_bench(ctx, context_name, &opts);
     print!("{}", load_bench::format_report(&report));
-    match load_bench::write_report(&report, std::path::Path::new(out)) {
-        Ok(()) => eprintln!("wrote {out}"),
-        Err(e) => {
-            eprintln!("writing {out} failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    written(out, load_bench::write_report(&report, std::path::Path::new(out)))
 }
 
 /// Runs the live-ingestion benchmark and writes `BENCH_ingest.json`.
-fn run_ingest_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[String]) {
+fn run_ingest_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[String]) -> CliResult {
     let smoke = args.iter().any(|a| a == "--smoke");
     let opts = if smoke {
         ingest_bench::IngestBenchOptions::smoke()
@@ -237,39 +237,32 @@ fn run_ingest_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[Str
         .unwrap_or("BENCH_ingest.json");
     let report = ingest_bench::run_ingest_bench(ctx, context_name, &opts);
     print!("{}", ingest_bench::format_report(&report));
-    match ingest_bench::write_report(&report, std::path::Path::new(out)) {
-        Ok(()) => eprintln!("wrote {out}"),
-        Err(e) => {
-            eprintln!("writing {out} failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    written(out, ingest_bench::write_report(&report, std::path::Path::new(out)))
 }
 
 /// `experiments ingest-bench --articles=N [--shards=M]`: streams an
 /// N-article bed straight into sharded services with bounded memory
 /// (no in-memory corpus) and reports build time + post-build QPS.
-fn run_streaming_ingest_cli(args: &[String]) {
-    let articles = args
+fn run_streaming_ingest_cli(args: &[String]) -> CliResult {
+    let Some(articles) = args
         .iter()
         .find_map(|a| a.strip_prefix("--articles="))
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n >= 10)
-        .unwrap_or_else(|| {
-            eprintln!("--articles: expected an integer >= 10");
-            std::process::exit(2);
-        });
-    let shards = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--shards="))
-        .map(|v| match v.trim().parse::<usize>() {
+    else {
+        eprintln!("--articles: expected an integer >= 10");
+        return Err(2);
+    };
+    let shards = match args.iter().find_map(|a| a.strip_prefix("--shards=")) {
+        None => 4,
+        Some(v) => match v.trim().parse::<usize>() {
             Ok(s) if s >= 1 => s,
             _ => {
                 eprintln!("--shards: expected a positive integer, got '{v}'");
-                std::process::exit(2);
+                return Err(2);
             }
-        })
-        .unwrap_or(4);
+        },
+    };
     let smoke = args.iter().any(|a| a == "--smoke");
     let opts = if smoke {
         ingest_bench::StreamingIngestOptions::smoke(articles, shards)
@@ -284,13 +277,7 @@ fn run_streaming_ingest_cli(args: &[String]) {
     eprintln!("streaming {articles} articles into {shards} shard(s) per collection...");
     let report = ingest_bench::run_streaming_ingest_bench(&cfg, &opts);
     print!("{}", ingest_bench::format_streaming_report(&report));
-    match ingest_bench::write_streaming_report(&report, std::path::Path::new(out)) {
-        Ok(()) => eprintln!("wrote {out}"),
-        Err(e) => {
-            eprintln!("writing {out} failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    written(out, ingest_bench::write_streaming_report(&report, std::path::Path::new(out)))
 }
 
 fn print_snapshot_info(info: &sqe_store::SnapshotInfo) {
@@ -306,7 +293,7 @@ fn print_snapshot_info(info: &sqe_store::SnapshotInfo) {
 
 /// `experiments snapshot write|verify|info [--file=world.snap]`.
 /// `verify` and `info` read the file without building any test bed.
-fn run_snapshot_cli(args: &[String], small: bool, verb: Option<&str>) {
+fn run_snapshot_cli(args: &[String], small: bool, verb: Option<&str>) -> CliResult {
     let file = args
         .iter()
         .find_map(|a| a.strip_prefix("--file="))
@@ -336,10 +323,13 @@ fn run_snapshot_cli(args: &[String], small: bool, verb: Option<&str>) {
                 dict: ctx.linker.dictionary(),
             };
             match sqe_store::write_snapshot(path, &contents) {
-                Ok(bytes) => eprintln!("wrote {file} ({bytes} bytes)"),
+                Ok(bytes) => {
+                    eprintln!("wrote {file} ({bytes} bytes)");
+                    Ok(())
+                }
                 Err(e) => {
                     eprintln!("snapshot write failed: {e}");
-                    std::process::exit(1);
+                    Err(1)
                 }
             }
         }
@@ -348,7 +338,7 @@ fn run_snapshot_cli(args: &[String], small: bool, verb: Option<&str>) {
                 Ok(b) => b,
                 Err(e) => {
                     eprintln!("reading {file} failed: {e}");
-                    std::process::exit(1);
+                    return Err(1);
                 }
             };
             let result = if v == "verify" {
@@ -362,23 +352,24 @@ fn run_snapshot_cli(args: &[String], small: bool, verb: Option<&str>) {
                     if v == "verify" {
                         eprintln!("{file}: OK (checksums, shapes and audits all pass)");
                     }
+                    Ok(())
                 }
                 Err(e) => {
                     eprintln!("{file}: {e}");
-                    std::process::exit(1);
+                    Err(1)
                 }
             }
         }
         _ => {
             eprintln!("usage: experiments snapshot write|verify|info [--small] [--file=world.snap]");
-            std::process::exit(2);
+            Err(2)
         }
     }
 }
 
 /// `experiments store-bench [--smoke] [--out=BENCH_store.json]`: measures
 /// the cold-start paths (regenerating internally — no shared context).
-fn run_store_bench_cli(args: &[String], small: bool) {
+fn run_store_bench_cli(args: &[String], small: bool) -> CliResult {
     let smoke = args.iter().any(|a| a == "--smoke");
     let opts = if smoke {
         store_bench::StoreBenchOptions::smoke()
@@ -396,17 +387,17 @@ fn run_store_bench_cli(args: &[String], small: bool) {
         .unwrap_or("BENCH_store.json");
     let report = store_bench::run_store_bench(&cfg, if small { "small" } else { "full" }, &opts);
     print!("{}", store_bench::format_report(&report));
-    match store_bench::write_report(&report, std::path::Path::new(out)) {
-        Ok(()) => eprintln!("wrote {out}"),
-        Err(e) => {
-            eprintln!("writing {out} failed: {e}");
-            std::process::exit(1);
-        }
+    written(out, store_bench::write_report(&report, std::path::Path::new(out)))
+}
+
+fn main() -> std::process::ExitCode {
+    match run(std::env::args().skip(1).collect()) {
+        Ok(()) => std::process::ExitCode::SUCCESS,
+        Err(code) => std::process::ExitCode::from(code),
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+fn run(args: Vec<String>) -> CliResult {
     // serve-bench --smoke implies the small test bed.
     let small = args.iter().any(|a| a == "--small" || a == "--smoke");
     let what: Vec<&str> = args
@@ -423,23 +414,20 @@ fn main() {
             ExperimentContext::full()
         };
         adhoc_query(&ctx, &text);
-        return;
+        return Ok(());
     }
     // `snapshot` and `store-bench` manage their own contexts: verify/info
     // must not pay for a test-bed build, and store-bench times the build.
     if what.first() == Some(&"snapshot") {
-        run_snapshot_cli(&args, small, what.get(1).copied());
-        return;
+        return run_snapshot_cli(&args, small, what.get(1).copied());
     }
     if what.first() == Some(&"store-bench") {
-        run_store_bench_cli(&args, small);
-        return;
+        return run_store_bench_cli(&args, small);
     }
     // `ingest-bench --articles=N` is the streaming sharded build: the
     // corpus never exists in memory, so it must not build a context.
     if what.first() == Some(&"ingest-bench") && args.iter().any(|a| a.starts_with("--articles=")) {
-        run_streaming_ingest_cli(&args);
-        return;
+        return run_streaming_ingest_cli(&args);
     }
     let what = if what.is_empty() { vec!["all"] } else { what };
 
@@ -476,16 +464,16 @@ fn main() {
             "table3" => print!("{}", tables::table3_all(&ctx)),
             "table4" => print!("{}", timing::table4(&ctx)),
             "serve-bench" => {
-                run_serve_bench_cli(&ctx, if small { "small" } else { "full" }, &args)
+                run_serve_bench_cli(&ctx, if small { "small" } else { "full" }, &args)?
             }
             "load-bench" => {
-                run_load_bench_cli(&ctx, if small { "small" } else { "full" }, &args)
+                run_load_bench_cli(&ctx, if small { "small" } else { "full" }, &args)?
             }
             "motif-search" => {
-                run_motif_search_cli(&ctx, if small { "small" } else { "full" }, &args)
+                run_motif_search_cli(&ctx, if small { "small" } else { "full" }, &args)?
             }
             "ingest-bench" => {
-                run_ingest_bench_cli(&ctx, if small { "small" } else { "full" }, &args)
+                run_ingest_bench_cli(&ctx, if small { "small" } else { "full" }, &args)?
             }
             "ablation" => print!("{}", tables::ablation(&ctx)),
             "sensitivity" => {
@@ -521,8 +509,9 @@ fn main() {
                 eprintln!("       experiments ingest-bench --articles=N [--shards=M] [--smoke] [--out=BENCH_ingest.json]");
                 eprintln!("       experiments snapshot write|verify|info [--small] [--file=world.snap]");
                 eprintln!("       experiments store-bench [--smoke] [--out=BENCH_store.json]");
-                std::process::exit(2);
+                return Err(2);
             }
         }
     }
+    Ok(())
 }

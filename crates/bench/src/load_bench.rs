@@ -31,11 +31,11 @@ use std::time::Duration;
 
 use entitylink::{perturb_query, NoiseRng, PerturbationModel};
 use kbgraph::ArticleId;
-use searchlite::{Analyzer, SearchHit, ShardRouter};
+use searchlite::{Analyzer, SegmentedIndex, ShardRouter};
 use serde::Serialize;
 use sqe::{
     AdmissionConfig, Clock, Deadline, MetricsSnapshot, MonotonicClock, QueryService, ServeConfig,
-    ServeOutcome, ShardedService, ShedReason, Ticket,
+    ServeOutcome, Ticket,
 };
 
 use crate::context::ExperimentContext;
@@ -164,62 +164,6 @@ pub struct LoadBenchReport {
     pub levels: Vec<LoadLevelReport>,
 }
 
-/// Either service flavour behind one dispatch loop.
-enum BenchService<'a> {
-    Mono(QueryService<'a>),
-    Sharded(ShardedService<'a>),
-}
-
-impl BenchService<'_> {
-    fn admit(&self) -> Result<Ticket, ShedReason> {
-        match self {
-            BenchService::Mono(s) => s.admit(),
-            BenchService::Sharded(s) => s.admit(),
-        }
-    }
-
-    fn serve_admitted(
-        &self,
-        ticket: Ticket,
-        text: &str,
-        nodes: &[ArticleId],
-        deadline: Deadline,
-    ) -> ServeOutcome<Vec<SearchHit>> {
-        match self {
-            BenchService::Mono(s) => s.serve_admitted(ticket, text, nodes, deadline),
-            BenchService::Sharded(s) => s.serve_admitted(ticket, text, nodes, deadline),
-        }
-    }
-
-    fn serve_at_rung(&self, rung: usize, text: &str, nodes: &[ArticleId]) -> Vec<SearchHit> {
-        match self {
-            BenchService::Mono(s) => s.serve_at_rung(rung, text, nodes),
-            BenchService::Sharded(s) => s.serve_at_rung(rung, text, nodes),
-        }
-    }
-
-    fn record_ladder_cost(&self, rung: usize, nanos: u64) {
-        match self {
-            BenchService::Mono(s) => s.record_ladder_cost(rung, nanos),
-            BenchService::Sharded(s) => s.record_ladder_cost(rung, nanos),
-        }
-    }
-
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        match self {
-            BenchService::Mono(s) => s.metrics_snapshot(),
-            BenchService::Sharded(s) => s.metrics_snapshot(),
-        }
-    }
-
-    fn reset_metrics(&self) {
-        match self {
-            BenchService::Mono(s) => s.reset_metrics(),
-            BenchService::Sharded(s) => s.reset_metrics(),
-        }
-    }
-}
-
 /// What one request contributed to the run.
 enum Obs {
     /// A ranking came back, at the given ladder rung index.
@@ -270,7 +214,7 @@ fn build_service<'a>(
     opts: &LoadBenchOptions,
     admission: AdmissionConfig,
     clock: &Arc<MonotonicClock>,
-) -> BenchService<'a> {
+) -> QueryService<'a> {
     let serve_cfg = ServeConfig {
         workers: opts.workers,
         cache_capacity: opts.cache_capacity,
@@ -279,10 +223,14 @@ fn build_service<'a>(
     };
     let ds = ctx.bed.dataset("imageclef");
     if opts.shards > 1 {
-        let service = ShardedService::with_clock(
+        let shards = (0..opts.shards)
+            .map(|_| SegmentedIndex::new(Analyzer::english()))
+            .collect();
+        let service = QueryService::from_shards_with_clock(
             &ctx.bed.kb.graph,
-            Analyzer::english(),
             ShardRouter::new(opts.shards),
+            shards,
+            Vec::new(),
             ctx.sqe_config,
             serve_cfg,
             Arc::clone(clock) as Arc<dyn sqe::Clock>,
@@ -296,19 +244,19 @@ fn build_service<'a>(
         }
         service.seal_all();
         service.reset_metrics(); // drop the ingest-phase counters
-        BenchService::Sharded(service)
+        service
     } else {
         let index = ctx
             .indexes
             .get(ds.collection)
             .expect("invariant: every dataset's collection is indexed");
-        BenchService::Mono(QueryService::with_clock(
+        QueryService::with_clock(
             &ctx.bed.kb.graph,
             index,
             ctx.sqe_config,
             serve_cfg,
             Arc::clone(clock) as Arc<dyn sqe::Clock>,
-        ))
+        )
     }
 }
 
@@ -316,7 +264,7 @@ fn build_service<'a>(
 /// the per-rung cost distributions and warms the expansion cache. The
 /// service records each run into its ladder histograms, so afterwards
 /// the metrics snapshot *is* the calibration.
-fn calibrate(service: &BenchService<'_>, workload: &[(String, Vec<ArticleId>)]) -> Vec<u64> {
+fn calibrate(service: &QueryService<'_>, workload: &[(String, Vec<ArticleId>)]) -> Vec<u64> {
     let rungs = service.metrics_snapshot().ladder_cost.len();
     for rung in 0..rungs {
         for (text, nodes) in workload {
@@ -330,7 +278,7 @@ fn calibrate(service: &BenchService<'_>, workload: &[(String, Vec<ArticleId>)]) 
 
 /// Re-seeds the degraded-mode ladder after a metrics reset so the first
 /// protected request already selects rungs from calibrated costs.
-fn prime_ladder(service: &BenchService<'_>, costs: &[u64]) {
+fn prime_ladder(service: &QueryService<'_>, costs: &[u64]) {
     for (rung, &cost) in costs.iter().enumerate() {
         service.record_ladder_cost(rung, cost);
     }
@@ -359,7 +307,7 @@ fn bump(mix: &mut [u64], idx: usize) {
 /// gaps undershoot the OS timer resolution.
 #[allow(clippy::too_many_arguments)]
 fn run_one_level(
-    service: &BenchService<'_>,
+    service: &QueryService<'_>,
     clock: &MonotonicClock,
     workload: &[(String, Vec<ArticleId>)],
     opts: &LoadBenchOptions,

@@ -33,17 +33,11 @@ use sqe::{LinkCondition, MotifSet, MotifSpec};
 use crate::context::ExperimentContext;
 
 /// Motif-search options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MotifSearchOptions {
     /// Restrict the singleton candidates to mutual-link motifs (the CI
     /// smoke preset; combos are always included).
     pub mutual_only: bool,
-}
-
-impl Default for MotifSearchOptions {
-    fn default() -> Self {
-        MotifSearchOptions { mutual_only: false }
-    }
 }
 
 impl MotifSearchOptions {

@@ -192,19 +192,6 @@ fn run_phase(
     phase_from_snapshot(&service.metrics_snapshot(), wall_ms, phase)
 }
 
-/// Same replay against the scatter-gather service.
-fn run_sharded_phase(
-    service: &ShardedService<'_>,
-    load: &[(String, Vec<ArticleId>)],
-    phase: &str,
-) -> PhaseReport {
-    let start = Instant::now();
-    let out = service.run_batch_sqe_c(load);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    std::hint::black_box(out.len());
-    phase_from_snapshot(&service.metrics_snapshot(), wall_ms, phase)
-}
-
 /// Builds a sharded service over one collection of the test bed by
 /// routing every document through the ingestion path and sealing once
 /// at the end.
@@ -257,26 +244,25 @@ pub fn run_serve_bench(
                 cache_capacity: opts.cache_capacity,
                 ..ServeConfig::default()
             };
-            let (cold, warm) = if opts.shards > 1 {
-                let service =
-                    build_sharded_service(ctx, ds.collection, opts.shards, serve_cfg);
-                service.reset_metrics(); // drop the ingest-phase counters
-                let cold = run_sharded_phase(&service, &load, "cold");
-                service.reset_metrics();
-                (cold, run_sharded_phase(&service, &load, "warm"))
+            let (sharded, mono);
+            let service: &QueryService<'_> = if opts.shards > 1 {
+                sharded = build_sharded_service(ctx, ds.collection, opts.shards, serve_cfg);
+                sharded.reset_metrics(); // drop the ingest-phase counters
+                &sharded
             } else {
-                let service = QueryService::with_clock(
+                mono = QueryService::with_clock(
                     &ctx.bed.kb.graph,
                     index,
                     ctx.sqe_config,
                     serve_cfg,
                     Arc::new(MonotonicClock::new()),
                 );
-                let cold = run_phase(&service, &load, "cold");
-                // Same service: the cache stays hot, the metrics start over.
-                service.reset_metrics();
-                (cold, run_phase(&service, &load, "warm"))
+                &mono
             };
+            let cold = run_phase(service, &load, "cold");
+            // Same service: the cache stays hot, the metrics start over.
+            service.reset_metrics();
+            let warm = run_phase(service, &load, "warm");
             cells.push(CellReport {
                 dataset: dataset.to_owned(),
                 workers,

@@ -29,18 +29,10 @@ use crate::context::ExperimentContext;
 use crate::timing::{measure_ms, TimingProtocol};
 
 /// Store-bench options.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StoreBenchOptions {
     /// Timing protocol for every measured path.
     pub protocol: TimingProtocol,
-}
-
-impl Default for StoreBenchOptions {
-    fn default() -> Self {
-        StoreBenchOptions {
-            protocol: TimingProtocol::default(),
-        }
-    }
 }
 
 impl StoreBenchOptions {

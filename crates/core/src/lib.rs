@@ -28,11 +28,12 @@
 //! the conclusion's future work: identifying the right motifs
 //! automatically from ground-truth query graphs. The [`serve`] module
 //! (with [`cache`] and [`metrics`]) wraps the pipeline in a concurrent
-//! query service — work-stealing batch execution, LRU expansion caching,
-//! live ingestion over a segmented index (documents buffer, seal into
-//! immutable segments, and publish atomically), and injected-clock
-//! latency metrics — that stays byte-identical to the sequential
-//! pipeline regardless of how the corpus is partitioned into segments.
+//! query service over one or more shards — work-stealing batch
+//! execution, LRU expansion caching, live ingestion over segmented
+//! indexes (documents buffer, seal into immutable segments, and publish
+//! atomically), and injected-clock latency metrics — that stays
+//! byte-identical to the sequential pipeline regardless of how the
+//! corpus is partitioned into shards and segments.
 
 pub mod analysis;
 pub mod cache;
@@ -45,7 +46,6 @@ pub mod pattern;
 pub mod pipeline;
 pub mod query_graph;
 pub mod serve;
-pub mod sharded;
 pub mod spec;
 
 pub use cache::{CacheKey, ExpansionCache, LruCache};
@@ -60,8 +60,7 @@ pub use motif::{Motif, MotifKind};
 pub use pattern::{CategoryCondition, LinkCondition, PatternMotif};
 pub use pipeline::{SqeConfig, SqePipeline, SqeScratch};
 pub use query_graph::{QueryGraph, QueryGraphBuilder, QueryGraphScratch};
-pub use serve::{run_indexed, QueryService, ServeConfig, ServeRequest};
-pub use sharded::ShardedService;
+pub use serve::{run_indexed, QueryService, ServeConfig, ServeRequest, ShardedService};
 pub use spec::{
     CategoryScope, MotifFingerprint, MotifLadder, MotifRung, MotifSet, MotifSpec, WeightRule,
 };

@@ -1,38 +1,78 @@
-//! Concurrent query serving: work-stealing batch execution, expansion
-//! caching, and injected-clock latency metrics.
-//!
-//! The ROADMAP's north star is serving SQE under heavy traffic "as fast
-//! as the hardware allows" while staying bit-identical to the paper's
-//! sequential pipeline. This module provides:
+//! Concurrent query serving: one service over N ≥ 1 shards, with
+//! work-stealing batch execution, expansion caching, admission and a
+//! degraded-mode ladder, live ingestion, and injected-clock latency
+//! metrics.
 //!
 //! * [`run_indexed`] — a work-stealing executor over `crossbeam`
 //!   channels. Each query is one work item pulled by idle workers, so a
-//!   pathological query no longer stalls its whole even-sized chunk (the
-//!   previous behaviour of `rank_sqe_many` / `build_many`). Results are
-//!   written into their input slot, so output order — and therefore every
-//!   downstream run file — is independent of scheduling.
-//! * [`QueryService`] — the serving facade over [`SqePipeline`](crate::pipeline::SqePipeline): an LRU
+//!   pathological query never stalls a whole even-sized chunk. Results
+//!   are written into their input slot, so output order — and therefore
+//!   every downstream run file — is independent of scheduling.
+//! * [`QueryService`] — the serving facade over
+//!   [`SqePipeline`](crate::pipeline::SqePipeline): an LRU
 //!   [`ExpansionCache`] keyed by the sorted query-node set + motif-set
-//!   fingerprint (motif traversal is the dominant per-query cost and is a
-//!   pure function of exactly that key), per-worker reusable scratch buffers,
-//!   and [`ServeMetrics`] recording cache traffic plus per-stage latency
-//!   through an injected [`Clock`] (no wall-clock reads in library code;
-//!   tests drive a `ManualClock`).
+//!   fingerprint (motif traversal is a pure function of exactly that
+//!   key), per-worker reusable scratch buffers, and [`ServeMetrics`]
+//!   recording cache traffic plus per-stage latency through an injected
+//!   [`Clock`] (no wall-clock reads in library code; tests drive a
+//!   `ManualClock`).
+//!
+//! # Shards
+//!
+//! A service routes every document to one of N shards by a
+//! deterministic hash of its external id ([`ShardRouter`]); each shard
+//! is its own [`SegmentedIndex`] with its own seal/merge lifecycle and
+//! its own published [`Searcher`]. A single-index service is the N = 1
+//! case and runs the same code. A query is *scattered*: each shard
+//! resolves it locally and reports integer statistic contributions; the
+//! *gather* step sums those integers into the exact global statistics a
+//! monolithic index would hold, scores per shard, and merges the
+//! per-shard top-k lists under the `scorecmp` total order (see
+//! [`searchlite::shard`]).
+//!
+//! Public hits carry the **global ingest ordinal** as their [`DocId`]:
+//! the position the document would occupy in a monolithic build
+//! ingesting the same sequence. Each shard's ordinal table maps its
+//! local ids to ordinals (monotone, since documents append in arrival
+//! order), and one location table maps every ordinal back to its shard
+//! and local id, so both directions are a single lookup. Inside a query
+//! a hit carries its shard and local id: `SQE_C` combines on those and
+//! names the combined list without a table lookup, and an ordinal is
+//! read only to break a tie between shards or to build a [`SearchHit`].
+//! With one shard built from an index, a snapshot or a segmented
+//! corpus, ordinals equal the shard's own doc ids, so
+//! [`QueryService::searcher`] resolves them directly.
+//!
+//! # Epoch vector
+//!
+//! Each shard publishes independently; [`QueryService::epoch_vector`]
+//! holds the per-shard segment-set epochs and [`QueryService::epoch`] is
+//! their sum. Sealing one shard bumps exactly one entry and invalidates
+//! the shared expansion cache exactly once; republishing an unchanged
+//! shard leaves the cache warm.
 //!
 //! # Determinism contract
 //!
-//! For any worker count and any cache state, [`QueryService`] output is
-//! byte-identical to the sequential uncached [`SqePipeline`](crate::pipeline::SqePipeline): cached
-//! expansions are exactly the `QueryGraph::expansions` a fresh build
-//! returns (the cache key preserves query-node multiplicity), and a
-//! racing double-compute of the same key inserts the same value twice.
-//! `tests/serve_determinism.rs` enforces this end-to-end on run files.
+//! For any worker count, shard count, routing and cache state, the
+//! service's output is byte-identical to the sequential uncached
+//! [`SqePipeline`](crate::pipeline::SqePipeline): cached expansions are
+//! exactly the `QueryGraph::expansions` a fresh build returns (the cache
+//! key preserves query-node multiplicity), a racing double-compute of the
+//! same key inserts the same value twice, and every global statistic is
+//! an exact integer sum. `tests/serve_determinism.rs` enforces this
+//! end-to-end on run files.
 
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use kbgraph::{ArticleId, KbGraph};
-use searchlite::ql::{self, SearchHit};
-use searchlite::{DocId, Index, IngestError, SealReport, Searcher, SegmentedIndex};
+use searchlite::ql::{QlParams, QlScratch, SearchHit};
+use searchlite::shard::{
+    merge_top_k, ql_global_pcs, ql_rank_shard, ql_resolve_shard, QlShardResolve,
+};
+use searchlite::{
+    Analyzer, DocId, Index, IngestError, Query, SealReport, Searcher, SegmentedIndex, ShardRouter,
+};
 use sqe_admission::{
     select_rung, AdmissionConfig, AdmissionController, Deadline, RungId, ServeOutcome, ShedReason,
     Stage, Ticket,
@@ -156,16 +196,128 @@ pub struct ServeRequest {
     pub deadline: Deadline,
 }
 
-/// The concurrent SQE query service: [`SqePipeline`](crate::pipeline::SqePipeline) semantics behind an
-/// expansion cache, a work-stealing batch executor, live ingestion, and
+/// Where a global ordinal lives: its shard and its shard-local doc id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct DocLoc {
+    shard: u32,
+    local: u32,
+}
+
+/// One hit of a scatter, located in its shard: naming it needs no table
+/// lookup, and its global ordinal is read only where a tie between
+/// shards or the public [`SearchHit`] needs it.
+#[derive(Debug, Clone, Copy)]
+struct Hit {
+    loc: DocLoc,
+    score: f64,
+}
+
+/// The location of an ordinal no shard holds (a gap in caller-supplied
+/// ordinal tables); never reached through a hit.
+const NO_LOC: DocLoc = DocLoc {
+    shard: u32::MAX,
+    local: u32::MAX,
+};
+
+/// The mutable side of the service: per-shard corpora plus the global
+/// ordinal assignment. The tables are shared with the published view
+/// and copied on the first write after a publish.
+struct Live {
+    shards: Vec<SegmentedIndex>,
+    /// Per shard: local doc id → global ingest ordinal, strictly
+    /// increasing (documents append in global arrival order).
+    ordinals: Vec<Arc<Vec<u32>>>,
+    /// Global ingest ordinal → shard and local doc id; one entry per
+    /// ordinal below `next_ordinal`.
+    locations: Arc<Vec<DocLoc>>,
+    next_ordinal: u32,
+}
+
+/// One shard's published immutable view: a pinned [`Searcher`] plus the
+/// ordinal table that maps its local doc ids to global ordinals.
+#[derive(Clone)]
+struct ShardView {
+    searcher: Searcher,
+    ordinals: Arc<Vec<u32>>,
+}
+
+impl ShardView {
+    /// The global ingest ordinal of a shard-local doc id.
+    fn ordinal(&self, local: u32) -> u32 {
+        self.ordinals
+            .get(local as usize)
+            .copied()
+            .expect("invariant: every searchable doc has a recorded global ordinal")
+    }
+}
+
+/// The published shard set a query (or batch) pins for its lifetime.
+struct View {
+    shards: Vec<ShardView>,
+    locations: Arc<Vec<DocLoc>>,
+}
+
+impl View {
+    /// The analyzer every shard shares.
+    fn analyzer(&self) -> &Analyzer {
+        self.shards
+            .first()
+            .map(|s| s.searcher.analyzer())
+            .expect("invariant: a service always has at least one shard")
+    }
+
+    /// The global ingest ordinal of the document at `loc`.
+    fn ordinal(&self, loc: DocLoc) -> u32 {
+        self.shards
+            .get(loc.shard as usize)
+            .map(|s| s.ordinal(loc.local))
+            .expect("invariant: a visible document's location names a shard")
+    }
+
+    /// The public form of `hits`: global ordinals and scores.
+    fn search_hits(&self, hits: Vec<Hit>) -> Vec<SearchHit> {
+        hits.into_iter()
+            .map(|h| SearchHit {
+                doc: DocId(self.ordinal(h.loc)),
+                score: h.score,
+            })
+            .collect()
+    }
+
+    /// The external id of the document at `loc`.
+    fn external_id(&self, loc: DocLoc) -> &str {
+        self.shards
+            .get(loc.shard as usize)
+            .map(|s| s.searcher.external_id(DocId(loc.local)))
+            .expect("invariant: a visible document's location names a shard")
+    }
+
+    /// External ids of global-ordinal hits.
+    fn external_ids(&self, hits: &[SearchHit]) -> Vec<String> {
+        hits.iter()
+            .map(|h| {
+                let loc = self
+                    .locations
+                    .get(h.doc.0 as usize)
+                    .copied()
+                    .expect("invariant: hit ordinals originate from this view");
+                self.external_id(loc).to_owned()
+            })
+            .collect()
+    }
+}
+
+/// The concurrent SQE query service: [`SqePipeline`](crate::pipeline::SqePipeline)
+/// semantics over N ≥ 1 shards behind an expansion cache, a
+/// work-stealing batch executor, admission control, live ingestion, and
 /// latency metrics.
 ///
 /// # Live ingestion
 ///
-/// The service owns a [`SegmentedIndex`]: [`QueryService::add_document`]
-/// feeds its buffer (invisible to queries), [`QueryService::seal`]
-/// freezes the buffer into a new immutable segment and atomically
-/// publishes a refreshed [`Searcher`] view. Publication compares the
+/// [`QueryService::add_document`] routes a document to its shard's
+/// buffer (invisible to queries); [`QueryService::seal_shard`] freezes
+/// one buffer into a new immutable segment and atomically publishes that
+/// shard's refreshed [`Searcher`]. Publication compares the shard's
 /// segment-set epoch, so each seal invalidates the expansion cache
 /// **exactly once** — auto-merges triggered by the seal ride the same
 /// epoch bump. Queries already in flight keep the view they started
@@ -174,16 +326,18 @@ pub struct QueryService<'a> {
     graph: &'a KbGraph,
     cfg: SqeConfig,
     serve_cfg: ServeConfig,
+    router: ShardRouter,
     /// Serializes maintenance (seal / force-merge) so expensive segment
     /// builds never race each other, while `live` stays free for
     /// ingestion. Lock order: `maint` → `live` → `view`, always.
     maint: Mutex<()>,
-    /// The mutable corpus: sealed segments plus the live ingest buffer.
+    /// The mutable corpus: per-shard sealed segments and ingest buffers.
     /// Held only for cheap phases — segment builds and merges run on
-    /// detached state (see [`QueryService::seal`]).
-    live: Mutex<SegmentedIndex>,
-    /// The published immutable view queries read (swapped on seal/merge).
-    view: RwLock<Searcher>,
+    /// detached state (see [`QueryService::seal_shard`]).
+    live: Mutex<Live>,
+    /// The published per-shard views, swapped as one `Arc` so a query
+    /// (or batch) pins a consistent shard set for its whole lifetime.
+    view: RwLock<Arc<View>>,
     cache: ExpansionCache,
     metrics: ServeMetrics,
     clock: Arc<dyn Clock>,
@@ -194,18 +348,39 @@ pub struct QueryService<'a> {
     admission: AdmissionController,
 }
 
+/// One shard holding `live`, whose ordinals are its own doc ids.
+fn one_shard(live: SegmentedIndex) -> (Vec<SegmentedIndex>, Vec<Vec<u32>>) {
+    let docs = u32::try_from(live.num_sealed_docs() + live.num_buffered_docs())
+        .expect("invariant: doc count fits in u32 ids");
+    (vec![live], vec![(0..docs).collect()])
+}
+
 impl<'a> QueryService<'a> {
-    /// Creates a service with the no-op [`NullClock`] (counters work,
-    /// latency histograms record zeros). The index is cloned in as
+    /// Creates a one-shard service with the no-op [`NullClock`] (counters
+    /// work, latency histograms record zeros). The index is cloned in as
     /// segment 0 of the live corpus.
     pub fn new(graph: &'a KbGraph, index: &Index, cfg: SqeConfig, serve_cfg: ServeConfig) -> Self {
         QueryService::with_clock(graph, index, cfg, serve_cfg, Arc::new(NullClock))
     }
 
-    /// Creates a service over a loaded binary snapshot — the cold-start
-    /// path a restarting deployment takes. The snapshot's segments are
-    /// adopted as-is (no merge, no re-analysis); the snapshot was fully
-    /// verified and audited at decode time.
+    /// [`QueryService::new`] with an injected clock — a `MonotonicClock`
+    /// in the bench harness, a `ManualClock` in tests.
+    pub fn with_clock(
+        graph: &'a KbGraph,
+        index: &Index,
+        cfg: SqeConfig,
+        serve_cfg: ServeConfig,
+        clock: Arc<dyn Clock>,
+    ) -> Self {
+        let (shards, ordinals) = one_shard(SegmentedIndex::from_index(index.clone()));
+        let router = ShardRouter::new(1);
+        QueryService::from_shards_with_clock(graph, router, shards, ordinals, cfg, serve_cfg, clock)
+    }
+
+    /// Creates a one-shard service over a loaded binary snapshot — the
+    /// cold-start path a restarting deployment takes. The snapshot's
+    /// segments are adopted as-is (no merge, no re-analysis); the
+    /// snapshot was fully verified and audited at decode time.
     pub fn from_snapshot(
         snapshot: &'a sqe_store::Snapshot,
         collection: &str,
@@ -218,49 +393,87 @@ impl<'a> QueryService<'a> {
         Ok(QueryService::from_segmented(snapshot.graph(), live, cfg, serve_cfg))
     }
 
-    /// Creates a service with an injected clock — a `MonotonicClock` in
-    /// the bench harness, a `ManualClock` in tests.
-    pub fn with_clock(
-        graph: &'a KbGraph,
-        index: &Index,
-        cfg: SqeConfig,
-        serve_cfg: ServeConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        QueryService::from_segmented_with_clock(
-            graph,
-            SegmentedIndex::from_index(index.clone()),
-            cfg,
-            serve_cfg,
-            clock,
-        )
-    }
-
-    /// Creates a service over an existing segmented corpus (buffered
-    /// documents stay buffered until the first [`QueryService::seal`]).
+    /// Creates a one-shard service over an existing segmented corpus
+    /// (buffered documents stay buffered until the first seal).
     pub fn from_segmented(
         graph: &'a KbGraph,
         live: SegmentedIndex,
         cfg: SqeConfig,
         serve_cfg: ServeConfig,
     ) -> Self {
-        QueryService::from_segmented_with_clock(graph, live, cfg, serve_cfg, Arc::new(NullClock))
+        let (shards, ordinals) = one_shard(live);
+        QueryService::from_shards(graph, ShardRouter::new(1), shards, ordinals, cfg, serve_cfg)
     }
 
-    /// [`QueryService::from_segmented`] with an injected clock.
-    pub fn from_segmented_with_clock(
+    /// Creates a service over existing per-shard corpora — the reopen
+    /// path after loading one snapshot per shard. `ordinals` must map
+    /// each shard's local doc ids to the global ingest ordinals of the
+    /// original run (each vector strictly increasing); the caller
+    /// recovers them from its ingest manifest. `shards` takes
+    /// precedence over the router's count: the router is re-derived
+    /// over `shards.len()` with the same salt.
+    pub fn from_shards(
         graph: &'a KbGraph,
-        live: SegmentedIndex,
+        router: ShardRouter,
+        shards: Vec<SegmentedIndex>,
+        ordinals: Vec<Vec<u32>>,
+        cfg: SqeConfig,
+        serve_cfg: ServeConfig,
+    ) -> Self {
+        let clock = Arc::new(NullClock);
+        QueryService::from_shards_with_clock(graph, router, shards, ordinals, cfg, serve_cfg, clock)
+    }
+
+    /// [`QueryService::from_shards`] with an injected clock.
+    pub fn from_shards_with_clock(
+        graph: &'a KbGraph,
+        router: ShardRouter,
+        mut shards: Vec<SegmentedIndex>,
+        mut ordinals: Vec<Vec<u32>>,
         cfg: SqeConfig,
         serve_cfg: ServeConfig,
         clock: Arc<dyn Clock>,
     ) -> Self {
-        let view = live.searcher();
+        if shards.is_empty() {
+            // Degenerate input: serve an empty single-shard corpus
+            // rather than a service that cannot answer anything.
+            shards.push(SegmentedIndex::new(Analyzer::english()));
+        }
+        ordinals.resize(shards.len(), Vec::new());
+        let router = ShardRouter::with_salt(shards.len(), router.salt());
+        let next_ordinal = ordinals
+            .iter()
+            .flat_map(|o| o.iter().copied())
+            .max()
+            .map_or(0, |m| m.saturating_add(1));
+        let mut locations = vec![NO_LOC; next_ordinal as usize];
+        for (shard, ords) in (0u32..).zip(&ordinals) {
+            for (local, &ordinal) in (0u32..).zip(ords) {
+                if let Some(slot) = locations.get_mut(ordinal as usize) {
+                    *slot = DocLoc { shard, local };
+                }
+            }
+        }
+        let ordinals: Vec<Arc<Vec<u32>>> = ordinals.into_iter().map(Arc::new).collect();
+        let locations = Arc::new(locations);
+        let view = View {
+            shards: shards
+                .iter()
+                .zip(&ordinals)
+                .map(|(shard, ords)| ShardView {
+                    searcher: shard.searcher(),
+                    ordinals: Arc::clone(ords),
+                })
+                .collect(),
+            locations: Arc::clone(&locations),
+        };
         #[cfg(all(debug_assertions, feature = "validate"))]
         {
             kbgraph::audit::GraphAudit::run(graph).assert_clean("QueryService");
-            for seg in view.segments() {
-                searchlite::audit::IndexAudit::run(seg.index()).assert_clean("QueryService");
+            for shard in &view.shards {
+                for seg in shard.searcher.segments() {
+                    searchlite::audit::IndexAudit::run(seg.index()).assert_clean("QueryService");
+                }
             }
         }
         let cache = ExpansionCache::new(serve_cfg.cache_capacity);
@@ -270,9 +483,15 @@ impl<'a> QueryService<'a> {
             graph,
             cfg,
             serve_cfg,
+            router,
             maint: Mutex::new(()),
-            live: Mutex::new(live),
-            view: RwLock::new(view),
+            live: Mutex::new(Live {
+                shards,
+                ordinals,
+                locations,
+                next_ordinal,
+            }),
+            view: RwLock::new(Arc::new(view)),
             cache,
             metrics,
             clock,
@@ -292,9 +511,9 @@ impl<'a> QueryService<'a> {
     }
 
     /// Locks the live corpus; a poisoned mutex still yields usable state
-    /// (the segmented index never holds partial updates across panics
+    /// (the segmented indexes never hold partial updates across panics
     /// that matter to readers — sealed segments are immutable).
-    fn live_lock(&self) -> MutexGuard<'_, SegmentedIndex> {
+    fn live_lock(&self) -> MutexGuard<'_, Live> {
         match self.live.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -302,33 +521,48 @@ impl<'a> QueryService<'a> {
     }
 
     /// Read-locks the published view.
-    fn view_read(&self) -> RwLockReadGuard<'_, Searcher> {
+    fn view_read(&self) -> RwLockReadGuard<'_, Arc<View>> {
         match self.view.read() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
     }
 
-    /// Swaps in a freshly published searcher. Invalidates the expansion
-    /// cache exactly once per epoch advance: republishing the same epoch
-    /// (or an older one) leaves the cache warm.
-    fn publish(&self, searcher: Searcher) {
-        let advanced = {
-            let mut view = match self.view.write() {
+    /// Pins the current shard set (one `Arc` clone).
+    fn pinned(&self) -> Arc<View> {
+        Arc::clone(&self.view_read())
+    }
+
+    /// Publishes a refreshed view for one shard. Invalidates the shared
+    /// expansion cache exactly once per epoch advance of that shard;
+    /// republishing the same epoch (or an older one) leaves the cache
+    /// warm.
+    fn publish_shard(&self, shard: usize, view: ShardView, locations: Arc<Vec<DocLoc>>) {
+        // The successor view is built outside the write lock; the
+        // maintenance mutex (held by every caller) serializes publishes,
+        // so no concurrent publish can be lost.
+        let current = self.pinned();
+        let mut shards = current.shards.clone();
+        let Some(slot) = shards.get_mut(shard) else {
+            return;
+        };
+        let advanced = view.searcher.epoch() > slot.searcher.epoch();
+        if advanced || view.searcher.epoch() == slot.searcher.epoch() {
+            *slot = view;
+            let next = Arc::new(View { shards, locations });
+            let mut published = match self.view.write() {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            let advanced = searcher.epoch() > view.epoch();
-            if advanced || searcher.epoch() == view.epoch() {
-                *view = searcher;
-            }
-            advanced
-        };
+            *published = next;
+        }
         if advanced {
             self.cache.invalidate();
             self.metrics.invalidations.inc();
         }
     }
+
+    // ----------------------------------------------------- accessors --
 
     /// The KB graph.
     pub fn graph(&self) -> &KbGraph {
@@ -345,116 +579,63 @@ impl<'a> QueryService<'a> {
         &self.serve_cfg
     }
 
-    /// A clone of the currently published searcher view (cheap: one
-    /// `Arc`). Queries served through it are stable across later seals.
+    /// The document router.
+    pub fn router(&self) -> ShardRouter {
+        self.router
+    }
+
+    /// Number of shards.
+    pub fn num_shards(&self) -> usize {
+        self.router.shards()
+    }
+
+    /// A clone of the first shard's published searcher (cheap: one
+    /// `Arc`); queries served through it are stable across later seals.
+    /// With one shard it is the whole corpus and hit ids are its doc ids.
     pub fn searcher(&self) -> Searcher {
-        self.view_read().clone()
+        self.view_read()
+            .shards
+            .first()
+            .map(|s| s.searcher.clone())
+            .expect("invariant: a service always has at least one shard")
     }
 
-    /// The segment-set epoch of the published view.
+    /// A pinned clone of one shard's published searcher.
+    pub fn shard_searcher(&self, shard: usize) -> Option<Searcher> {
+        self.view_read().shards.get(shard).map(|s| s.searcher.clone())
+    }
+
+    /// The per-shard segment-set epochs of the published views. Sealing
+    /// shard `s` bumps exactly entry `s`.
+    pub fn epoch_vector(&self) -> Vec<u64> {
+        self.view_read().shards.iter().map(|s| s.searcher.epoch()).collect()
+    }
+
+    /// The scalar epoch: the sum of the epoch vector, monotone under any
+    /// seal or merge on any shard.
     pub fn epoch(&self) -> u64 {
-        self.view_read().epoch()
+        self.view_read().shards.iter().map(|s| s.searcher.epoch()).sum()
     }
 
-    /// Sealed segments visible to queries.
+    /// Sealed segments visible to queries, over all shards.
     pub fn num_segments(&self) -> usize {
-        self.view_read().num_segments()
+        self.view_read().shards.iter().map(|s| s.searcher.num_segments()).sum()
     }
 
-    /// Documents waiting in the ingest buffer (invisible until sealed).
+    /// Searchable documents, over all shards.
+    pub fn num_docs(&self) -> usize {
+        self.view_read().shards.iter().map(|s| s.searcher.num_docs()).sum()
+    }
+
+    /// Documents waiting in shard buffers (invisible until sealed).
     pub fn num_buffered_docs(&self) -> usize {
-        self.live_lock().num_buffered_docs()
+        self.live_lock().shards.iter().map(SegmentedIndex::num_buffered_docs).sum()
     }
 
-    // ------------------------------------------------------- ingestion --
-
-    /// Adds a document to the live ingest buffer; it becomes searchable
-    /// at the next [`QueryService::seal`]. Duplicate external ids are
-    /// rejected against the whole corpus, sealed and buffered alike.
-    pub fn add_document(&self, external_id: &str, text: &str) -> Result<DocId, IngestError> {
-        let t0 = self.clock.now_nanos();
-        let result = self.live_lock().add_document(external_id, text);
-        if result.is_ok() {
-            let t1 = self.clock.now_nanos();
-            self.metrics.docs_ingested.inc();
-            self.metrics.ingest.add.record(t1.saturating_sub(t0));
-        }
-        result
-    }
-
-    /// Seals the ingest buffer into a new immutable segment, runs the
-    /// merge policy, and publishes the refreshed view. Returns `None`
-    /// (and changes nothing) when the buffer is empty. The expansion
-    /// cache is invalidated exactly once per successful seal.
-    ///
-    /// The expensive work — building the segment, running policy merges —
-    /// happens on state detached from the `live` mutex, so concurrent
-    /// `add_document` calls and queries never block behind it. Only the
-    /// cheap begin/commit/install phases take the lock; `maint`
-    /// serializes whole maintenance ops against each other, so the merge
-    /// outcome is never stale.
-    pub fn seal(&self) -> Option<SealReport> {
-        let t0 = self.clock.now_nanos();
-        let _maint = self.maint_lock();
-        let pending = self.live_lock().begin_seal()?;
-        // lint:allow(must-audit-after-mutation) — IndexAudit runs inside PendingSeal::build
-        let built = pending.build();
-        let (mut report, task) = {
-            let mut live = self.live_lock();
-            let report = live.commit_seal(built);
-            (report, live.merge_task())
-        };
-        let outcome = task.run_policy();
-        let searcher = {
-            let mut live = self.live_lock();
-            if let Some(merges) = live.install_merge(outcome) {
-                report.merges = merges;
-            }
-            live.searcher()
-        };
-        self.publish(searcher);
-        self.metrics.seals.inc();
-        self.metrics
-            .merges
-            .add(u64::try_from(report.merges).expect("invariant: merge count fits in u64"));
-        let t1 = self.clock.now_nanos();
-        self.metrics.ingest.seal.record(t1.saturating_sub(t0));
-        Some(report)
-    }
-
-    /// Compacts every sealed segment into one and publishes the merged
-    /// view. Returns `false` (a no-op) with fewer than two segments.
-    /// Like [`QueryService::seal`], the merge itself runs on a detached
-    /// snapshot under `maint` only — the `live` mutex is held just to
-    /// snapshot and to install the result.
-    pub fn force_merge(&self) -> bool {
-        let t0 = self.clock.now_nanos();
-        let _maint = self.maint_lock();
-        let task = self.live_lock().merge_task();
-        let Some(outcome) = task.run_full() else {
-            return false;
-        };
-        let searcher = {
-            let mut live = self.live_lock();
-            if live.install_merge(outcome).is_none() {
-                // Unreachable while `maint` serializes maintenance, but a
-                // stale outcome must never clobber a newer segment set.
-                return false;
-            }
-            live.searcher()
-        };
-        self.publish(searcher);
-        self.metrics.merges.inc();
-        let t1 = self.clock.now_nanos();
-        self.metrics.ingest.merge.record(t1.saturating_sub(t0));
-        true
-    }
-
-    /// Converts hits to external document ids (against the currently
-    /// published view).
+    /// Converts hits (global-ordinal ids) to external document ids
+    /// against the currently published view.
     pub fn external_ids(&self, hits: &[SearchHit]) -> Vec<String> {
-        let view = self.view_read();
-        ids_of(&view, hits)
+        self.pinned().external_ids(hits)
     }
 
     /// Bumps the cache generation: every cached expansion becomes stale.
@@ -470,7 +651,8 @@ impl<'a> QueryService<'a> {
         self.cache.len()
     }
 
-    /// Point-in-time copy of every metric.
+    /// Point-in-time copy of every metric; its epoch is
+    /// [`QueryService::epoch`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot(self.cache.evictions(), self.epoch())
     }
@@ -480,6 +662,173 @@ impl<'a> QueryService<'a> {
     /// numbers are not polluted by cold-phase latencies.
     pub fn reset_metrics(&self) {
         self.metrics.reset();
+    }
+
+    // ------------------------------------------------------- ingestion --
+
+    /// Routes the document to its shard and buffers it there; it becomes
+    /// searchable when that shard seals. Returns the **global ingest
+    /// ordinal** as the document id — the id a monolithic build would
+    /// have assigned. Duplicate external ids are rejected across the
+    /// *whole* service: the owning shard checks its own corpus, and
+    /// every other shard is probed too, so an id that routed differently
+    /// in a previous life (different shard count or salt) still cannot
+    /// be ingested twice.
+    pub fn add_document(&self, external_id: &str, text: &str) -> Result<DocId, IngestError> {
+        let t0 = self.clock.now_nanos();
+        let result = {
+            let mut live = self.live_lock();
+            let target = self.router.route(external_id);
+            let Live {
+                shards,
+                ordinals,
+                locations,
+                next_ordinal,
+            } = &mut *live;
+            let duplicate_elsewhere = shards
+                .iter()
+                .enumerate()
+                .any(|(s, shard)| s != target && shard.contains_external_id(external_id));
+            if duplicate_elsewhere {
+                Err(IngestError::DuplicateExternalId {
+                    external_id: external_id.to_owned(),
+                })
+            } else {
+                let shard = shards
+                    .get_mut(target)
+                    .expect("invariant: router output bounded by shard count");
+                shard.add_document(external_id, text).map(|local| {
+                    let global = *next_ordinal;
+                    Arc::make_mut(
+                        ordinals
+                            .get_mut(target)
+                            .expect("invariant: one ordinal table per shard"),
+                    )
+                    .push(global);
+                    let shard = u32::try_from(target).expect("invariant: shard index fits in u32");
+                    Arc::make_mut(locations).push(DocLoc {
+                        shard,
+                        local: local.0,
+                    });
+                    *next_ordinal = next_ordinal.saturating_add(1);
+                    DocId(global)
+                })
+            }
+        };
+        if result.is_ok() {
+            let t1 = self.clock.now_nanos();
+            self.metrics.docs_ingested.inc();
+            self.metrics.ingest.add.record(t1.saturating_sub(t0));
+        }
+        result
+    }
+
+    /// Seals one shard's ingest buffer into a new immutable segment,
+    /// runs that shard's merge policy, and publishes its refreshed view.
+    /// Returns `None` (and changes nothing) when the buffer is empty or
+    /// the shard index is out of range. Exactly one epoch-vector entry
+    /// advances and the shared cache is invalidated exactly once.
+    ///
+    /// The expensive work — building the segment, running policy merges —
+    /// happens on state detached from the `live` mutex, so concurrent
+    /// `add_document` calls and queries never block behind it. Only the
+    /// cheap begin/commit/install phases take the lock; `maint`
+    /// serializes whole maintenance ops against each other, so the merge
+    /// outcome is never stale.
+    pub fn seal_shard(&self, shard: usize) -> Option<SealReport> {
+        let t0 = self.clock.now_nanos();
+        let _maint = self.maint_lock();
+        let pending = self.live_lock().shards.get_mut(shard)?.begin_seal()?;
+        // lint:allow(must-audit-after-mutation) — IndexAudit runs inside PendingSeal::build
+        let built = pending.build();
+        let (mut report, task) = {
+            let mut live = self.live_lock();
+            let s = live
+                .shards
+                .get_mut(shard)
+                .expect("invariant: shard index validated by begin_seal above");
+            let report = s.commit_seal(built);
+            (report, s.merge_task())
+        };
+        let outcome = task.run_policy();
+        let (view, locations) = {
+            let mut live = self.live_lock();
+            if let Some(merges) = live.shards.get_mut(shard).and_then(|s| s.install_merge(outcome)) {
+                report.merges = merges;
+            }
+            live.shard_view(shard)
+        };
+        self.publish_shard(shard, view, locations);
+        self.metrics.seals.inc();
+        self.metrics
+            .merges
+            .add(u64::try_from(report.merges).expect("invariant: merge count fits in u64"));
+        let t1 = self.clock.now_nanos();
+        self.metrics.ingest.seal.record(t1.saturating_sub(t0));
+        Some(report)
+    }
+
+    /// Seals every shard with a non-empty buffer; returns the report of
+    /// the last one sealed (with one shard, the corpus's seal report), or
+    /// `None` when every buffer was empty.
+    pub fn seal(&self) -> Option<SealReport> {
+        (0..self.num_shards()).fold(None, |last, s| self.seal_shard(s).or(last))
+    }
+
+    /// Seals every shard with a non-empty buffer; returns how many
+    /// sealed.
+    pub fn seal_all(&self) -> usize {
+        (0..self.num_shards())
+            .filter(|&s| self.seal_shard(s).is_some())
+            .count()
+    }
+
+    /// Compacts every shard's sealed segments into one and publishes the
+    /// merged views. Returns `false` (a no-op) when no shard has two or
+    /// more segments. Like [`QueryService::seal_shard`], each merge runs
+    /// on a detached snapshot under `maint` only — the `live` mutex is
+    /// held just to snapshot and to install the result.
+    pub fn force_merge(&self) -> bool {
+        (0..self.num_shards())
+            .filter(|&s| self.merge_shard(s))
+            .count()
+            > 0
+    }
+
+    /// [`QueryService::force_merge`] for one shard.
+    fn merge_shard(&self, shard: usize) -> bool {
+        let t0 = self.clock.now_nanos();
+        let _maint = self.maint_lock();
+        let Some(task) = self.live_lock().shards.get(shard).map(SegmentedIndex::merge_task) else {
+            return false;
+        };
+        let Some(outcome) = task.run_full() else {
+            return false;
+        };
+        let (view, locations) = {
+            let mut live = self.live_lock();
+            if live.shards.get_mut(shard).and_then(|s| s.install_merge(outcome)).is_none() {
+                // Unreachable while `maint` serializes maintenance, but a
+                // stale outcome must never clobber a newer segment set.
+                return false;
+            }
+            live.shard_view(shard)
+        };
+        self.publish_shard(shard, view, locations);
+        self.metrics.merges.inc();
+        let t1 = self.clock.now_nanos();
+        self.metrics.ingest.merge.record(t1.saturating_sub(t0));
+        true
+    }
+
+    // ------------------------------------------------------- querying --
+
+    /// Scatter-gather QL over a raw structured query: phase-1 resolve on
+    /// every shard, exact-integer gather, phase-2 scoring, ordinal
+    /// mapping, `scorecmp` merge. Hit ids are global ingest ordinals.
+    pub fn rank_ql(&self, query: &Query, k: usize) -> Vec<SearchHit> {
+        let view = self.pinned();
+        view.search_hits(scatter_ql(&view, query, self.cfg.ql, k, &mut QlScratch::new()))
     }
 
     /// The expansion features for one query under one motif set:
@@ -507,52 +856,66 @@ impl<'a> QueryService<'a> {
 
     /// Expand + rank for one motif set, recording the two stage
     /// histograms but not the per-query totals (SQE_C runs this three
-    /// times per query). `searcher` is the view pinned at query entry,
+    /// times per query). `view` is the shard set pinned at query entry,
     /// so a concurrent seal cannot change the corpus mid-query.
     fn stage_run(
         &self,
-        searcher: &Searcher,
+        view: &View,
         text: &str,
         nodes: &[ArticleId],
         motifs: &MotifSet,
         scratch: &mut SqeScratch,
-    ) -> Vec<SearchHit> {
+    ) -> Vec<Hit> {
+        self.stage_run_deadline(view, text, nodes, motifs, Deadline::NONE, scratch)
+            .unwrap_or_default()
+    }
+
+    /// [`QueryService::stage_run`] with a deadline check between the
+    /// expand and rank stages: when expansion alone blows the deadline,
+    /// ranking is skipped entirely.
+    #[allow(clippy::too_many_arguments)]
+    fn stage_run_deadline(
+        &self,
+        view: &View,
+        text: &str,
+        nodes: &[ArticleId],
+        motifs: &MotifSet,
+        deadline: Deadline,
+        scratch: &mut SqeScratch,
+    ) -> Result<Vec<Hit>, Stage> {
         let cfg = &self.cfg;
         let t0 = self.clock.now_nanos();
         let expansions = self.expansions_for(nodes, motifs, scratch);
         let t1 = self.clock.now_nanos();
-        let query = expand::build_query(
-            self.graph,
-            text,
-            nodes,
-            &expansions,
-            searcher.analyzer(),
-            &cfg.expand,
-        );
-        let hits = ql::rank_with_scratch(searcher, &query, cfg.ql, cfg.depth, &mut scratch.ql);
-        let t2 = self.clock.now_nanos();
         self.metrics.stages.expand.record(t1.saturating_sub(t0));
+        if deadline.expired(t1) {
+            return Err(Stage::Expand);
+        }
+        let query =
+            expand::build_query(self.graph, text, nodes, &expansions, view.analyzer(), &cfg.expand);
+        let hits = scatter_ql(view, &query, cfg.ql, cfg.depth, &mut scratch.ql);
+        let t2 = self.clock.now_nanos();
         self.metrics.stages.rank.record(t2.saturating_sub(t1));
-        hits
+        Ok(hits)
     }
 
     /// Retrieval with an arbitrary [`MotifSet`] through the cache;
-    /// identical output to [`crate::pipeline::SqePipeline::rank_sqe`].
+    /// identical output to [`crate::pipeline::SqePipeline::rank_sqe`]
+    /// (hit ids are global ordinals).
     pub fn rank_sqe(&self, text: &str, nodes: &[ArticleId], motifs: &MotifSet) -> Vec<SearchHit> {
-        let searcher = self.searcher();
-        self.rank_sqe_with_scratch(&searcher, text, nodes, motifs, &mut SqeScratch::new())
+        self.rank_sqe_with_scratch(&self.pinned(), text, nodes, motifs, &mut SqeScratch::new())
     }
 
     fn rank_sqe_with_scratch(
         &self,
-        searcher: &Searcher,
+        view: &View,
         text: &str,
         nodes: &[ArticleId],
         motifs: &MotifSet,
         scratch: &mut SqeScratch,
     ) -> Vec<SearchHit> {
         let t0 = self.clock.now_nanos();
-        let hits = self.stage_run(searcher, text, nodes, motifs, scratch);
+        let hits = view.search_hits(self.stage_run(view, text, nodes, motifs, scratch));
         let t1 = self.clock.now_nanos();
         self.metrics.stages.total.record(t1.saturating_sub(t0));
         self.metrics.queries.inc();
@@ -560,28 +923,29 @@ impl<'a> QueryService<'a> {
     }
 
     /// `SQE_C` rank-range combination through the cache; identical output
-    /// to [`SqePipeline::rank_sqe_c`].
+    /// to [`crate::pipeline::SqePipeline::rank_sqe_c`]. The three stages
+    /// are combined on document locations; only the combined list is
+    /// mapped to external ids.
     pub fn rank_sqe_c(&self, text: &str, nodes: &[ArticleId]) -> Vec<String> {
-        let searcher = self.searcher();
-        self.rank_sqe_c_with_scratch(&searcher, text, nodes, &mut SqeScratch::new())
+        self.rank_sqe_c_with_scratch(&self.pinned(), text, nodes, &mut SqeScratch::new())
     }
 
     fn rank_sqe_c_with_scratch(
         &self,
-        searcher: &Searcher,
+        view: &View,
         text: &str,
         nodes: &[ArticleId],
         scratch: &mut SqeScratch,
     ) -> Vec<String> {
         let t0 = self.clock.now_nanos();
-        let t = self.stage_run(searcher, text, nodes, &MotifSet::triangular(), scratch);
-        let ts = self.stage_run(searcher, text, nodes, &MotifSet::t_and_s(), scratch);
-        let s = self.stage_run(searcher, text, nodes, &MotifSet::square(), scratch);
+        let t = self.stage_run(view, text, nodes, &MotifSet::triangular(), scratch);
+        let ts = self.stage_run(view, text, nodes, &MotifSet::t_and_s(), scratch);
+        let s = self.stage_run(view, text, nodes, &MotifSet::square(), scratch);
         let c0 = self.clock.now_nanos();
-        let docs = combine::sqe_c(&doc_ids(&t), &doc_ids(&ts), &doc_ids(&s), self.cfg.depth);
+        let docs = combine::sqe_c(&locations(&t), &locations(&ts), &locations(&s), self.cfg.depth);
         let ids = docs
             .into_iter()
-            .map(|d| searcher.external_id(d).to_owned())
+            .map(|loc| view.external_id(loc).to_owned())
             .collect();
         let c1 = self.clock.now_nanos();
         self.metrics.stages.combine.record(c1.saturating_sub(c0));
@@ -591,22 +955,20 @@ impl<'a> QueryService<'a> {
     }
 
     /// Batch `SQE` retrieval over the configured worker pool; results
-    /// keep input order and match [`crate::pipeline::SqePipeline::rank_sqe_many`]. The
-    /// whole batch is served from one pinned view: a seal landing
+    /// keep input order and match [`crate::pipeline::SqePipeline::rank_sqe_many`].
+    /// The whole batch is served from one pinned view: a seal landing
     /// mid-batch affects the *next* batch, never this one.
     pub fn run_batch(
         &self,
         queries: &[(String, Vec<ArticleId>)],
         motifs: &MotifSet,
     ) -> Vec<Vec<SearchHit>> {
-        let searcher = self.searcher();
+        let view = self.pinned();
         run_indexed(
             queries,
             self.serve_cfg.workers,
             SqeScratch::new,
-            |(text, nodes), scratch| {
-                self.rank_sqe_with_scratch(&searcher, text, nodes, motifs, scratch)
-            },
+            |(text, nodes), scratch| self.rank_sqe_with_scratch(&view, text, nodes, motifs, scratch),
         )
     }
 
@@ -614,12 +976,12 @@ impl<'a> QueryService<'a> {
     /// keep input order (same pinned-view guarantee as
     /// [`QueryService::run_batch`]).
     pub fn run_batch_sqe_c(&self, queries: &[(String, Vec<ArticleId>)]) -> Vec<Vec<String>> {
-        let searcher = self.searcher();
+        let view = self.pinned();
         run_indexed(
             queries,
             self.serve_cfg.workers,
             SqeScratch::new,
-            |(text, nodes), scratch| self.rank_sqe_c_with_scratch(&searcher, text, nodes, scratch),
+            |(text, nodes), scratch| self.rank_sqe_c_with_scratch(&view, text, nodes, scratch),
         )
     }
 
@@ -674,20 +1036,13 @@ impl<'a> QueryService<'a> {
         nodes: &[ArticleId],
         deadline: Deadline,
     ) -> ServeOutcome<Vec<SearchHit>> {
-        let searcher = self.searcher();
-        self.serve_admitted_with_scratch(
-            &searcher,
-            ticket,
-            text,
-            nodes,
-            deadline,
-            &mut SqeScratch::new(),
-        )
+        let view = self.pinned();
+        self.serve_admitted_with_scratch(&view, ticket, text, nodes, deadline, &mut SqeScratch::new())
     }
 
     fn serve_admitted_with_scratch(
         &self,
-        searcher: &Searcher,
+        view: &View,
         ticket: Ticket,
         text: &str,
         nodes: &[ArticleId],
@@ -708,15 +1063,15 @@ impl<'a> QueryService<'a> {
             self.metrics.sheds.inc();
             return ServeOutcome::Shed(ShedReason::BudgetExhausted);
         };
-        self.run_rung(searcher, rung, text, nodes, deadline, scratch)
+        self.run_rung(view, rung, text, nodes, deadline, scratch)
     }
 
     /// Runs one request at a forced ladder rung with no admission and no
     /// deadline — the calibration entry benchmarks use to measure (and
     /// prime, via the recorded cost histogram) per-rung costs.
     pub fn serve_at_rung(&self, rung: usize, text: &str, nodes: &[ArticleId]) -> Vec<SearchHit> {
-        let searcher = self.searcher();
-        self.run_rung(&searcher, rung, text, nodes, Deadline::NONE, &mut SqeScratch::new())
+        let view = self.pinned();
+        self.run_rung(&view, rung, text, nodes, Deadline::NONE, &mut SqeScratch::new())
             .into_value()
             .unwrap_or_default()
     }
@@ -727,7 +1082,7 @@ impl<'a> QueryService<'a> {
     /// estimator needs to stop selecting that rung.
     fn run_rung(
         &self,
-        searcher: &Searcher,
+        view: &View,
         rung: usize,
         text: &str,
         nodes: &[ArticleId],
@@ -741,15 +1096,12 @@ impl<'a> QueryService<'a> {
             .expect("invariant: rung index is within the configured ladder");
         let t0 = self.clock.now_nanos();
         let staged = match rung_def.motifs() {
-            Some(motifs) => {
-                self.stage_run_deadline(searcher, text, nodes, motifs, deadline, scratch)
-            }
+            Some(motifs) => self.stage_run_deadline(view, text, nodes, motifs, deadline, scratch),
             None => {
                 // No expansion: rank the user part of the query directly
                 // (the paper's unexpanded QL baseline).
-                let query = expand::user_part(text, searcher.analyzer());
-                let hits =
-                    ql::rank_with_scratch(searcher, &query, self.cfg.ql, self.cfg.depth, &mut scratch.ql);
+                let query = expand::user_part(text, view.analyzer());
+                let hits = scatter_ql(view, &query, self.cfg.ql, self.cfg.depth, &mut scratch.ql);
                 let t1 = self.clock.now_nanos();
                 self.metrics.stages.rank.record(t1.saturating_sub(t0));
                 Ok(hits)
@@ -761,7 +1113,7 @@ impl<'a> QueryService<'a> {
         self.metrics.stages.total.record(elapsed);
         self.metrics.queries.inc();
         let hits = match staged {
-            Ok(hits) => hits,
+            Ok(hits) => view.search_hits(hits),
             Err(stage) => {
                 self.metrics.deadline_exceeded.inc();
                 return ServeOutcome::DeadlineExceeded(stage);
@@ -781,51 +1133,17 @@ impl<'a> QueryService<'a> {
         }
     }
 
-    /// [`QueryService::stage_run`] with a deadline check between the
-    /// expand and rank stages: when expansion alone blows the deadline,
-    /// ranking is skipped entirely.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_run_deadline(
-        &self,
-        searcher: &Searcher,
-        text: &str,
-        nodes: &[ArticleId],
-        motifs: &MotifSet,
-        deadline: Deadline,
-        scratch: &mut SqeScratch,
-    ) -> Result<Vec<SearchHit>, Stage> {
-        let cfg = &self.cfg;
-        let t0 = self.clock.now_nanos();
-        let expansions = self.expansions_for(nodes, motifs, scratch);
-        let t1 = self.clock.now_nanos();
-        self.metrics.stages.expand.record(t1.saturating_sub(t0));
-        if deadline.expired(t1) {
-            return Err(Stage::Expand);
-        }
-        let query = expand::build_query(
-            self.graph,
-            text,
-            nodes,
-            &expansions,
-            searcher.analyzer(),
-            &cfg.expand,
-        );
-        let hits = ql::rank_with_scratch(searcher, &query, cfg.ql, cfg.depth, &mut scratch.ql);
-        let t2 = self.clock.now_nanos();
-        self.metrics.stages.rank.record(t2.saturating_sub(t1));
-        Ok(hits)
-    }
-
     /// Admission-controlled batch serving. Admission decisions are taken
     /// in a **sequential pre-pass in input order on the caller's
     /// thread**: queue-bound and token-bucket state evolve with arrival
     /// order alone, never with worker scheduling, so for a fixed clock
     /// schedule the outcome sequence is byte-identical at any worker
-    /// count (the determinism wall in `tests/serve_determinism.rs`
-    /// enforces this). Execution then fans out over the worker pool into
-    /// order-preserving slots, same as [`QueryService::run_batch`].
+    /// count and any shard count (the determinism wall in
+    /// `tests/serve_determinism.rs` enforces this). Execution then fans
+    /// out over the worker pool into order-preserving slots, same as
+    /// [`QueryService::run_batch`].
     pub fn serve_batch(&self, requests: &[ServeRequest]) -> Vec<ServeOutcome<Vec<SearchHit>>> {
-        let searcher = self.searcher();
+        let view = self.pinned();
         let plans: Vec<(usize, Result<Ticket, ShedReason>)> = requests
             .iter()
             .enumerate()
@@ -842,7 +1160,7 @@ impl<'a> QueryService<'a> {
                 match plan {
                     Err(reason) => ServeOutcome::Shed(*reason),
                     Ok(ticket) => self.serve_admitted_with_scratch(
-                        &searcher,
+                        &view,
                         *ticket,
                         &req.text,
                         &req.nodes,
@@ -855,17 +1173,131 @@ impl<'a> QueryService<'a> {
     }
 }
 
-/// The doc ids of `hits`, in rank order: what `SQE_C` combines on, so
-/// only the combined list is mapped to external ids.
-pub(crate) fn doc_ids(hits: &[SearchHit]) -> Vec<DocId> {
-    hits.iter().map(|h| h.doc).collect()
+impl Live {
+    /// Shard `shard`'s current view and the location table to publish
+    /// with it.
+    fn shard_view(&self, shard: usize) -> (ShardView, Arc<Vec<DocLoc>>) {
+        let searcher = self
+            .shards
+            .get(shard)
+            .map(SegmentedIndex::searcher)
+            .expect("invariant: shard index validated by the caller");
+        let ordinals = self.ordinals.get(shard).cloned().unwrap_or_default();
+        (ShardView { searcher, ordinals }, Arc::clone(&self.locations))
+    }
 }
 
-/// External ids of `hits` against one pinned searcher view.
-fn ids_of(searcher: &Searcher, hits: &[SearchHit]) -> Vec<String> {
-    hits.iter()
-        .map(|h| searcher.external_id(h.doc).to_owned())
-        .collect()
+/// A [`QueryService`] made by the sharded constructors: empty shards
+/// to ingest into, or one snapshot per shard. Every method is the one
+/// service's (through `Deref`); this type keeps only its constructors,
+/// because the benchmark package (`perfbench/`) and the bench harnesses
+/// name it.
+pub struct ShardedService<'a>(QueryService<'a>);
+
+impl<'a> ShardedService<'a> {
+    /// Creates an empty service with `router.shards()` empty shards and
+    /// the no-op [`NullClock`].
+    pub fn new(
+        graph: &'a KbGraph,
+        analyzer: Analyzer,
+        router: ShardRouter,
+        cfg: SqeConfig,
+        serve_cfg: ServeConfig,
+    ) -> Self {
+        ShardedService::with_clock(graph, analyzer, router, cfg, serve_cfg, Arc::new(NullClock))
+    }
+
+    /// [`ShardedService::new`] with an injected clock.
+    pub fn with_clock(
+        graph: &'a KbGraph,
+        analyzer: Analyzer,
+        router: ShardRouter,
+        cfg: SqeConfig,
+        serve_cfg: ServeConfig,
+        clock: Arc<dyn Clock>,
+    ) -> Self {
+        let shards = (0..router.shards())
+            .map(|_| SegmentedIndex::new(analyzer.clone()))
+            .collect();
+        let ordinals = Vec::new();
+        ShardedService(QueryService::from_shards_with_clock(
+            graph, router, shards, ordinals, cfg, serve_cfg, clock,
+        ))
+    }
+
+    /// Reopens a sharded deployment from one store snapshot per shard
+    /// (each holding the collection under `collection`); see
+    /// [`QueryService::from_shards`] for the `ordinals` contract.
+    pub fn from_shard_snapshots(
+        graph: &'a KbGraph,
+        snapshots: &[sqe_store::Snapshot],
+        collection: &str,
+        router: ShardRouter,
+        ordinals: Vec<Vec<u32>>,
+        cfg: SqeConfig,
+        serve_cfg: ServeConfig,
+    ) -> Result<Self, sqe_store::StoreError> {
+        let mut shards = Vec::with_capacity(snapshots.len());
+        for snap in snapshots {
+            let searcher = snap.searcher(collection)?;
+            shards.push(SegmentedIndex::from_segments(
+                searcher.analyzer().clone(),
+                searcher.segments().to_vec(),
+            ));
+        }
+        Ok(ShardedService(QueryService::from_shards(
+            graph, router, shards, ordinals, cfg, serve_cfg,
+        )))
+    }
+}
+
+impl<'a> Deref for ShardedService<'a> {
+    type Target = QueryService<'a>;
+
+    fn deref(&self) -> &QueryService<'a> {
+        &self.0
+    }
+}
+
+/// The locations of `hits`, in rank order: what `SQE_C` combines on, so
+/// only the combined list is mapped to external ids.
+fn locations(hits: &[Hit]) -> Vec<DocLoc> {
+    hits.iter().map(|h| h.loc).collect()
+}
+
+/// The full QL pipeline over a pinned shard set: resolve on every
+/// shard, gather exact-integer global stats, score per shard, merge
+/// under the `scorecmp` total order on global ordinals.
+fn scatter_ql(
+    view: &View,
+    query: &Query,
+    params: QlParams,
+    k: usize,
+    scratch: &mut QlScratch,
+) -> Vec<Hit> {
+    let partials: Vec<QlShardResolve> = view
+        .shards
+        .iter()
+        .map(|s| ql_resolve_shard(&s.searcher, query, scratch.positional()))
+        .collect();
+    let pcs = ql_global_pcs(&partials);
+    let lists: Vec<Vec<Hit>> = (0u32..)
+        .zip(&view.shards)
+        .zip(&partials)
+        .map(|((s, shard), partial)| {
+            ql_rank_shard(&shard.searcher, partial, &pcs, params, k, scratch)
+                .into_iter()
+                .map(|(local, score)| Hit {
+                    loc: DocLoc { shard: s, local },
+                    score,
+                })
+                .collect()
+        })
+        .collect();
+    merge_top_k(lists, k, |a, b| {
+        scorecmp::cmp_scores_desc(a.score, b.score)
+            .then_with(|| view.ordinal(a.loc).cmp(&view.ordinal(b.loc)))
+    })
 }
 
 #[cfg(test)]
@@ -874,9 +1306,22 @@ mod tests {
     use crate::metrics::ManualClock;
     use crate::pipeline::SqePipeline;
     use kbgraph::GraphBuilder;
-    use searchlite::{Analyzer, IndexBuilder};
+    use searchlite::ql::QlParams;
+    use searchlite::IndexBuilder;
 
-    fn world() -> (KbGraph, Index, ArticleId) {
+    const DOCS: [(&str, &str); 8] = [
+        ("d-cable-0", "cable car climbing the peak"),
+        ("d-funi-0", "old funicular near the village"),
+        ("d-funi-1", "the funicular station entrance"),
+        ("d-noise-0", "a market square with fruit"),
+        ("d-cable-1", "cable car cables over the gorge"),
+        ("d-funi-2", "funicular rails in the fog"),
+        ("d-noise-1", "street art on the plaza walls"),
+        ("d-mixed-0", "cable car to the funicular museum"),
+    ];
+
+    /// The KB graph, an index over `docs`, and the "cable car" node.
+    fn world_of(docs: &[(&str, &str)]) -> (KbGraph, Index, ArticleId) {
         let mut b = GraphBuilder::new();
         let cable = b.add_article("cable car");
         let funi = b.add_article("funicular");
@@ -887,12 +1332,39 @@ mod tests {
         let graph = b.build();
 
         let mut ib = IndexBuilder::new(Analyzer::plain());
-        ib.add_document("d-cable-0", "cable car climbing the peak").expect("unique test ids");
-        ib.add_document("d-funi-0", "old funicular near the village").expect("unique test ids");
-        ib.add_document("d-funi-1", "the funicular station entrance").expect("unique test ids");
-        ib.add_document("d-noise-0", "a market square with fruit").expect("unique test ids");
-        let index = ib.build();
-        (graph, index, cable)
+        for (id, text) in docs {
+            ib.add_document(id, text).expect("unique test ids");
+        }
+        (graph, ib.build(), cable)
+    }
+
+    /// The four-document world of the one-shard tests.
+    fn world() -> (KbGraph, Index, ArticleId) {
+        world_of(&DOCS[..4])
+    }
+
+    /// Builds a sharded service by routing DOCS and sealing every shard.
+    fn sharded_service<'g>(
+        graph: &'g KbGraph,
+        shards: usize,
+        salt: u64,
+        workers: usize,
+    ) -> ShardedService<'g> {
+        let service = ShardedService::new(
+            graph,
+            Analyzer::plain(),
+            ShardRouter::with_salt(shards, salt),
+            SqeConfig::default(),
+            ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            },
+        );
+        for (id, text) in DOCS {
+            service.add_document(id, text).expect("unique test ids");
+        }
+        service.seal_all();
+        service
     }
 
     fn queries(cable: ArticleId) -> Vec<(String, Vec<ArticleId>)> {
@@ -1326,5 +1798,282 @@ mod tests {
         let top_before = want[0].first().map(|h| h.doc);
         let top_after = again[0].first().map(|h| h.doc);
         assert_eq!(top_before, top_after, "top hit survives the seal");
+    }
+    #[test]
+    fn one_shard_hit_ids_are_searcher_doc_ids() {
+        // A one-shard service's hit ids are global ordinals; for every
+        // one-shard constructor they must also be the published
+        // searcher's own doc ids, so both resolve to the same name.
+        fn check(service: &QueryService<'_>, cable: ArticleId, label: &str) {
+            let searcher = service.searcher();
+            for text in ["cable car", "funicular fog", "brand new funicular"] {
+                let hits = service.rank_sqe(text, &[cable], &MotifSet::t_and_s());
+                assert!(!hits.is_empty(), "{label}: {text:?} matches");
+                let direct: Vec<String> =
+                    hits.iter().map(|h| searcher.external_id(h.doc).to_owned()).collect();
+                assert_eq!(service.external_ids(&hits), direct, "{label}: {text:?}");
+            }
+        }
+        let (graph, index, cable) = world_of(&DOCS);
+        let cfg = SqeConfig::default;
+        check(&QueryService::new(&graph, &index, cfg(), ServeConfig::default()), cable, "new");
+
+        let (first, second) = DOCS.split_at(3);
+        let part = |docs: &[(&str, &str)]| world_of(docs).1;
+        let (a, b) = (part(first), part(second));
+        let segments: [&Index; 2] = [&a, &b];
+        let collections: [(&str, &[&Index]); 1] = [("c", &segments)];
+        let bytes = sqe_store::encode_snapshot(&sqe_store::SnapshotContents {
+            graph: &graph,
+            collections: &collections,
+            dict: &entitylink::Dictionary::new(),
+        })
+        .expect("test world encodes");
+        let snap = sqe_store::Snapshot::from_bytes(&bytes).expect("test snapshot decodes");
+        let restored = QueryService::from_snapshot(&snap, "c", cfg(), ServeConfig::default())
+            .expect("collection c exists");
+        check(&restored, cable, "from_snapshot");
+
+        // Sealed and buffered documents; the buffer seals later, then
+        // everything merges into one segment.
+        let mut live = SegmentedIndex::new(Analyzer::plain());
+        for (i, (id, text)) in DOCS.iter().enumerate() {
+            live.add_document(id, text).expect("unique test ids");
+            if i % 3 == 2 {
+                live.seal().expect("non-empty buffer seals");
+            }
+        }
+        assert!(live.num_buffered_docs() > 0, "test needs buffered documents");
+        let service = QueryService::from_segmented(&graph, live, cfg(), ServeConfig::default());
+        let late = service.add_document("d-late-0", "a brand new funicular").expect("fresh id");
+        assert_eq!(late, DocId(8), "ordinals continue after the buffered documents");
+        service.seal().expect("buffer seals");
+        check(&service, cable, "from_segmented, sealed");
+        assert!(service.force_merge());
+        assert_eq!(service.num_segments(), 1);
+        check(&service, cable, "from_segmented, merged");
+    }
+
+    #[test]
+    fn sharded_sqe_matches_single_shard_service_externally() {
+        let (graph, index, cable) = world_of(&DOCS);
+        let mono = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        for shards in [1usize, 2, 3, 5] {
+            let service = sharded_service(&graph, shards, 0, 1);
+            for motifs in [MotifSet::triangular(), MotifSet::square(), MotifSet::t_and_s()] {
+                for (text, nodes) in queries(cable) {
+                    let want = mono.rank_sqe(&text, &nodes, &motifs);
+                    let want_ids = mono.external_ids(&want);
+                    let got = service.rank_sqe(&text, &nodes, &motifs);
+                    let got_ids = service.external_ids(&got);
+                    assert_eq!(got_ids, want_ids, "shards={shards} motifs={}", motifs.name());
+                    let want_scores: Vec<f64> = want.iter().map(|h| h.score).collect();
+                    let got_scores: Vec<f64> = got.iter().map(|h| h.score).collect();
+                    assert_eq!(got_scores, want_scores, "scores must be bit-identical");
+                    // Global-ordinal ids equal the monolithic doc ids.
+                    let want_docs: Vec<u32> = want.iter().map(|h| h.doc.0).collect();
+                    let got_docs: Vec<u32> = got.iter().map(|h| h.doc.0).collect();
+                    assert_eq!(got_docs, want_docs, "ordinals must match monolithic ids");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_sqe_c_matches_single_shard_service() {
+        let (graph, index, cable) = world_of(&DOCS);
+        let mono = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        for shards in [1usize, 2, 4] {
+            let service = sharded_service(&graph, shards, 0xfeed, 1);
+            for (text, nodes) in queries(cable) {
+                let want = mono.rank_sqe_c(&text, &nodes);
+                assert_eq!(service.rank_sqe_c(&text, &nodes), want, "shards={shards}");
+                assert_eq!(service.rank_sqe_c(&text, &nodes), want, "warm");
+            }
+        }
+    }
+
+    #[test]
+    fn batches_are_order_stable_at_any_worker_count() {
+        let (graph, _, cable) = world_of(&DOCS);
+        let reference = sharded_service(&graph, 3, 0, 1);
+        let qs = queries(cable);
+        let want = reference.run_batch_sqe_c(&qs);
+        for workers in [1usize, 2, 8] {
+            let service = sharded_service(&graph, 3, 0, workers);
+            assert_eq!(service.run_batch_sqe_c(&qs), want, "cold workers={workers}");
+            assert_eq!(service.run_batch_sqe_c(&qs), want, "warm workers={workers}");
+        }
+    }
+
+    #[test]
+    fn raw_ql_matches_monolithic() {
+        let (graph, index, _) = world_of(&DOCS);
+        let mono = Searcher::from_index(index);
+        let service = sharded_service(&graph, 4, 0xabc, 1);
+        let a = Analyzer::plain();
+        for text in ["cable car", "funicular fog", "plaza", "zeppelin"] {
+            let q = Query::parse_text(text, &a);
+            let want = searchlite::ql::rank(&mono, &q, QlParams::default(), 5);
+            assert_eq!(service.rank_ql(&q, 5), want, "QL {text:?}");
+        }
+    }
+
+    #[test]
+    fn seal_bumps_exactly_one_epoch_entry_and_invalidates_once() {
+        let (graph, _, cable) = world_of(&DOCS);
+        let service = sharded_service(&graph, 3, 0, 1);
+        let before = service.epoch_vector();
+        let warm = service.rank_sqe("funicular", &[cable], &MotifSet::triangular());
+
+        // Route a new doc, find its shard, seal only that shard.
+        let id = "d-late-0";
+        let shard = service.router().route(id);
+        service.add_document(id, "a late funicular arrival").expect("fresh id");
+        assert_eq!(service.num_buffered_docs(), 1);
+        assert_eq!(
+            service.rank_sqe("funicular", &[cable], &MotifSet::triangular()),
+            warm,
+            "buffered documents must stay invisible"
+        );
+        let invalidations_before = service.metrics_snapshot().invalidations;
+        service.seal_shard(shard).expect("non-empty buffer seals");
+        let after = service.epoch_vector();
+        let bumped: Vec<usize> = (0..after.len())
+            .filter(|&i| after[i] != before[i])
+            .collect();
+        assert_eq!(bumped, vec![shard], "exactly the sealed shard's epoch advances");
+        assert_eq!(
+            service.metrics_snapshot().invalidations,
+            invalidations_before + 1,
+            "exactly one invalidation per seal"
+        );
+        // Sealing an empty buffer changes nothing.
+        assert!(service.seal_shard(shard).is_none());
+        assert_eq!(service.epoch_vector(), after);
+        assert_eq!(service.metrics_snapshot().invalidations, invalidations_before + 1);
+    }
+
+    #[test]
+    fn duplicate_ids_rejected_across_shards() {
+        let (graph, _, _) = world_of(&DOCS);
+        // Same-shard duplicate: caught by the owning shard.
+        let service = sharded_service(&graph, 4, 0, 1);
+        assert!(matches!(
+            service.add_document("d-cable-0", "again"),
+            Err(IngestError::DuplicateExternalId { .. })
+        ));
+
+        // Cross-shard duplicate: the doc sits in a shard the router no
+        // longer maps its id to (a re-routed corpus — e.g. restored with
+        // a different salt). The probe across all shards must still
+        // reject it.
+        let mut wrong = ShardRouter::with_salt(4, 0);
+        let id = "d-cable-0";
+        let home = wrong.route(id);
+        // Find a salt under which the id routes elsewhere.
+        for salt in 1..u64::MAX {
+            wrong = ShardRouter::with_salt(4, salt);
+            if wrong.route(id) != home {
+                break;
+            }
+        }
+        let mut shards: Vec<SegmentedIndex> =
+            (0..4).map(|_| SegmentedIndex::new(Analyzer::plain())).collect();
+        let mut ordinals: Vec<Vec<u32>> = vec![Vec::new(); 4];
+        shards[home].add_document(id, "the original").expect("fresh id");
+        shards[home].seal().expect("seals");
+        ordinals[home].push(0);
+        let service = QueryService::from_shards(
+            &graph,
+            wrong,
+            shards,
+            ordinals,
+            SqeConfig::default(),
+            ServeConfig::default(),
+        );
+        assert_ne!(service.router().route(id), home, "test needs a re-routed id");
+        assert!(
+            matches!(
+                service.add_document(id, "a doppelganger"),
+                Err(IngestError::DuplicateExternalId { .. })
+            ),
+            "duplicate in a non-owning shard must still be rejected"
+        );
+        assert_eq!(service.metrics_snapshot().docs_ingested, 0);
+    }
+
+    #[test]
+    fn batch_pins_shard_set_across_concurrent_seal() {
+        let (graph, _, cable) = world_of(&DOCS);
+        let service = sharded_service(&graph, 2, 0, 2);
+        let qs = queries(cable);
+        let want = service.run_batch(&qs, &MotifSet::triangular());
+        service.add_document("d-late-1", "late cable car news").expect("fresh id");
+        let pinned = service.pinned();
+        service.seal_all();
+        let docs: usize = pinned.shards.iter().map(|s| s.searcher.num_docs()).sum();
+        assert_eq!(docs, DOCS.len(), "pinned views are immutable");
+        assert_eq!(service.num_docs(), DOCS.len() + 1);
+        let again = service.run_batch(&qs, &MotifSet::triangular());
+        let top_before = want[0].first().map(|h| h.doc);
+        let top_after = again[0].first().map(|h| h.doc);
+        assert_eq!(top_before, top_after, "top hit survives the seal");
+    }
+
+    #[test]
+    fn sharded_serve_matches_mono_and_degrades_identically() {
+        let (graph, index, cable) = world_of(&DOCS);
+        let mono = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        for shards in [1usize, 2, 4] {
+            let service = sharded_service(&graph, shards, 0, 1);
+            // Unbounded deadline serves full quality, matching rank_sqe.
+            let want = service.rank_sqe("cable car", &[cable], &MotifSet::t_and_s());
+            match service.serve("cable car", &[cable], Deadline::NONE) {
+                ServeOutcome::Ok(hits) => {
+                    assert_eq!(hits, want, "shards={shards}");
+                    assert_eq!(
+                        service.external_ids(&hits),
+                        mono.external_ids(&mono.rank_sqe("cable car", &[cable], &MotifSet::t_and_s())),
+                        "shards={shards}"
+                    );
+                }
+                other => panic!("expected Ok, got {}", other.label()),
+            }
+            // Primed costs + tight budget degrade to the unexpanded rung,
+            // whose output matches the mono service's unexpanded rung.
+            service.record_ladder_cost(0, 10_000);
+            service.record_ladder_cost(1, 4_000);
+            service.record_ladder_cost(2, 1_000);
+            match service.serve("cable car", &[cable], Deadline::within(0, 2_000)) {
+                ServeOutcome::Degraded(rung, hits) => {
+                    assert_eq!(rung.name(), "unexpanded", "shards={shards}");
+                    let mono_hits = mono.serve_at_rung(2, "cable car", &[cable]);
+                    assert_eq!(
+                        service.external_ids(&hits),
+                        mono.external_ids(&mono_hits),
+                        "shards={shards}: unexpanded rung must match mono"
+                    );
+                }
+                other => panic!("expected degraded:unexpanded, got {}", other.label()),
+            }
+            let snap = service.metrics_snapshot();
+            assert_eq!(snap.ladder_served, [1, 0, 1], "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn empty_service_serves_empty_results() {
+        let (graph, _, cable) = world_of(&DOCS);
+        let service = ShardedService::new(
+            &graph,
+            Analyzer::plain(),
+            ShardRouter::new(3),
+            SqeConfig::default(),
+            ServeConfig::default(),
+        );
+        assert!(service.rank_sqe("cable car", &[cable], &MotifSet::triangular()).is_empty());
+        assert!(service.rank_sqe_c("cable car", &[cable]).is_empty());
+        assert_eq!(service.epoch_vector(), vec![0, 0, 0]);
     }
 }

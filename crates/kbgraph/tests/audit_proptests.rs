@@ -8,10 +8,11 @@ use kbgraph::audit::{CsrKind, GraphAudit, GraphViolation};
 use kbgraph::{ArticleId, CategoryId, Csr, GraphBuilder, KbGraph};
 use proptest::prelude::*;
 
-fn arb_graph(
-    arts: u32,
-    cats: u32,
-) -> impl Strategy<Value = (Vec<(u32, u32)>, Vec<(u32, u32)>, Vec<(u32, u32)>)> {
+/// Raw `(source, target)` pairs of one edge kind.
+type Edges = Vec<(u32, u32)>;
+
+/// Article links, memberships and category links of a random graph.
+fn arb_graph(arts: u32, cats: u32) -> impl Strategy<Value = (Edges, Edges, Edges)> {
     (
         prop::collection::vec((0..arts, 0..arts), 0..60),
         prop::collection::vec((0..arts, 0..cats), 0..30),

@@ -53,7 +53,7 @@ mod tests {
 
     #[test]
     fn total_order_handles_nan() {
-        let mut v = vec![0.5, f64::NAN, 0.1, f64::NEG_INFINITY, 0.5];
+        let mut v = [0.5, f64::NAN, 0.1, f64::NEG_INFINITY, 0.5];
         v.sort_by(|a, b| cmp_scores(*a, *b));
         assert_eq!(v[0], f64::NEG_INFINITY);
         assert!(v[4].is_nan());

@@ -56,11 +56,6 @@ fn resolve(searcher: &Searcher, query: &Query) -> Vec<Bm25Feature> {
                     tokens.iter().map(|t| searcher.term_id(t)).collect();
                 ids.map(|ids| searcher.phrase_postings_with(&ids, &mut pos))
             }
-            Feature::Unordered { tokens, window } => {
-                let ids: Option<Vec<TermId>> =
-                    tokens.iter().map(|t| searcher.term_id(t)).collect();
-                ids.map(|ids| searcher.unordered_window_postings_with(&ids, *window, &mut pos))
-            }
         };
         if let Some(postings) = postings {
             let df = postings.len();

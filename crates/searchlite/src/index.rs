@@ -126,12 +126,11 @@ impl TermPostings {
     }
 }
 
-/// Reusable buffers for the positional match kernels ([`Index::phrase_tf_with`],
-/// [`Index::unordered_window_tf_with`] and the postings drivers built on
-/// them). The kernels previously allocated a fresh list-of-slices per
-/// candidate document; staging the (short) position lists here instead
-/// makes a scan over thousands of candidates allocation-free after
-/// warm-up. One scratch serves any number of sequential calls; it is
+/// Reusable buffers for the phrase match kernel ([`Index::phrase_tf_with`]
+/// and the postings scan built on it). Staging the (short) position
+/// lists here, instead of allocating a list of slices per candidate
+/// document, makes a scan over thousands of candidates allocation-free
+/// after warm-up. One scratch serves any number of sequential calls; it is
 /// plumbed through `QlScratch`/`SqeScratch` by the serving layer.
 #[derive(Debug, Default)]
 // lint:allow(persist-types-derive-serde) — transient scratch, never persisted
@@ -140,8 +139,6 @@ pub struct PositionalScratch {
     pub(crate) pos: Vec<u32>,
     /// `(lo, hi)` spans slicing `pos` per staged term.
     pub(crate) bounds: Vec<(u32, u32)>,
-    /// Per-list cursors for the unordered-window scan.
-    pub(crate) heads: Vec<usize>,
     /// Term-id translation buffer for the segmented `Searcher`.
     pub(crate) terms: Vec<TermId>,
 }
@@ -562,13 +559,6 @@ impl Index {
         }
     }
 
-    /// Collection probability for an arbitrary count (used by phrase
-    /// features whose collection frequency is computed on the fly).
-    pub fn collection_prob_for_count(&self, count: u64) -> f64 {
-        let c = self.collection_len.max(1) as f64;
-        (count as f64).max(0.5) / c
-    }
-
     /// Term frequency of `t` in `d`.
     pub fn tf(&self, t: TermId, d: DocId) -> u32 {
         self.postings[t.index()].tf(d)
@@ -619,131 +609,15 @@ impl Index {
         }
     }
 
-    /// Counts unordered co-occurrences of all terms within any window of
-    /// `window` consecutive positions (Indri's `#uwN`). Matches are
-    /// counted as non-overlapping intervals, scanning left to right:
-    /// from the current start, take the first occurrence of every term
-    /// at or after it; if those span fewer than `window` positions,
-    /// count a match and restart after the span's last position,
-    /// otherwise restart one past its first position. A term listed
-    /// twice is satisfied by one occurrence.
-    /// Convenience wrapper over [`Index::unordered_window_tf_with`].
-    pub fn unordered_window_tf(&self, terms: &[TermId], doc: DocId, window: u32) -> u32 {
-        self.unordered_window_tf_with(terms, doc, window, &mut PositionalScratch::default())
-    }
-
-    /// [`Index::unordered_window_tf`] with caller-provided scratch
-    /// buffers (same contract as [`Index::phrase_tf_with`]).
-    pub fn unordered_window_tf_with(
-        &self,
-        terms: &[TermId],
-        doc: DocId,
-        window: u32,
-        scratch: &mut PositionalScratch,
-    ) -> u32 {
-        match terms.len() {
-            0 => 0,
-            1 => self.tf(terms[0], doc),
-            _ => {
-                if !scratch.stage(self, terms, doc) {
-                    return 0;
-                }
-                let n = scratch.bounds.len();
-                scratch.heads.clear();
-                scratch.heads.resize(n, 0);
-                // Direct field access keeps the list reads (`pos`/`bounds`)
-                // and the cursor writes (`heads`) on disjoint borrows.
-                let pos = &scratch.pos;
-                let bounds = &scratch.bounds;
-                let heads = &mut scratch.heads;
-                let list = |i: usize| {
-                    let (lo, hi) = bounds[i];
-                    &pos[lo as usize..hi as usize]
-                };
-                let mut count = 0u32;
-                loop {
-                    let mut min_pos = u32::MAX;
-                    let mut max_pos = 0u32;
-                    let mut min_idx = 0usize;
-                    for (i, &h) in heads.iter().enumerate() {
-                        let p = list(i)[h];
-                        if p < min_pos {
-                            min_pos = p;
-                            min_idx = i;
-                        }
-                        max_pos = max_pos.max(p);
-                    }
-                    if max_pos - min_pos < window {
-                        count += 1;
-                        // Non-overlapping: consume the whole matched span.
-                        let mut exhausted = false;
-                        for (i, h) in heads.iter_mut().enumerate() {
-                            let l = list(i);
-                            while *h < l.len() && l[*h] <= max_pos {
-                                *h += 1;
-                            }
-                            if *h == l.len() {
-                                exhausted = true;
-                            }
-                        }
-                        if exhausted {
-                            return count;
-                        }
-                    } else {
-                        heads[min_idx] += 1;
-                        if heads[min_idx] == list(min_idx).len() {
-                            return count;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// All documents where the terms co-occur within the window, with
-    /// their unordered-window frequencies, in document order.
-    pub fn unordered_window_postings(&self, terms: &[TermId], window: u32) -> Vec<(DocId, u32)> {
-        self.unordered_window_postings_with(terms, window, &mut PositionalScratch::default())
-    }
-
-    /// [`Index::unordered_window_postings`] with reusable scratch: the
-    /// per-candidate-document window scans stage their position lists in
-    /// `scratch` instead of allocating.
-    pub fn unordered_window_postings_with(
-        &self,
-        terms: &[TermId],
-        window: u32,
-        scratch: &mut PositionalScratch,
-    ) -> Vec<(DocId, u32)> {
-        if terms.is_empty() {
-            return Vec::new();
-        }
-        if terms.len() == 1 {
-            return self.postings(terms[0]).iter().collect();
-        }
-        let rarest = terms
-            .iter()
-            .min_by_key(|&&t| self.postings(t).doc_freq())
-            .copied()
-            .expect("invariant: terms checked non-empty above, so a rarest term exists");
-        let mut out = Vec::new();
-        for (doc, _) in self.postings(rarest).iter() {
-            let tf = self.unordered_window_tf_with(terms, doc, window, scratch);
-            if tf > 0 {
-                out.push((doc, tf));
-            }
-        }
-        out
-    }
-
     /// All documents containing the exact phrase, with phrase frequencies.
     /// Documents come out in id order.
     pub fn phrase_postings(&self, terms: &[TermId]) -> Vec<(DocId, u32)> {
         self.phrase_postings_with(terms, &mut PositionalScratch::default())
     }
 
-    /// [`Index::phrase_postings`] with reusable scratch (same contract as
-    /// [`Index::unordered_window_postings_with`]).
+    /// [`Index::phrase_postings`] with reusable scratch: the
+    /// per-candidate-document phrase scans stage their position lists in
+    /// `scratch` instead of allocating.
     pub fn phrase_postings_with(
         &self,
         terms: &[TermId],
@@ -1437,53 +1311,6 @@ mod tests {
         let ids = idx.analyze_to_terms("cable spaceship");
         assert!(ids[0].is_some());
         assert!(ids[1].is_none());
-    }
-
-    #[test]
-    fn unordered_window_counts_cooccurrence() {
-        let mut b = IndexBuilder::new(Analyzer::plain());
-        b.add_document("d", "car red cable far far far cable blue car")
-            .expect("unique external ids");
-        let idx = b.build();
-        let cable = idx.term_id("cable").unwrap();
-        let car = idx.term_id("car").unwrap();
-        // Positions: car {0, 8}, cable {2, 6}.
-        // Window 3: |0-2| < 3 ✓ (count, advance past 0) then |8-6| < 3 ✓.
-        assert_eq!(idx.unordered_window_tf(&[cable, car], DocId(0), 3), 2);
-        // Window 2 requires adjacency: |0-2| ≥ 2, advance car→8; |8-2| ≥ 2,
-        // advance cable→6; |8-6| ≥ 2: no matches.
-        assert_eq!(idx.unordered_window_tf(&[cable, car], DocId(0), 2), 0);
-        // Window large enough matches but non-overlapping: 2 intervals.
-        assert_eq!(idx.unordered_window_tf(&[cable, car], DocId(0), 100), 2);
-    }
-
-    #[test]
-    fn unordered_window_requires_all_terms() {
-        let idx = tiny();
-        let cable = idx.term_id("cable").unwrap();
-        let graffiti = idx.term_id("graffiti").unwrap();
-        assert_eq!(idx.unordered_window_tf(&[cable, graffiti], DocId(0), 50), 0);
-    }
-
-    #[test]
-    fn unordered_window_is_order_free() {
-        let idx = tiny();
-        let cable = idx.term_id("cable").unwrap();
-        let car = idx.term_id("car").unwrap();
-        let ab = idx.unordered_window_tf(&[cable, car], DocId(1), 4);
-        let ba = idx.unordered_window_tf(&[car, cable], DocId(1), 4);
-        assert_eq!(ab, ba);
-        assert!(ab >= 1);
-    }
-
-    #[test]
-    fn unordered_window_postings_cover_matching_docs() {
-        let idx = tiny();
-        let cable = idx.term_id("cable").unwrap();
-        let car = idx.term_id("car").unwrap();
-        let posts = idx.unordered_window_postings(&[cable, car], 8);
-        let docs: Vec<u32> = posts.iter().map(|&(d, _)| d.0).collect();
-        assert_eq!(docs, vec![0, 1]);
     }
 
     #[test]

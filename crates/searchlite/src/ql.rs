@@ -170,8 +170,8 @@ impl QlScratch {
         }
     }
 
-    /// The positional staging buffers, for callers that run phrase or
-    /// window intersections outside [`rank_with_scratch`] (the expansion
+    /// The positional staging buffers, for callers that run phrase
+    /// intersections outside [`rank_with_scratch`] (the expansion
     /// layer's entity-phrase statistics do).
     pub fn positional(&mut self) -> &mut PositionalScratch {
         &mut self.pos
@@ -359,19 +359,6 @@ mod tests {
         // The separated doc still appears via background smoothing of the
         // phrase? No: it has phrase tf 0 and is not a candidate.
         assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
-    fn unordered_window_feature_matches_separated_terms() {
-        let idx = build(&[
-            ("near", "cable red car"),
-            ("far", "cable one two three four five six seven car"),
-        ]);
-        let mut q = Query::new();
-        q.push_unordered_text("cable car", &Analyzer::plain(), 4, 1.0);
-        let hits = rank(&idx, &q, QlParams { mu: 10.0 }, 10);
-        let ids: Vec<&str> = hits.iter().map(|h| idx.external_id(h.doc)).collect();
-        assert_eq!(ids, vec!["near"], "only the within-window doc matches");
     }
 
     #[test]

@@ -209,12 +209,6 @@ impl Searcher {
         }
     }
 
-    /// Collection probability for an arbitrary count (phrase features).
-    pub fn collection_prob_for_count(&self, count: u64) -> f64 {
-        let c = self.inner.collection_len.max(1) as f64;
-        (count as f64).max(0.5) / c
-    }
-
     /// Document length in analyzed tokens (`|D|`).
     pub fn doc_len(&self, d: DocId) -> u32 {
         let (s, local) = self.seg_of(d);
@@ -298,39 +292,6 @@ impl Searcher {
             }
             let base = self.inner.bases[s];
             for (d, f) in seg.index().phrase_postings_with(&local, scratch) {
-                out.push((DocId(d.0 + base), f));
-            }
-        }
-        scratch.terms = local;
-        out
-    }
-
-    /// All documents where the terms co-occur within the window, with
-    /// unordered-window frequencies, in global doc order.
-    pub fn unordered_window_postings_with(
-        &self,
-        terms: &[TermId],
-        window: u32,
-        scratch: &mut PositionalScratch,
-    ) -> Vec<(DocId, u32)> {
-        if terms.is_empty() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let mut local = std::mem::take(&mut scratch.terms);
-        'segments: for (s, seg) in self.inner.segments.iter().enumerate() {
-            local.clear();
-            for &t in terms {
-                match self.inner.seg_local[s][t.index()] {
-                    ABSENT => continue 'segments,
-                    l => local.push(TermId(l)),
-                }
-            }
-            let base = self.inner.bases[s];
-            for (d, f) in seg
-                .index()
-                .unordered_window_postings_with(&local, window, scratch)
-            {
                 out.push((DocId(d.0 + base), f));
             }
         }
@@ -456,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn phrase_and_window_postings_cross_segment() {
+    fn phrase_postings_cross_segment() {
         let mono = monolithic();
         let mut scratch = PositionalScratch::new();
         for splits in [vec![3], vec![1, 2, 3, 4, 5]] {
@@ -466,11 +427,6 @@ mod tests {
             assert_eq!(
                 s.phrase_postings_with(&[cable, car], &mut scratch),
                 mono.phrase_postings(&[cable, car]),
-                "splits {splits:?}"
-            );
-            assert_eq!(
-                s.unordered_window_postings_with(&[cable, car], 8, &mut scratch),
-                mono.unordered_window_postings(&[cable, car], 8),
                 "splits {splits:?}"
             );
         }

@@ -7,14 +7,13 @@
 //! level:
 //!
 //! 1. **Partial resolve** (per shard): map query tokens to shard-local
-//!    term ids, run phrase/window intersections, and report the shard's
+//!    term ids, run phrase intersections, and report the shard's
 //!    *integer* contribution to every corpus statistic (collection
 //!    length, per-feature collection counts, document frequencies,
 //!    document counts).
 //! 2. **Gather + score**: sum the integer contributions into the global
 //!    statistics a monolithic index would report, derive the f64
-//!    collection probabilities / idfs / avgdl from those exact sums
-//!    *once*, then score each shard's candidates locally with the global
+//!    collection probabilities from those exact sums *once*, then score each shard's candidates locally with the global
 //!    statistics and the shard-local term frequencies and doc lengths.
 //!
 //! Because a document lives wholly in one shard, its tf and |D| are
@@ -26,13 +25,12 @@
 //! and any run file written from it — byte-identical for any shard
 //! count and any routing.
 
-use rustc_hash::FxHashMap;
+use std::cmp::Ordering;
 
 use crate::index::{DocId, PositionalScratch, TermId};
-use crate::ql::{QlParams, QlScratch, SearchHit};
+use crate::ql::{QlParams, QlScratch};
 use crate::searcher::Searcher;
 use crate::structured::{Feature, Query};
-use crate::topk::TopK;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -90,7 +88,7 @@ pub(crate) enum ShardFeatureKind {
     /// Single term; `None` when the token is absent from this shard's
     /// vocabulary (it may still exist in other shards).
     Term(Option<TermId>),
-    /// Phrase or unordered window, pre-intersected against this shard:
+    /// Phrase, pre-intersected against this shard:
     /// `(doc, positional frequency)` sorted by doc. Empty when any token
     /// is locally out of vocabulary or the pattern never matches here.
     Positional(Vec<(DocId, u32)>),
@@ -100,8 +98,8 @@ pub(crate) struct ShardFeature {
     pub(crate) kind: ShardFeatureKind,
     pub(crate) weight: f64,
     /// This shard's integer contribution to the feature's collection
-    /// count (collection tf for terms, summed positional frequency for
-    /// phrases/windows). Stays an integer until the gather step.
+    /// count (collection tf for terms, summed phrase frequency for
+    /// phrases). Stays an integer until the gather step.
     count: u64,
 }
 
@@ -110,14 +108,6 @@ pub(crate) struct ShardFeature {
 pub struct QlShardResolve {
     pub(crate) features: Vec<ShardFeature>,
     collection_len: u64,
-}
-
-impl QlShardResolve {
-    /// Number of resolved features (always equals the query's feature
-    /// count, so partials from different shards align by index).
-    pub fn num_features(&self) -> usize {
-        self.features.len()
-    }
 }
 
 /// Phase 1 of QL scoring: resolves `query` against one shard (or the
@@ -140,13 +130,6 @@ pub fn ql_resolve_shard(
                 let ids: Option<Vec<TermId>> =
                     tokens.iter().map(|t| searcher.term_id(t)).collect();
                 positional_shard_feature(ids.map(|ids| searcher.phrase_postings_with(&ids, pos)))
-            }
-            Feature::Unordered { tokens, window } => {
-                let ids: Option<Vec<TermId>> =
-                    tokens.iter().map(|t| searcher.term_id(t)).collect();
-                positional_shard_feature(
-                    ids.map(|ids| searcher.unordered_window_postings_with(&ids, *window, pos)),
-                )
             }
         };
         features.push(ShardFeature {
@@ -173,8 +156,7 @@ fn positional_shard_feature(postings: Option<Vec<(DocId, u32)>>) -> (ShardFeatur
 /// The gather step: sums every shard's integer contributions and derives
 /// the per-feature collection probabilities from the exact global sums —
 /// the same `max(count, 0.5) / max(|C|, 1)` floor as
-/// [`Searcher::collection_prob_for_count`], applied to the global
-/// integers. A term absent from every shard sums to 0 and floors to the
+/// [`Searcher::collection_prob`], applied to the global integers. A term absent from every shard sums to 0 and floors to the
 /// monolithic out-of-vocabulary probability `0.5 / |C|`.
 pub fn ql_global_pcs(partials: &[QlShardResolve]) -> Vec<f64> {
     let collection_len: u64 = partials.iter().map(|p| p.collection_len).sum();
@@ -207,166 +189,62 @@ pub fn ql_rank_shard(
     scratch.rank_partial(searcher, partial, pcs, params.mu, k)
 }
 
-// ----------------------------------------------------------- BM25 ----
-
-struct Bm25ShardFeature {
-    /// Local doc id → tf for this feature within the shard.
-    tfs: FxHashMap<u32, u32>,
-    weight: f64,
-    /// Shard-local document frequency (integer; summed in the gather).
-    df: usize,
-}
-
-/// One shard's partial BM25 resolution: per-feature local postings plus
-/// integer contributions to `N`, `|C|` and each feature's df.
-pub struct Bm25ShardResolve {
-    features: Vec<Bm25ShardFeature>,
-    num_docs: usize,
-    collection_len: u64,
-}
-
-/// Global BM25 statistics gathered from exact integer sums: per-feature
-/// idf (`None` marks a feature with global df 0 — dropped, exactly as
-/// the monolithic resolver drops it) and the global average doc length.
-pub struct Bm25GlobalStats {
-    idfs: Vec<Option<f64>>,
-    avgdl: f64,
-}
-
-/// Phase 1 of sharded BM25. Every query feature yields exactly one
-/// entry (empty postings for locally out-of-vocabulary tokens), so
-/// partials align by index across shards.
-pub fn bm25_resolve_shard(searcher: &Searcher, query: &Query) -> Bm25ShardResolve {
-    let mut pos = PositionalScratch::new();
-    let mut features = Vec::with_capacity(query.len());
-    for wf in query.features() {
-        let postings: Option<Vec<(DocId, u32)>> = match &wf.feature {
-            Feature::Term(tok) => searcher.term_id(tok).map(|t| searcher.term_postings(t)),
-            Feature::Phrase(tokens) => {
-                let ids: Option<Vec<TermId>> =
-                    tokens.iter().map(|t| searcher.term_id(t)).collect();
-                ids.map(|ids| searcher.phrase_postings_with(&ids, &mut pos))
-            }
-            Feature::Unordered { tokens, window } => {
-                let ids: Option<Vec<TermId>> =
-                    tokens.iter().map(|t| searcher.term_id(t)).collect();
-                ids.map(|ids| searcher.unordered_window_postings_with(&ids, *window, &mut pos))
-            }
-        };
-        let (tfs, df) = match postings {
-            Some(postings) => {
-                let df = postings.len();
-                (
-                    postings.into_iter().map(|(d, tf)| (d.0, tf)).collect(),
-                    df,
-                )
-            }
-            None => (FxHashMap::default(), 0),
-        };
-        features.push(Bm25ShardFeature {
-            tfs,
-            weight: wf.weight,
-            df,
-        });
-    }
-    Bm25ShardResolve {
-        features,
-        num_docs: searcher.num_docs(),
-        collection_len: searcher.collection_len(),
-    }
-}
-
-/// The BM25 gather step: global `N`, global df per feature (features
-/// with global df 0 are dropped — `None`), and global avgdl — all from
-/// exact integer sums, fed through the same formulas as the monolithic
-/// scorer.
-pub fn bm25_global_stats(partials: &[Bm25ShardResolve]) -> Bm25GlobalStats {
-    let num_docs: usize = partials.iter().map(|p| p.num_docs).sum();
-    let collection_len: u64 = partials.iter().map(|p| p.collection_len).sum();
-    let avgdl = (collection_len as f64 / num_docs.max(1) as f64).max(f64::EPSILON);
-    let n = partials.first().map_or(0, |p| p.features.len());
-    let idfs = (0..n)
-        .map(|i| {
-            let df: usize = partials
-                .iter()
-                .map(|p| p.features.get(i).map_or(0, |f| f.df))
-                .sum();
-            if df == 0 {
-                None
-            } else {
-                Some(crate::bm25::idf(num_docs, df))
-            }
-        })
-        .collect();
-    Bm25GlobalStats { idfs, avgdl }
-}
-
-/// Phase 2 of sharded BM25: scores this shard's candidates with the
-/// global idfs/avgdl and local tf / |D|. A feature that survives
-/// globally but has no local postings contributes exactly `+0.0` here —
-/// the same thing the monolithic scorer adds for a document that does
-/// not match it.
-pub fn bm25_rank_shard(
-    searcher: &Searcher,
-    partial: &Bm25ShardResolve,
-    globals: &Bm25GlobalStats,
-    params: crate::bm25::Bm25Params,
-    k: usize,
-) -> Vec<(u32, f64)> {
-    if globals.idfs.iter().all(Option::is_none) {
-        return Vec::new();
-    }
-    let mut candidates: Vec<u32> = partial
-        .features
-        .iter()
-        .zip(&globals.idfs)
-        .filter(|(_, idf)| idf.is_some())
-        .flat_map(|(f, _)| f.tfs.keys().copied())
-        .collect();
-    candidates.sort_unstable();
-    candidates.dedup();
-    let mut top = TopK::new(k);
-    for &doc in &candidates {
-        let dl = searcher.doc_len(DocId(doc)) as f64;
-        let norm = params.k1 * (1.0 - params.b + params.b * dl / globals.avgdl);
-        let mut score = 0.0;
-        for (f, idf) in partial.features.iter().zip(&globals.idfs) {
-            let Some(idf) = idf else { continue };
-            if let Some(&tf) = f.tfs.get(&doc) {
-                let tf = tf as f64;
-                score += f.weight * *idf * tf * (params.k1 + 1.0) / (tf + norm);
-            }
-        }
-        top.push(doc, score);
-    }
-    top.into_sorted()
-}
-
 // ----------------------------------------------------- top-k gather --
 
-/// Merges per-shard top-k lists — already mapped to *global* doc ids —
-/// under the `scorecmp` total order (score descending, ties by ascending
-/// id) and keeps the best `k`. Because each shard's list is its true
-/// local top-k and local id order is monotone in the global ordinal, the
-/// merged list equals the monolithic top-k exactly.
-pub fn merge_top_k(mut hits: Vec<(u32, f64)>, k: usize) -> Vec<SearchHit> {
-    hits.sort_by(|a, b| scorecmp::by_score_desc_then_id(a.1, b.1, a.0, b.0));
-    hits.truncate(k);
-    hits.into_iter()
-        .map(|(doc, score)| SearchHit {
-            doc: DocId(doc),
-            score,
-        })
-        .collect()
+/// Merges per-shard top-k lists, each ranked under `order`, and keeps
+/// the best `k`. `order` is the `scorecmp` total order on *global* ids
+/// (score descending, ties by ascending global id). Because each shard's
+/// list is its true local top-k and local id order is monotone in the
+/// global ordinal, the merged list equals the monolithic top-k exactly.
+/// Lists are merged pairwise, so a single list is returned as it is.
+pub fn merge_top_k<T: Copy>(
+    lists: Vec<Vec<T>>,
+    k: usize,
+    order: impl Fn(&T, &T) -> Ordering,
+) -> Vec<T> {
+    let mut merged = lists
+        .into_iter()
+        .reduce(|a, b| merge_two(&a, &b, k, &order))
+        .unwrap_or_default();
+    merged.truncate(k);
+    merged
+}
+
+/// The best `k` of two ranked lists, ranked; ties under `order` (none
+/// between distinct documents) take from `a` first.
+fn merge_two<T: Copy>(
+    mut a: &[T],
+    mut b: &[T],
+    k: usize,
+    order: &impl Fn(&T, &T) -> Ordering,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity((a.len() + b.len()).min(k));
+    while out.len() < k {
+        match (a.split_first(), b.split_first()) {
+            (Some((x, rest)), Some((y, _))) if order(x, y) != Ordering::Greater => {
+                out.push(*x);
+                a = rest;
+            }
+            (_, Some((y, rest))) => {
+                out.push(*y);
+                b = rest;
+            }
+            (Some((x, rest)), None) => {
+                out.push(*x);
+                a = rest;
+            }
+            (None, None) => break,
+        }
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::Analyzer;
-    use crate::bm25::{self, Bm25Params};
     use crate::index::IndexBuilder;
-    use crate::ql::{self, QlScratch};
+    use crate::ql::{self, QlScratch, SearchHit};
 
     const DOCS: [(&str, &str); 8] = [
         ("d0", "cable car climbs the hill"),
@@ -378,6 +256,10 @@ mod tests {
         ("d6", "painted walls near the station plaza"),
         ("d7", "cable stretched over the market square"),
     ];
+
+    fn by_score_then_id(a: &(u32, f64), b: &(u32, f64)) -> Ordering {
+        scorecmp::by_score_desc_then_id(a.1, b.1, a.0, b.0)
+    }
 
     fn monolithic() -> Searcher {
         let mut b = IndexBuilder::new(Analyzer::plain());
@@ -415,34 +297,24 @@ mod tests {
             .collect();
         let pcs = ql_global_pcs(&partials);
         let mut scratch = QlScratch::new();
-        let mut all = Vec::new();
-        for ((searcher, partial), ords) in searchers.iter().zip(&partials).zip(&ordinals) {
-            for (local, score) in ql_rank_shard(searcher, partial, &pcs, params, k, &mut scratch) {
-                all.push((ords[local as usize], score));
-            }
-        }
-        merge_top_k(all, k)
-    }
-
-    fn sharded_bm25(
-        router: &ShardRouter,
-        query: &Query,
-        params: Bm25Params,
-        k: usize,
-    ) -> Vec<SearchHit> {
-        let (searchers, ordinals) = sharded(router);
-        let partials: Vec<Bm25ShardResolve> = searchers
+        let lists: Vec<Vec<(u32, f64)>> = searchers
             .iter()
-            .map(|s| bm25_resolve_shard(s, query))
+            .zip(&partials)
+            .zip(&ordinals)
+            .map(|((searcher, partial), ords)| {
+                ql_rank_shard(searcher, partial, &pcs, params, k, &mut scratch)
+                    .into_iter()
+                    .map(|(local, score)| (ords[local as usize], score))
+                    .collect()
+            })
             .collect();
-        let globals = bm25_global_stats(&partials);
-        let mut all = Vec::new();
-        for ((searcher, partial), ords) in searchers.iter().zip(&partials).zip(&ordinals) {
-            for (local, score) in bm25_rank_shard(searcher, partial, &globals, params, k) {
-                all.push((ords[local as usize], score));
-            }
-        }
-        merge_top_k(all, k)
+        merge_top_k(lists, k, by_score_then_id)
+            .into_iter()
+            .map(|(doc, score)| SearchHit {
+                doc: DocId(doc),
+                score,
+            })
+            .collect()
     }
 
     fn test_queries() -> Vec<Query> {
@@ -469,10 +341,6 @@ mod tests {
         oov_phrase.push_phrase_tokens(vec!["cable".into(), "zeppelin".into()], 1.0);
         oov_phrase.push_term("graffiti".into(), 1.0);
         queries.push(oov_phrase);
-        let mut window = Query::new();
-        window.push_unordered_text("cable hill", &a, 8, 1.0);
-        window.push_term("railway".into(), 0.25);
-        queries.push(window);
         queries
     }
 
@@ -519,25 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_bm25_is_bit_identical_to_monolithic() {
-        let mono = monolithic();
-        let params = Bm25Params::default();
-        for shards in 1..=5 {
-            for salt in [0u64, 0xdead_beef] {
-                let router = ShardRouter::with_salt(shards, salt);
-                for (qi, q) in test_queries().iter().enumerate() {
-                    let want = bm25::rank(&mono, q, params, 5);
-                    let got = sharded_bm25(&router, q, params, 5);
-                    assert_eq!(
-                        got, want,
-                        "shards={shards} salt={salt:#x} query #{qi}: sharded BM25 must be bit-identical"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn empty_shards_are_harmless() {
         // More shards than documents: some shards stay empty and must
         // contribute nothing (and never skew the global statistics).
@@ -568,10 +417,20 @@ mod tests {
 
     #[test]
     fn merge_top_k_breaks_ties_by_global_id() {
-        let hits = vec![(7, 1.0), (2, 1.0), (5, 2.0), (9, 0.5)];
-        let merged = merge_top_k(hits, 3);
-        let got: Vec<(u32, f64)> = merged.iter().map(|h| (h.doc.0, h.score)).collect();
-        assert_eq!(got, vec![(5, 2.0), (2, 1.0), (7, 1.0)]);
+        let lists = vec![vec![(5, 2.0), (7, 1.0)], vec![], vec![(2, 1.0), (9, 0.5)]];
+        let merged = merge_top_k(lists, 3, by_score_then_id);
+        assert_eq!(merged, vec![(5, 2.0), (2, 1.0), (7, 1.0)]);
+    }
+
+    #[test]
+    fn merge_top_k_of_one_list_is_its_prefix() {
+        let list = vec![(3, 2.0), (1, 1.0), (4, 1.0), (0, -1.0)];
+        let never = |_: &(u32, f64), _: &(u32, f64)| -> Ordering {
+            unreachable!("one list needs no comparison")
+        };
+        assert_eq!(merge_top_k(vec![list.clone()], 3, never), list[..3]);
+        assert!(merge_top_k(Vec::new(), 3, never).is_empty());
+        assert!(merge_top_k(vec![list], 0, never).is_empty());
     }
 
     #[test]

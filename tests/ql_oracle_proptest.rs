@@ -2,8 +2,8 @@
 //! with the scorer it checks.
 //!
 //! The oracle keeps each document as a plain token list. It has no
-//! postings, no term ids and no scratch buffers. It counts term, exact
-//! phrase and `#uwN` occurrences by scanning tokens, and evaluates
+//! postings, no term ids and no scratch buffers. It counts term and
+//! exact phrase occurrences by scanning tokens, and evaluates
 //! `Σ_f (λ_f/Σλ)·(ln(tf_f + μ·P(f|C)) − ln(|D| + μ))` term by term in
 //! query order. Over random corpora and queries, three production paths
 //! must return the oracle's `(doc, score bits)` ranking exactly:
@@ -17,8 +17,8 @@ use searchlite::structured::Feature;
 use searchlite::{Analyzer, IndexBuilder, Query, SearchHit, Searcher, SegmentedIndex, ShardRouter};
 use sqe::{ServeConfig, ShardedService, SqeConfig};
 
-/// Words the documents are drawn from: few, so that terms, phrases and
-/// windows match often and many documents tie.
+/// Words the documents are drawn from: few, so that terms and phrases
+/// match often and many documents tie.
 const VOCAB: [&str; 5] = ["alpha", "beta", "gamma", "delta", "cable"];
 
 /// Query tokens: the vocabulary plus words no document contains.
@@ -43,40 +43,10 @@ fn phrase_count(doc: &[String], phrase: &[String]) -> u32 {
     u32::try_from(n).expect("short test documents")
 }
 
-/// `#uwN` as documented on `Index::unordered_window_tf`: from a start
-/// position, take the first occurrence of every term at or after it;
-/// if those occurrences span fewer than `window` positions, count one
-/// match and restart after the span's end, otherwise restart one past
-/// the earliest of them. Stops when some term has no occurrence left.
-fn window_count(doc: &[String], terms: &[String], window: u32) -> u32 {
-    let mut count = 0;
-    let mut from = 0;
-    loop {
-        let mut lo = usize::MAX;
-        let mut hi = 0;
-        for term in terms {
-            match doc.iter().skip(from).position(|t| t == term) {
-                Some(p) => {
-                    lo = lo.min(from + p);
-                    hi = hi.max(from + p);
-                }
-                None => return count,
-            }
-        }
-        if hi - lo < window as usize {
-            count += 1;
-            from = hi + 1;
-        } else {
-            from = lo + 1;
-        }
-    }
-}
-
 fn feature_count(doc: &[String], feature: &Feature) -> u32 {
     match feature {
         Feature::Term(t) => term_count(doc, t),
         Feature::Phrase(ts) => phrase_count(doc, ts),
-        Feature::Unordered { tokens, window } => window_count(doc, tokens, *window),
     }
 }
 
@@ -136,31 +106,25 @@ fn corpus() -> impl Strategy<Value = Vec<Vec<String>>> {
     })
 }
 
-/// Raw features: (kind, tokens, window, weight index). Kind 0 is a
-/// term (first token), 1 a phrase, 2 an unordered window.
-fn raw_features() -> impl Strategy<Value = Vec<(usize, Vec<&'static str>, u32, usize)>> {
+/// Raw features: (kind, tokens, weight index). Kind 0 is a term (first
+/// token), 1 a phrase.
+fn raw_features() -> impl Strategy<Value = Vec<(usize, Vec<&'static str>, usize)>> {
     let token = prop::sample::select(QUERY_WORDS.to_vec());
     prop::collection::vec(
-        (
-            0usize..3,
-            prop::collection::vec(token, 1..4),
-            1u32..6,
-            0usize..5,
-        ),
+        (0usize..2, prop::collection::vec(token, 1..4), 0usize..5),
         1..7,
     )
 }
 
 /// Builds the query; `unit` forces every weight to 1.
-fn build_query(raw: &[(usize, Vec<&'static str>, u32, usize)], unit: bool) -> Query {
+fn build_query(raw: &[(usize, Vec<&'static str>, usize)], unit: bool) -> Query {
     let mut q = Query::new();
-    for (kind, tokens, window, w) in raw {
+    for (kind, tokens, w) in raw {
         let weight = if unit { 1.0 } else { WEIGHTS[*w] };
         let tokens: Vec<String> = tokens.iter().map(|t| (*t).to_owned()).collect();
         match kind {
             0 => q.push_term(tokens[0].clone(), weight),
-            1 => q.push_phrase_tokens(tokens, weight),
-            _ => q.push_unordered_text(&tokens.join(" "), &Analyzer::plain(), *window, weight),
+            _ => q.push_phrase_tokens(tokens, weight),
         }
     }
     q
@@ -191,9 +155,9 @@ fn segmented(docs: &[Vec<String>], cuts: &[usize]) -> Searcher {
 proptest! {
     /// The single-index, segmented and sharded scorers all reproduce the
     /// token-scanning oracle bit for bit. Covered on purpose: query
-    /// tokens no document holds (also inside phrases and windows),
-    /// repeated features, all-zero weights (every candidate scores
-    /// `-inf`), `k` below the candidate count, and tied scores.
+    /// tokens no document holds (also inside phrases), repeated
+    /// features, all-zero weights (every candidate scores `-inf`), `k`
+    /// below the candidate count, and tied scores.
     #[test]
     fn every_ql_path_matches_the_token_scanning_oracle(
         docs in corpus(),
