@@ -1108,7 +1108,8 @@ impl AstRule for LossyIdCast {
 /// skips the audit is a lint error, not a code-review judgement call.
 ///
 /// Segment lifecycle functions get the same treatment: inside a function
-/// named `seal` or `merge`, a `.build()` call freezes buffered documents
+/// named `seal` or `merge` (or `seal_*`/`merge_*`), a `build` call —
+/// `.build()` or a typed `T::build(..)` — freezes buffered documents
 /// into an immutable segment that the rest of the system will trust
 /// forever, so the function must audit what it built.
 pub struct MustAuditAfterMutation;
@@ -1119,7 +1120,7 @@ impl AstRule for MustAuditAfterMutation {
     }
 
     fn description(&self) -> &'static str {
-        "non-test callers of raw_mut/from_raw_parts/from_parts (and .build() inside seal/merge) must run a structural audit in the same function"
+        "non-test callers of raw_mut/from_raw_parts/from_parts (and build calls inside seal/merge) must run a structural audit in the same function"
     }
 
     fn default_severity(&self) -> Severity {
@@ -1144,7 +1145,11 @@ impl AstRule for MustAuditAfterMutation {
             let Some(body) = &def.body else { return };
             // Sealing or merging freezes buffered state into an immutable
             // segment, so `.build()` there is a mutation site too.
-            let seals_segment = def.name == "seal" || def.name == "merge";
+            let seals_segment = ["seal", "merge"].iter().any(|op| {
+                def.name
+                    .strip_prefix(op)
+                    .is_some_and(|rest| rest.is_empty() || rest.starts_with('_'))
+            });
             let mut sites: Vec<(u32, &'static str)> = Vec::new();
             let mut has_audit = false;
             for s in &body.stmts {
@@ -1164,6 +1169,11 @@ impl AstRule for MustAuditAfterMutation {
                                 sites.push((*line, "from_raw_parts"));
                             } else if segs.last().is_some_and(|s| s == "from_parts") {
                                 sites.push((*line, "from_parts"));
+                            } else if seals_segment
+                                && segs.len() > 1
+                                && segs.last().is_some_and(|s| s == "build")
+                            {
+                                sites.push((*line, "build"));
                             }
                         }
                     }

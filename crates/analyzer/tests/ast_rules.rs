@@ -135,6 +135,18 @@ fn seal_merge_bad_fixture_flagged() {
 }
 
 #[test]
+fn typed_build_in_seal_prefixed_fn_is_a_site() {
+    let src = "impl S { \
+               pub fn seal_shard(&self, p: PendingSeal) { let b = PendingSeal::build(p); self.commit(b); } \
+               pub fn seal_all(&self) { self.seal_shard(self.pending()); } \
+               pub fn sealant(&self, b: Builder) { b.build(); } \
+               pub fn merge_top_k(&self) { Plan::build(); } }";
+    let diags = lint(&[("crates/core/src/serve.rs", src.to_owned())]);
+    let hits = of_rule(&diags, "must-audit-after-mutation");
+    assert_eq!(hits.len(), 2, "seal_shard and merge_top_k only: {diags:?}");
+}
+
+#[test]
 fn seal_merge_good_fixture_clean() {
     let diags = lint(&[(
         "crates/searchlite/src/ingest.rs",

@@ -43,21 +43,33 @@ pub fn combine_rankings<T: Eq + Hash + Clone>(segments: &[RankSegment<'_, T>]) -
     out
 }
 
+/// How far [`sqe_c`] fills the combined list from each of its three
+/// runs at `depth`: ranks up to 5, 200 and `depth`. It is also how deep
+/// it reads each run. A segment stops once the combined list reaches its
+/// rank, and every entry it reads is either taken or a duplicate of a
+/// document an earlier segment took; so a segment filling up to rank `r`
+/// reads at most `r` entries. Ranking each run only this deep therefore
+/// gives the same combined list.
+pub fn sqe_c_depths(depth: usize) -> [usize; 3] {
+    [5.min(depth), 200.min(depth), depth]
+}
+
 /// The paper's SQE_C configuration: ranks 1–5 from `sqe_t`, 6–200 from
 /// `sqe_ts`, the rest (up to `depth`) from `sqe_s`.
 pub fn sqe_c<T: Eq + Hash + Clone>(sqe_t: &[T], sqe_ts: &[T], sqe_s: &[T], depth: usize) -> Vec<T> {
+    let [t, ts, s] = sqe_c_depths(depth);
     combine_rankings(&[
         RankSegment {
             run: sqe_t,
-            until_rank: 5.min(depth),
+            until_rank: t,
         },
         RankSegment {
             run: sqe_ts,
-            until_rank: 200.min(depth),
+            until_rank: ts,
         },
         RankSegment {
             run: sqe_s,
-            until_rank: depth,
+            until_rank: s,
         },
     ])
 }

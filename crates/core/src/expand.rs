@@ -8,7 +8,7 @@
 //! they have appeared."
 
 use kbgraph::{ArticleId, KbGraph};
-use searchlite::{Analyzer, Query};
+use searchlite::{Analyzer, Query, StagedQuery};
 
 use crate::query_graph::QueryGraph;
 
@@ -128,6 +128,24 @@ pub fn build_query(
         (entities, cfg.w_entities),
         (expansion, cfg.w_expansion),
     ])
+}
+
+/// Adds to `staged` the stage [`build_query`] would assemble from the
+/// same three parts, with the same weights. `SQE_C` builds the user and
+/// query-entity parts once and one expansion part per motif set, and
+/// ranks its three stages as one staged query.
+pub fn push_stage<'q>(
+    staged: &mut StagedQuery<'q>,
+    user: &'q Query,
+    entities: &'q Query,
+    expansion: &'q Query,
+    cfg: &ExpandConfig,
+) {
+    staged.push_combined(&[
+        (user, cfg.w_user),
+        (entities, cfg.w_entities),
+        (expansion, cfg.w_expansion),
+    ]);
 }
 
 /// Assembles the full three-part expanded query.

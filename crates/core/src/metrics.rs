@@ -436,6 +436,11 @@ pub struct ServeMetrics {
     pub sheds: Counter,
     /// Requests whose deadline expired at a stage boundary.
     pub deadline_exceeded: Counter,
+    /// Distinct query features resolved by QL ranking, once per shard
+    /// (an `SQE_C` request resolves the union of its three stages once).
+    pub ql_features_resolved: Counter,
+    /// `(document, stage)` pairs the QL kernel scored, over all shards.
+    pub ql_candidates_scored: Counter,
     /// Per-stage latency histograms.
     pub stages: StageHistograms,
     /// Ingestion-path latency histograms.
@@ -458,6 +463,8 @@ impl ServeMetrics {
             merges: Counter::new(),
             sheds: Counter::new(),
             deadline_exceeded: Counter::new(),
+            ql_features_resolved: Counter::new(),
+            ql_candidates_scored: Counter::new(),
             stages: StageHistograms::default(),
             ingest: IngestHistograms::default(),
             ladder: LadderMetrics::new(ladder_rungs),
@@ -488,6 +495,8 @@ impl ServeMetrics {
         self.merges.reset();
         self.sheds.reset();
         self.deadline_exceeded.reset();
+        self.ql_features_resolved.reset();
+        self.ql_candidates_scored.reset();
         self.stages.reset();
         self.ingest.reset();
         self.ladder.reset();
@@ -508,6 +517,8 @@ impl ServeMetrics {
             merges: self.merges.get(),
             sheds: self.sheds.get(),
             deadline_exceeded: self.deadline_exceeded.get(),
+            ql_features_resolved: self.ql_features_resolved.get(),
+            ql_candidates_scored: self.ql_candidates_scored.get(),
             epoch,
             cache_hit_rate: self.cache_hit_rate(),
             stages: self.stages.snapshot(),
@@ -543,6 +554,10 @@ pub struct MetricsSnapshot {
     pub sheds: u64,
     /// Requests whose deadline expired at a stage boundary.
     pub deadline_exceeded: u64,
+    /// Distinct query features resolved by QL ranking, summed over shards.
+    pub ql_features_resolved: u64,
+    /// `(document, stage)` pairs the QL kernel scored, summed over shards.
+    pub ql_candidates_scored: u64,
     /// Segment-set epoch of the published searcher view.
     pub epoch: u64,
     /// hits / (hits + misses), 0 when no lookups.

@@ -66,12 +66,11 @@ use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use kbgraph::{ArticleId, KbGraph};
-use searchlite::ql::{QlParams, QlScratch, SearchHit};
-use searchlite::shard::{
-    merge_top_k, ql_global_pcs, ql_rank_shard, ql_resolve_shard, QlShardResolve,
-};
+use searchlite::ql::{self, QlScratch, SearchHit};
+use searchlite::shard::merge_top_k;
 use searchlite::{
-    Analyzer, DocId, Index, IngestError, Query, SealReport, Searcher, SegmentedIndex, ShardRouter,
+    Analyzer, DocId, Index, IngestError, PendingSeal, Query, SealReport, Searcher, SegmentedIndex,
+    ShardRouter, StagedQuery,
 };
 use sqe_admission::{
     select_rung, AdmissionConfig, AdmissionController, Deadline, RungId, ServeOutcome, ShedReason,
@@ -740,7 +739,7 @@ impl<'a> QueryService<'a> {
         let _maint = self.maint_lock();
         let pending = self.live_lock().shards.get_mut(shard)?.begin_seal()?;
         // lint:allow(must-audit-after-mutation) — IndexAudit runs inside PendingSeal::build
-        let built = pending.build();
+        let built = PendingSeal::build(pending);
         let (mut report, task) = {
             let mut live = self.live_lock();
             let s = live
@@ -828,7 +827,55 @@ impl<'a> QueryService<'a> {
     /// mapping, `scorecmp` merge. Hit ids are global ingest ordinals.
     pub fn rank_ql(&self, query: &Query, k: usize) -> Vec<SearchHit> {
         let view = self.pinned();
-        view.search_hits(scatter_ql(&view, query, self.cfg.ql, k, &mut QlScratch::new()))
+        view.search_hits(self.scatter_ql(&view, query, k, &mut QlScratch::new()))
+    }
+
+    /// The QL pipeline of every stage of `staged` over a pinned shard
+    /// set ([`ql::rank_stages`]: resolve the feature union on every
+    /// shard, gather exact-integer global stats, one kernel pass per
+    /// shard), then, per stage, a merge of the shards' lists at the
+    /// stage's depth under the `scorecmp` total order on global
+    /// ordinals. Records the kernel's work counters.
+    fn scatter(
+        &self,
+        view: &View,
+        staged: &StagedQuery<'_>,
+        depths: &[usize],
+        scratch: &mut QlScratch,
+    ) -> Vec<Vec<Hit>> {
+        let searchers = view.shards.iter().map(|s| &s.searcher);
+        let stages = ql::rank_stages(searchers, staged, self.cfg.ql, depths, scratch);
+        let work = scratch.take_work();
+        self.metrics.ql_features_resolved.add(work.features_resolved);
+        self.metrics.ql_candidates_scored.add(work.candidates_scored);
+        stages
+            .into_iter()
+            .zip(depths)
+            .map(|(lists, &k)| {
+                let lists = (0u32..)
+                    .zip(lists)
+                    .map(|(shard, list)| {
+                        list.into_iter()
+                            .map(|(local, score)| Hit {
+                                loc: DocLoc { shard, local },
+                                score,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                merge_top_k(lists, k, |a, b| {
+                    scorecmp::cmp_scores_desc(a.score, b.score)
+                        .then_with(|| view.ordinal(a.loc).cmp(&view.ordinal(b.loc)))
+                })
+            })
+            .collect()
+    }
+
+    /// [`QueryService::scatter`] of one query: its best `k` hits.
+    fn scatter_ql(&self, view: &View, query: &Query, k: usize, scratch: &mut QlScratch) -> Vec<Hit> {
+        self.scatter(view, &StagedQuery::single(query), &[k], scratch)
+            .pop()
+            .unwrap_or_default()
     }
 
     /// The expansion features for one query under one motif set:
@@ -893,7 +940,7 @@ impl<'a> QueryService<'a> {
         }
         let query =
             expand::build_query(self.graph, text, nodes, &expansions, view.analyzer(), &cfg.expand);
-        let hits = scatter_ql(view, &query, cfg.ql, cfg.depth, &mut scratch.ql);
+        let hits = self.scatter_ql(view, &query, cfg.depth, &mut scratch.ql);
         let t2 = self.clock.now_nanos();
         self.metrics.stages.rank.record(t2.saturating_sub(t1));
         Ok(hits)
@@ -924,12 +971,18 @@ impl<'a> QueryService<'a> {
 
     /// `SQE_C` rank-range combination through the cache; identical output
     /// to [`crate::pipeline::SqePipeline::rank_sqe_c`]. The three stages
-    /// are combined on document locations; only the combined list is
-    /// mapped to external ids.
+    /// are ranked as one staged query and combined on document
+    /// locations; only the combined list is mapped to external ids.
     pub fn rank_sqe_c(&self, text: &str, nodes: &[ArticleId]) -> Vec<String> {
         self.rank_sqe_c_with_scratch(&self.pinned(), text, nodes, &mut SqeScratch::new())
     }
 
+    /// Expands under each of `SQE_T`, `SQE_T&S` and `SQE_S` (one `expand`
+    /// record each), then ranks the three as one query (one `rank`
+    /// record): the user and query-entity parts are built once, the
+    /// union of the stages' features is resolved once per shard, one
+    /// kernel pass scores every stage, and each stage is ranked only as
+    /// deep as [`combine::sqe_c`] reads it.
     fn rank_sqe_c_with_scratch(
         &self,
         view: &View,
@@ -938,11 +991,41 @@ impl<'a> QueryService<'a> {
         scratch: &mut SqeScratch,
     ) -> Vec<String> {
         let t0 = self.clock.now_nanos();
-        let t = self.stage_run(view, text, nodes, &MotifSet::triangular(), scratch);
-        let ts = self.stage_run(view, text, nodes, &MotifSet::t_and_s(), scratch);
-        let s = self.stage_run(view, text, nodes, &MotifSet::square(), scratch);
+        let expansions = [MotifSet::triangular(), MotifSet::t_and_s(), MotifSet::square()].map(
+            |motifs| {
+                let e0 = self.clock.now_nanos();
+                let expansions = self.expansions_for(nodes, &motifs, scratch);
+                self.metrics
+                    .stages
+                    .expand
+                    .record(self.clock.now_nanos().saturating_sub(e0));
+                expansions
+            },
+        );
+        let r0 = self.clock.now_nanos();
+        let (graph, analyzer, cfg) = (self.graph, view.analyzer(), &self.cfg.expand);
+        let user = expand::user_part(text, analyzer);
+        let entities = expand::entities_part(graph, nodes, analyzer);
+        let parts = expansions.each_ref().map(|expansions| {
+            expand::expansion_part_from(graph, expansions, analyzer, cfg.max_expansions)
+        });
+        let mut staged = StagedQuery::new();
+        for part in &parts {
+            expand::push_stage(&mut staged, &user, &entities, part, cfg);
+        }
+        let depths = combine::sqe_c_depths(self.cfg.depth);
+        let mut runs = self
+            .scatter(view, &staged, &depths, &mut scratch.ql)
+            .into_iter()
+            .map(|hits| locations(&hits));
+        let (t, ts, s) = (
+            runs.next().unwrap_or_default(),
+            runs.next().unwrap_or_default(),
+            runs.next().unwrap_or_default(),
+        );
         let c0 = self.clock.now_nanos();
-        let docs = combine::sqe_c(&locations(&t), &locations(&ts), &locations(&s), self.cfg.depth);
+        self.metrics.stages.rank.record(c0.saturating_sub(r0));
+        let docs = combine::sqe_c(&t, &ts, &s, self.cfg.depth);
         let ids = docs
             .into_iter()
             .map(|loc| view.external_id(loc).to_owned())
@@ -1101,7 +1184,7 @@ impl<'a> QueryService<'a> {
                 // No expansion: rank the user part of the query directly
                 // (the paper's unexpanded QL baseline).
                 let query = expand::user_part(text, view.analyzer());
-                let hits = scatter_ql(view, &query, self.cfg.ql, self.cfg.depth, &mut scratch.ql);
+                let hits = self.scatter_ql(view, &query, self.cfg.depth, &mut scratch.ql);
                 let t1 = self.clock.now_nanos();
                 self.metrics.stages.rank.record(t1.saturating_sub(t0));
                 Ok(hits)
@@ -1265,41 +1348,6 @@ fn locations(hits: &[Hit]) -> Vec<DocLoc> {
     hits.iter().map(|h| h.loc).collect()
 }
 
-/// The full QL pipeline over a pinned shard set: resolve on every
-/// shard, gather exact-integer global stats, score per shard, merge
-/// under the `scorecmp` total order on global ordinals.
-fn scatter_ql(
-    view: &View,
-    query: &Query,
-    params: QlParams,
-    k: usize,
-    scratch: &mut QlScratch,
-) -> Vec<Hit> {
-    let partials: Vec<QlShardResolve> = view
-        .shards
-        .iter()
-        .map(|s| ql_resolve_shard(&s.searcher, query, scratch.positional()))
-        .collect();
-    let pcs = ql_global_pcs(&partials);
-    let lists: Vec<Vec<Hit>> = (0u32..)
-        .zip(&view.shards)
-        .zip(&partials)
-        .map(|((s, shard), partial)| {
-            ql_rank_shard(&shard.searcher, partial, &pcs, params, k, scratch)
-                .into_iter()
-                .map(|(local, score)| Hit {
-                    loc: DocLoc { shard: s, local },
-                    score,
-                })
-                .collect()
-        })
-        .collect();
-    merge_top_k(lists, k, |a, b| {
-        scorecmp::cmp_scores_desc(a.score, b.score)
-            .then_with(|| view.ordinal(a.loc).cmp(&view.ordinal(b.loc)))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1435,6 +1483,61 @@ mod tests {
             assert_eq!(service.rank_sqe_c(&text, &nodes), want);
             assert_eq!(service.rank_sqe_c(&text, &nodes), want, "warm");
         }
+    }
+
+    #[test]
+    fn sqe_c_resolves_each_distinct_feature_once() {
+        let (graph, index, cable) = world();
+        let service = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        let (text, nodes) = ("cable car funicular", vec![cable]);
+        let searcher = service.searcher();
+        let cfg = SqeConfig::default();
+        let stages: Vec<Query> = [MotifSet::triangular(), MotifSet::t_and_s(), MotifSet::square()]
+            .iter()
+            .map(|motifs| {
+                let qg = QueryGraphBuilder::from_set(&graph, motifs).build(&nodes);
+                expand::build_query(&graph, text, &nodes, &qg.expansions, searcher.analyzer(), &cfg.expand)
+            })
+            .collect();
+        let features: Vec<usize> = stages.iter().map(Query::len).collect();
+        let distinct: rustc_hash::FxHashSet<&searchlite::structured::Feature> = stages
+            .iter()
+            .flat_map(|q| q.features().iter().map(|f| &f.feature))
+            .collect();
+        let candidates: Vec<usize> = stages
+            .iter()
+            .map(|q| ql::rank(&searcher, q, cfg.ql, usize::MAX).len())
+            .collect();
+        // The stages share the user terms and the query-node title, and
+        // the funicular expansion is also a user term; SQE_S finds no
+        // square motif here.
+        assert_eq!(features, [5, 5, 4]);
+        assert_eq!(distinct.len(), 4);
+        assert_eq!(candidates, [3, 3, 3]);
+
+        service.rank_sqe_c(text, &nodes);
+        let snap = service.metrics_snapshot();
+        assert_eq!(snap.ql_features_resolved, 4, "the distinct features, once each");
+        assert_eq!(snap.ql_candidates_scored, 9, "each stage's candidates");
+        let stage = |i: usize| snap.stages.get(i).map(|h| h.count).expect("four stages");
+        assert_eq!([stage(0), stage(1), stage(2), stage(3)], [3, 1, 1, 1]);
+
+        // Over two shards every shard resolves the union; the candidates
+        // split between them.
+        let sharded = ShardedService::new(
+            &graph,
+            Analyzer::plain(),
+            ShardRouter::new(2),
+            SqeConfig::default(),
+            ServeConfig::default(),
+        );
+        for (id, text) in &DOCS[..4] {
+            sharded.add_document(id, text).expect("unique test ids");
+        }
+        sharded.seal_all();
+        assert_eq!(sharded.rank_sqe_c(text, &nodes), service.rank_sqe_c(text, &nodes));
+        let snap = sharded.metrics_snapshot();
+        assert_eq!((snap.ql_features_resolved, snap.ql_candidates_scored), (8, 9));
     }
 
     #[test]

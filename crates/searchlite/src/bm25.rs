@@ -54,7 +54,11 @@ fn resolve(searcher: &Searcher, query: &Query) -> Vec<Bm25Feature> {
             Feature::Phrase(tokens) => {
                 let ids: Option<Vec<TermId>> =
                     tokens.iter().map(|t| searcher.term_id(t)).collect();
-                ids.map(|ids| searcher.phrase_postings_with(&ids, &mut pos))
+                ids.map(|ids| {
+                    let mut postings = Vec::new();
+                    searcher.phrase_postings_with(&ids, &mut pos, &mut postings);
+                    postings
+                })
             }
         };
         if let Some(postings) = postings {

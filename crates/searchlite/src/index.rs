@@ -612,22 +612,26 @@ impl Index {
     /// All documents containing the exact phrase, with phrase frequencies.
     /// Documents come out in id order.
     pub fn phrase_postings(&self, terms: &[TermId]) -> Vec<(DocId, u32)> {
-        self.phrase_postings_with(terms, &mut PositionalScratch::default())
+        let mut out = Vec::new();
+        self.phrase_postings_with(terms, &mut PositionalScratch::default(), &mut out);
+        out
     }
 
-    /// [`Index::phrase_postings`] with reusable scratch: the
+    /// [`Index::phrase_postings`] with reusable buffers: the
     /// per-candidate-document phrase scans stage their position lists in
-    /// `scratch` instead of allocating.
+    /// `scratch`, and the postings are appended to `out`.
     pub fn phrase_postings_with(
         &self,
         terms: &[TermId],
         scratch: &mut PositionalScratch,
-    ) -> Vec<(DocId, u32)> {
+        out: &mut Vec<(DocId, u32)>,
+    ) {
         if terms.is_empty() {
-            return Vec::new();
+            return;
         }
-        if terms.len() == 1 {
-            return self.postings(terms[0]).iter().collect();
+        if let [t] = terms {
+            out.extend(self.postings(*t).iter());
+            return;
         }
         // Drive from the rarest term to keep the intersection small.
         let rarest = terms
@@ -635,14 +639,12 @@ impl Index {
             .min_by_key(|&&t| self.postings(t).doc_freq())
             .copied()
             .expect("invariant: terms checked non-empty above, so a rarest term exists");
-        let mut out = Vec::new();
         for (doc, _) in self.postings(rarest).iter() {
             let tf = self.phrase_tf_with(terms, doc, scratch);
             if tf > 0 {
                 out.push((doc, tf));
             }
         }
-        out
     }
 
     /// Iterates the distinct terms of a document with their frequencies

@@ -138,7 +138,7 @@ impl PendingSeal {
     /// Builds the detached buffer into an immutable segment. This is the
     /// expensive phase — run it outside any lock guarding the index.
     pub fn build(self) -> BuiltSegment {
-        let index = self.builder.build();
+        let index = IndexBuilder::build(self.builder);
         #[cfg(all(debug_assertions, feature = "validate"))]
         {
             let audit = crate::audit::IndexAudit::run(&index);

@@ -75,4 +75,4 @@ pub use searcher::Searcher;
 pub use segment::Segment;
 pub use shard::ShardRouter;
 pub use stats::CollectionStats;
-pub use structured::Query;
+pub use structured::{Query, StagedQuery};

@@ -13,21 +13,22 @@
 //! segments — so the scores (and therefore the ranking) are identical for
 //! any partition of the same corpus.
 //!
-//! There is one scoring kernel for the single-searcher and the sharded
-//! paths: resolve the query ([`crate::shard::ql_resolve_shard`]), derive
-//! the collection probabilities from exact integer counts
-//! ([`crate::shard::ql_global_pcs`]), then walk per-segment postings
-//! cursors document at a time. A single searcher is the one-shard case.
-//! The kernel computes each feature's `λ/Σλ`, `μ·P(f|C)` and absent-feature
-//! term `ln(0 + μ·P(f|C))` once per query and adds the per-feature terms
-//! of every document in query order, so each score has the bits the
-//! plain formula gives.
+//! There is one scoring kernel, [`rank_stages`], for one query or several
+//! ranked together ([`StagedQuery`]), on one searcher or on shards: it
+//! resolves the union of the stages' distinct features on every shard
+//! (`QlShardResolve`), derives the collection probabilities from exact
+//! integer counts (`ql_global_pcs`), then walks per-segment postings
+//! cursors document at a time, once for all stages. [`rank_with_scratch`]
+//! is its one-stage, one-shard case. The kernel computes each feature's
+//! `μ·P(f|C)` and absent-feature term `ln(0 + μ·P(f|C))` once per query
+//! and `ln(tf + μ·P(f|C))` once per matched (document, feature) pair, and
+//! each stage adds its own terms `λ/Σλ · (log_num − ln(|D| + μ))` in its
+//! own query order, so each score has the bits the plain formula gives.
 
-use crate::index::{DocId, PositionalScratch};
+use crate::index::{DocId, PositionalScratch, TermId};
 use crate::searcher::Searcher;
-use crate::shard::{self, QlShardResolve, ShardFeature, ShardFeatureKind};
-use crate::structured::Query;
-use crate::topk::TopK;
+use crate::shard::{ql_global_pcs, QlShardResolve, ShardFeatureKind};
+use crate::structured::{Query, StagedQuery};
 
 /// Parameters of the Dirichlet query-likelihood scorer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,42 +54,89 @@ pub struct SearchHit {
     pub score: f64,
 }
 
-/// Per-query constants of one feature's Dirichlet term.
+/// Per-query constants of one union feature's Dirichlet term.
 #[derive(Debug, Clone, Copy)]
 struct FeatureConst {
-    /// `λ_f / Σλ`.
-    coef: f64,
     /// `μ · P(f|C)`.
     mpc: f64,
     /// `ln(0 + μ·P(f|C))`: the log-numerator of a document without `f`.
     absent: f64,
+    /// Bit `s` is set when stage `s` uses the feature.
+    stages: u64,
 }
 
-/// The per-feature constants for `features` under the gathered `pcs`.
-/// Returns `false` when the weights do not sum to a positive total, in
-/// which case every candidate scores `-inf`.
-fn feature_consts(
-    features: &[ShardFeature],
-    pcs: &[f64],
-    mu: f64,
-    out: &mut Vec<FeatureConst>,
-) -> bool {
-    let total: f64 = features.iter().map(|f| f.weight).sum();
-    out.clear();
-    out.extend(features.iter().zip(pcs).map(|(f, &pc)| {
-        let mpc = mu * pc;
-        FeatureConst {
-            coef: f.weight / total,
-            mpc,
-            absent: (0.0 + mpc).ln(),
-        }
-    }));
-    total > 0.0
+/// One term of a stage: its union feature and `λ_f / Σλ` over the
+/// stage's weights.
+#[derive(Debug, Clone, Copy)]
+struct TermConst {
+    feature: usize,
+    coef: f64,
+}
+
+/// One stage's run in the kernel's term list and whether its weights
+/// sum to a positive total; a stage that is not live scores every
+/// candidate `-inf`.
+#[derive(Debug, Clone, Copy)]
+struct StageConst {
+    end: usize,
+    live: bool,
+}
+
+/// Work one ranking call did, summed over shards: integers that timing
+/// does not change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QlWork {
+    /// Union features resolved, once per shard.
+    pub features_resolved: u64,
+    /// `(document, stage)` pairs scored.
+    pub candidates_scored: u64,
 }
 
 /// Document-length part of the formula, `ln(|D| + μ)`.
 fn log_denom(doc_len: u32, mu: f64) -> f64 {
     (f64::from(doc_len) + mu).ln()
+}
+
+/// A ranking key: sorting keys ascending ranks by score descending, then
+/// doc id ascending — the `scorecmp` order. The high 64 bits map the
+/// score's bits onto `f64::total_cmp` order as an unsigned integer
+/// (negative scores have every bit flipped, the others the sign bit),
+/// then invert them for descending order; the low 32 bits hold the doc.
+fn rank_key(score: f64, doc: u32) -> u128 {
+    let bits = score.to_bits();
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    u128::from(!ascending) << 32 | u128::from(doc)
+}
+
+/// The `(doc, score)` a [`rank_key`] was made from, score bits exact.
+fn from_rank_key(key: u128) -> (u32, f64) {
+    let doc = (key & u128::from(u32::MAX)) as u32;
+    let ascending = !((key >> 32) as u64);
+    let bits = if ascending >> 63 == 1 {
+        ascending & !(1 << 63)
+    } else {
+        !ascending
+    };
+    (doc, f64::from_bits(bits))
+}
+
+/// The best `k` of `keys` as a ranked `(doc, score)` list; empties
+/// `keys`. Cuts to `k` with a selection, then sorts only what is kept.
+fn take_top_k(keys: &mut Vec<u128>, k: usize) -> Vec<(u32, f64)> {
+    if k == 0 {
+        keys.clear();
+        return Vec::new();
+    }
+    if keys.len() > k {
+        keys.select_nth_unstable(k - 1);
+        keys.truncate(k);
+    }
+    keys.sort_unstable();
+    keys.drain(..).map(from_rank_key).collect()
 }
 
 /// Doc id of an exhausted cursor; real ids are below the doc count.
@@ -120,107 +168,195 @@ impl Cursor {
 /// Scores a single document, matching or not (used by tests that check
 /// the formula against hand calculations).
 pub fn score_document(searcher: &Searcher, query: &Query, doc: DocId, params: QlParams) -> f64 {
-    let partial = shard::ql_resolve_shard(searcher, query, &mut PositionalScratch::default());
-    let pcs = shard::ql_global_pcs(std::slice::from_ref(&partial));
-    let mut consts = Vec::new();
-    if !feature_consts(&partial.features, &pcs, params.mu, &mut consts) {
+    let staged = StagedQuery::single(query);
+    let mut scratch = QlScratch::new();
+    scratch.prepare(std::iter::once(searcher), &staged, params.mu);
+    let QlScratch {
+        shards,
+        consts,
+        terms,
+        stages,
+        ..
+    } = &scratch;
+    let (Some(partial), Some(stage)) = (shards.first(), stages.first()) else {
+        return f64::NEG_INFINITY;
+    };
+    if !stage.live {
         return f64::NEG_INFINITY;
     }
     let denom = log_denom(searcher.doc_len(doc), params.mu);
     let mut score = 0.0;
-    for (f, fc) in partial.features.iter().zip(&consts) {
-        let tf = match &f.kind {
-            ShardFeatureKind::Term(Some(t)) => searcher.tf(*t, doc),
-            ShardFeatureKind::Term(None) => 0,
-            ShardFeatureKind::Positional(list) => list
-                .binary_search_by_key(&doc, |&(d, _)| d)
-                .ok()
-                .and_then(|i| list.get(i))
-                .map_or(0, |&(_, tf)| tf),
+    for t in terms {
+        let (Some(f), Some(fc)) = (partial.features.get(t.feature), consts.get(t.feature)) else {
+            continue;
         };
-        score += fc.coef * ((f64::from(tf) + fc.mpc).ln() - denom);
+        let tf = match f.kind {
+            ShardFeatureKind::Term(Some(id)) => searcher.tf(id, doc),
+            ShardFeatureKind::Term(None) => 0,
+            ShardFeatureKind::Positional { start, end } => {
+                let list = partial.positional(start, end);
+                list.binary_search_by_key(&doc, |&(d, _)| d)
+                    .ok()
+                    .and_then(|i| list.get(i))
+                    .map_or(0, |&(_, tf)| tf)
+            }
+        };
+        score += t.coef * ((f64::from(tf) + fc.mpc).ln() - denom);
     }
     score
 }
 
-/// Reusable buffers for [`rank_with_scratch`]: the positional staging
-/// buffers and the kernel's per-feature constants, cursors, postings
-/// arena and top-k heap survive across queries so batch serving does
-/// not reallocate them per query.
-#[derive(Debug)]
+/// Reusable buffers for [`rank_stages`] and [`rank_with_scratch`]: the
+/// per-shard resolves, the positional staging buffers and the kernel's
+/// constants, cursors, postings arena and candidate keys survive across
+/// queries, so batch serving does not reallocate them per query.
+#[derive(Debug, Default)]
 pub struct QlScratch {
     pos: PositionalScratch,
+    /// A phrase's term ids during resolve.
+    term_ids: Vec<TermId>,
+    /// One resolve per shard of the current query.
+    shards: Vec<QlShardResolve>,
+    pcs: Vec<f64>,
     consts: Vec<FeatureConst>,
+    /// Every stage's terms, stage after stage; `stages` closes each run.
+    terms: Vec<TermConst>,
+    stages: Vec<StageConst>,
     cursors: Vec<Cursor>,
     /// One segment's `(local doc, tf)` postings of every feature,
     /// concatenated in feature order; each run is sorted by doc.
     postings: Vec<(u32, u32)>,
-    top: TopK,
+    /// The current document's `ln(tf + μ·P(f|C))` per feature (the
+    /// absent term where the feature does not occur).
+    log_nums: Vec<f64>,
+    /// Per stage: the current shard's candidates as [`rank_key`]s.
+    candidates: Vec<Vec<u128>>,
+    work: QlWork,
 }
 
 impl QlScratch {
     /// Creates empty scratch buffers.
     pub fn new() -> Self {
-        QlScratch {
-            pos: PositionalScratch::new(),
-            consts: Vec::new(),
-            cursors: Vec::new(),
-            postings: Vec::new(),
-            top: TopK::new(0),
-        }
+        QlScratch::default()
     }
 
-    /// The positional staging buffers, for callers that run phrase
-    /// intersections outside [`rank_with_scratch`] (the expansion
-    /// layer's entity-phrase statistics do).
-    pub fn positional(&mut self) -> &mut PositionalScratch {
-        &mut self.pos
+    /// The work counted since the last call, summed over every ranking
+    /// call made with this scratch; resets the count.
+    pub fn take_work(&mut self) -> QlWork {
+        std::mem::take(&mut self.work)
     }
 
-    /// Phase 2 of QL scoring on one searcher (a shard, or the whole
-    /// corpus), the document-at-a-time kernel: scores every document
-    /// that matches at least one feature under the gathered `pcs` and
-    /// returns the best `k` as `(searcher doc id, score)`, ranked.
-    /// Segments are walked in doc order, and within a segment all
-    /// cursors advance together over the union of their documents.
-    pub(crate) fn rank_partial(
+    /// The document-at-a-time kernel on one searcher (a shard, or the
+    /// whole corpus), for every stage at once: walks the union of the
+    /// features' postings once, computes `ln(tf + μ·P(f|C))` once per
+    /// matched (document, feature) pair, and scores a document for each
+    /// stage that uses one of its matched features, adding the stage's
+    /// terms in its own order. Returns each stage's best `ks[s]` as
+    /// `(searcher doc id, score)`, ranked. Segments are walked in doc
+    /// order, and within a segment all cursors advance together over the
+    /// union of their documents.
+    /// Resolves the union of `staged`'s features on every shard, gathers
+    /// the collection probabilities, and computes the per-query
+    /// constants: each feature's `μ·P(f|C)`, absent term and stage mask,
+    /// and each stage's terms with `λ/Σλ` over the stage's weights,
+    /// stage after stage, each in its query order.
+    fn prepare<'s>(
         &mut self,
-        searcher: &Searcher,
-        partial: &QlShardResolve,
-        pcs: &[f64],
+        shards: impl Iterator<Item = &'s Searcher> + Clone,
+        staged: &StagedQuery<'_>,
         mu: f64,
-        k: usize,
-    ) -> Vec<(u32, f64)> {
-        let features = &partial.features;
-        if features.is_empty() {
-            return Vec::new();
-        }
+    ) {
+        let n = shards.clone().count();
         let QlScratch {
+            pos,
+            term_ids,
+            shards: partials,
+            pcs,
             consts,
-            cursors,
-            postings,
-            top,
+            terms,
+            stages,
+            work,
             ..
         } = self;
-        let live = feature_consts(features, pcs, mu, consts);
-        top.reset(k);
-        for (s, base, index) in searcher.segment_bases() {
-            let docs = u32::try_from(index.num_docs())
-                .expect("invariant: segment doc count fits in u32");
+        partials.resize_with(n, QlShardResolve::default);
+        for (partial, searcher) in partials.iter_mut().zip(shards) {
+            partial.resolve(searcher, staged.features(), pos, term_ids);
+        }
+        work.features_resolved += (n * staged.features().len()) as u64;
+        ql_global_pcs(partials, pcs);
+        consts.clear();
+        consts.extend(pcs.iter().map(|&pc| {
+            let mpc = mu * pc;
+            FeatureConst {
+                mpc,
+                absent: (0.0 + mpc).ln(),
+                stages: 0,
+            }
+        }));
+        terms.clear();
+        stages.clear();
+        for (s, stage) in staged.stages().enumerate() {
+            let total: f64 = stage.iter().map(|t| t.weight).sum();
+            for t in stage {
+                let feature = t.feature as usize;
+                if let Some(fc) = consts.get_mut(feature) {
+                    fc.stages |= 1 << s;
+                }
+                terms.push(TermConst {
+                    feature,
+                    coef: t.weight / total,
+                });
+            }
+            stages.push(StageConst {
+                end: terms.len(),
+                live: total > 0.0,
+            });
+        }
+    }
+
+    fn rank_shard(
+        &mut self,
+        searcher: &Searcher,
+        shard: usize,
+        mu: f64,
+        ks: &[usize],
+    ) -> Vec<Vec<(u32, f64)>> {
+        let QlScratch {
+            shards,
+            consts,
+            terms,
+            stages,
+            cursors,
+            postings,
+            log_nums,
+            candidates,
+            work,
+            ..
+        } = self;
+        let partial = shards
+            .get(shard)
+            .expect("invariant: every shard was resolved before scoring");
+        log_nums.clear();
+        log_nums.resize(consts.len(), 0.0);
+        candidates.resize_with(stages.len(), Vec::new);
+        for (segment, base, index) in searcher.segment_bases() {
+            let docs =
+                u32::try_from(index.num_docs()).expect("invariant: segment doc count fits in u32");
             postings.clear();
             cursors.clear();
-            for f in features {
-                let start = postings.len();
-                match &f.kind {
+            for f in &partial.features {
+                let first = postings.len();
+                match f.kind {
                     ShardFeatureKind::Term(Some(t)) => {
-                        if let Some(p) = searcher.segment_postings(s, *t) {
+                        if let Some(p) = searcher.segment_postings(segment, t) {
                             postings.extend(p.docs().iter().copied().zip(p.tfs().iter().copied()));
                         }
                     }
                     ShardFeatureKind::Term(None) => {}
-                    ShardFeatureKind::Positional(list) => {
+                    ShardFeatureKind::Positional { start, end } => {
                         // The list is sorted by searcher doc id: this
                         // segment's run starts at the first id ≥ `base`.
+                        let list = partial.positional(start, end);
                         let lo = list.partition_point(|&(d, _)| d.0 < base);
                         let rest = list.get(lo..).unwrap_or_default();
                         let len = rest.partition_point(|&(d, _)| d.0 - base < docs);
@@ -231,7 +367,7 @@ impl QlScratch {
                 let mut cursor = Cursor {
                     doc: END,
                     tf: 0,
-                    next: start,
+                    next: first,
                     end: postings.len(),
                 };
                 cursor.advance(postings);
@@ -245,31 +381,86 @@ impl QlScratch {
                     .copied()
                     .expect("invariant: postings reference documents of their segment");
                 let denom = log_denom(len, mu);
-                let mut score = 0.0;
+                let mut matched = 0u64;
                 let mut next = END;
-                for (c, fc) in cursors.iter_mut().zip(consts.iter()) {
-                    let log_num = if c.doc == doc {
-                        let log_num = (f64::from(c.tf) + fc.mpc).ln();
+                for ((c, fc), log_num) in cursors
+                    .iter_mut()
+                    .zip(consts.iter())
+                    .zip(log_nums.iter_mut())
+                {
+                    if c.doc == doc {
+                        *log_num = (f64::from(c.tf) + fc.mpc).ln();
+                        matched |= fc.stages;
                         c.advance(postings);
-                        log_num
                     } else {
-                        fc.absent
-                    };
-                    score += fc.coef * (log_num - denom);
+                        *log_num = fc.absent;
+                    }
                     next = next.min(c.doc);
                 }
-                top.push(base + doc, if live { score } else { f64::NEG_INFINITY });
+                let mut start = 0;
+                for (s, (stage, keys)) in stages.iter().zip(candidates.iter_mut()).enumerate() {
+                    let stage_terms = terms.get(start..stage.end).unwrap_or_default();
+                    start = stage.end;
+                    if matched >> s & 1 == 0 {
+                        continue;
+                    }
+                    let mut score = 0.0;
+                    for t in stage_terms {
+                        let log_num = log_nums
+                            .get(t.feature)
+                            .copied()
+                            .expect("invariant: stage terms index the feature union");
+                        score += t.coef * (log_num - denom);
+                    }
+                    let score = if stage.live { score } else { f64::NEG_INFINITY };
+                    work.candidates_scored += 1;
+                    // NaN scores are skipped, as `TopK::push` skips them.
+                    if !score.is_nan() {
+                        keys.push(rank_key(score, base + doc));
+                    }
+                }
                 doc = next;
             }
         }
-        top.drain_sorted()
+        candidates
+            .iter_mut()
+            .zip(ks)
+            .map(|(keys, &k)| take_top_k(keys, k))
+            .collect()
     }
 }
 
-impl Default for QlScratch {
-    fn default() -> Self {
-        QlScratch::new()
+/// Ranks every stage of `staged` over `shards` (one searcher each; a
+/// single corpus is the one-shard case). The union of the stages'
+/// features is resolved once per shard, the collection probabilities
+/// are gathered once from the shards' exact integer counts, and each
+/// shard is walked once by the kernel for all stages. Returns, per
+/// stage, per shard, that shard's best `ks[stage]` as `(shard-local doc
+/// id, score)`, ranked; merge a stage's lists with
+/// [`crate::shard::merge_top_k`] at the same `k`.
+///
+/// # Panics
+///
+/// When `ks` does not hold one depth per stage.
+pub fn rank_stages<'s>(
+    shards: impl Iterator<Item = &'s Searcher> + Clone,
+    staged: &StagedQuery<'_>,
+    params: QlParams,
+    ks: &[usize],
+    scratch: &mut QlScratch,
+) -> Vec<Vec<Vec<(u32, f64)>>> {
+    assert_eq!(ks.len(), staged.num_stages(), "one depth per stage");
+    scratch.prepare(shards.clone(), staged, params.mu);
+    let mut lists: Vec<Vec<Vec<(u32, f64)>>> = ks.iter().map(|_| Vec::new()).collect();
+    for (shard, searcher) in shards.enumerate() {
+        for (stage, list) in lists
+            .iter_mut()
+            .zip(scratch.rank_shard(searcher, shard, params.mu, ks))
+        {
+            stage.push(list);
+        }
     }
+    lists
 }
 
 /// Ranks the top `k` documents for `query`. Candidates are the documents
@@ -280,7 +471,8 @@ pub fn rank(searcher: &Searcher, query: &Query, params: QlParams, k: usize) -> V
     rank_with_scratch(searcher, query, params, k, &mut QlScratch::new())
 }
 
-/// [`rank`] with caller-owned scratch buffers; identical output.
+/// [`rank`] with caller-owned scratch buffers; identical output. The
+/// one-stage, one-shard case of [`rank_stages`].
 pub fn rank_with_scratch(
     searcher: &Searcher,
     query: &Query,
@@ -288,11 +480,11 @@ pub fn rank_with_scratch(
     k: usize,
     scratch: &mut QlScratch,
 ) -> Vec<SearchHit> {
-    let partial = shard::ql_resolve_shard(searcher, query, &mut scratch.pos);
-    let pcs = shard::ql_global_pcs(std::slice::from_ref(&partial));
-    scratch
-        .rank_partial(searcher, &partial, &pcs, params.mu, k)
+    let staged = StagedQuery::single(query);
+    rank_stages(std::iter::once(searcher), &staged, params, &[k], scratch)
         .into_iter()
+        .flatten()
+        .flatten()
         .map(|(doc, score)| SearchHit {
             doc: DocId(doc),
             score,
@@ -426,6 +618,94 @@ mod tests {
             let reused = rank_with_scratch(&idx, &q, QlParams { mu: 10.0 }, 5, &mut scratch);
             assert_eq!(fresh, reused, "query {text:?}");
         }
+    }
+
+    #[test]
+    fn rank_keys_order_like_scorecmp_and_keep_score_bits() {
+        let scores = [
+            f64::NEG_INFINITY,
+            -3.5,
+            -f64::MIN_POSITIVE,
+            -f64::from_bits(1),
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            1.25,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut pairs: Vec<(u32, f64)> = Vec::new();
+        for (i, &score) in scores.iter().enumerate() {
+            for doc in [0, 7, u32::MAX - 1] {
+                pairs.push((doc ^ u32::try_from(i).expect("few scores"), score));
+            }
+        }
+        for &(doc, score) in &pairs {
+            let (d, s) = from_rank_key(rank_key(score, doc));
+            assert_eq!((d, s.to_bits()), (doc, score.to_bits()));
+        }
+        let mut by_key = pairs.clone();
+        by_key.sort_by_key(|&(doc, score)| rank_key(score, doc));
+        let mut by_cmp = pairs;
+        by_cmp.sort_by(|a, b| scorecmp::by_score_desc_then_id(a.1, b.1, a.0, b.0));
+        let bits = |v: &[(u32, f64)]| -> Vec<(u32, u64)> {
+            v.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+        };
+        assert_eq!(bits(&by_key), bits(&by_cmp));
+    }
+
+    #[test]
+    fn staged_ranking_matches_each_query_ranked_alone() {
+        let idx = build(&[
+            ("d0", "cable car climbs the hill"),
+            ("d1", "cable car cable car"),
+            ("d2", "graffiti on the wall"),
+            ("d3", "the hill of graffiti"),
+            ("d4", "car park near the wall"),
+        ]);
+        let a = Analyzer::plain();
+        let mut phrase = Query::parse_text("hill", &a);
+        phrase.push_phrase_tokens(vec!["cable".into(), "car".into()], 2.0);
+        let mut zero = Query::new();
+        zero.push_term("wall".into(), f64::from_bits(1));
+        let zero = Query::combine(&[(zero, f64::from_bits(1))]);
+        let queries = [
+            Query::parse_text("cable car", &a),
+            phrase,
+            Query::parse_text("graffiti wall zeppelin", &a),
+            Query::parse_text("car car", &a),
+            zero,
+            Query::new(),
+        ];
+        let mut staged = StagedQuery::new();
+        for q in &queries {
+            staged.push_query(q);
+        }
+        let params = QlParams { mu: 10.0 };
+        let ks = [1, 3, 10, 2, 10, 4];
+        let mut scratch = QlScratch::new();
+        let got = rank_stages(std::iter::once(&idx), &staged, params, &ks, &mut scratch);
+        for ((q, &k), lists) in queries.iter().zip(&ks).zip(&got) {
+            let want: Vec<(u32, u64)> = rank(&idx, q, params, k)
+                .iter()
+                .map(|h| (h.doc.0, h.score.to_bits()))
+                .collect();
+            let [list] = lists.as_slice() else {
+                panic!("one list per shard");
+            };
+            let list: Vec<(u32, u64)> = list.iter().map(|&(d, s)| (d, s.to_bits())).collect();
+            assert_eq!(list, want, "query {}", q.render());
+        }
+        // cable, car, hill, #1(cable car), graffiti, wall, zeppelin.
+        let work = scratch.take_work();
+        assert_eq!(work.features_resolved, 7);
+        // Matching documents per stage: 3 + 3 + 3 + 3 + 2 + 0.
+        assert_eq!(work.candidates_scored, 14);
+        assert_eq!(
+            scratch.take_work(),
+            QlWork::default(),
+            "taking the work resets it"
+        );
     }
 
     #[test]

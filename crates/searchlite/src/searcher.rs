@@ -268,19 +268,19 @@ impl Searcher {
         out
     }
 
-    /// All documents containing the exact phrase, with phrase
-    /// frequencies, in global doc order. `scratch.terms` is reused as
-    /// the global→local translation buffer, the rest of the scratch
+    /// Appends to `out` all documents containing the exact phrase, with
+    /// phrase frequencies, in global doc order. `scratch.terms` is reused
+    /// as the global→local translation buffer, the rest of the scratch
     /// feeds the per-segment positional kernels.
     pub fn phrase_postings_with(
         &self,
         terms: &[TermId],
         scratch: &mut PositionalScratch,
-    ) -> Vec<(DocId, u32)> {
+        out: &mut Vec<(DocId, u32)>,
+    ) {
         if terms.is_empty() {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         let mut local = std::mem::take(&mut scratch.terms);
         'segments: for (s, seg) in self.inner.segments.iter().enumerate() {
             local.clear();
@@ -291,12 +291,13 @@ impl Searcher {
                 }
             }
             let base = self.inner.bases[s];
-            for (d, f) in seg.index().phrase_postings_with(&local, scratch) {
-                out.push((DocId(d.0 + base), f));
+            let start = out.len();
+            seg.index().phrase_postings_with(&local, scratch, out);
+            for (d, _) in out.get_mut(start..).unwrap_or_default() {
+                d.0 += base;
             }
         }
         scratch.terms = local;
-        out
     }
 
     /// Iterates the distinct terms of a document with their frequencies,
@@ -424,11 +425,11 @@ mod tests {
             let s = segmented(&splits);
             let cable = s.term_id("cable").expect("indexed");
             let car = s.term_id("car").expect("indexed");
-            assert_eq!(
-                s.phrase_postings_with(&[cable, car], &mut scratch),
-                mono.phrase_postings(&[cable, car]),
-                "splits {splits:?}"
-            );
+            // Appends after what the buffer already holds.
+            let mut got = vec![(DocId(7), 1)];
+            s.phrase_postings_with(&[cable, car], &mut scratch, &mut got);
+            assert_eq!(got.remove(0), (DocId(7), 1));
+            assert_eq!(got, mono.phrase_postings(&[cable, car]), "splits {splits:?}");
         }
     }
 

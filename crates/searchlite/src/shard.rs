@@ -13,8 +13,10 @@
 //!    document counts).
 //! 2. **Gather + score**: sum the integer contributions into the global
 //!    statistics a monolithic index would report, derive the f64
-//!    collection probabilities from those exact sums *once*, then score each shard's candidates locally with the global
-//!    statistics and the shard-local term frequencies and doc lengths.
+//!    collection probabilities from those exact sums *once*, then score
+//!    each shard's candidates locally with the global statistics and the
+//!    shard-local term frequencies and doc lengths
+//!    ([`crate::ql::rank_stages`] runs both phases).
 //!
 //! Because a document lives wholly in one shard, its tf and |D| are
 //! shard-local facts, and every global statistic is an exact integer sum
@@ -28,9 +30,8 @@
 use std::cmp::Ordering;
 
 use crate::index::{DocId, PositionalScratch, TermId};
-use crate::ql::{QlParams, QlScratch};
 use crate::searcher::Searcher;
-use crate::structured::{Feature, Query};
+use crate::structured::Feature;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -84,109 +85,108 @@ impl ShardRouter {
 // ------------------------------------------------------------- QL ----
 
 /// The shard-local shape of one query feature.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum ShardFeatureKind {
     /// Single term; `None` when the token is absent from this shard's
     /// vocabulary (it may still exist in other shards).
     Term(Option<TermId>),
-    /// Phrase, pre-intersected against this shard:
-    /// `(doc, positional frequency)` sorted by doc. Empty when any token
-    /// is locally out of vocabulary or the pattern never matches here.
-    Positional(Vec<(DocId, u32)>),
+    /// Phrase, pre-intersected against this shard: the run
+    /// `start..end` of the resolve's positional arena, `(doc, positional
+    /// frequency)` sorted by doc. Empty when any token is locally out of
+    /// vocabulary or the pattern never matches here.
+    Positional { start: usize, end: usize },
 }
 
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ShardFeature {
     pub(crate) kind: ShardFeatureKind,
-    pub(crate) weight: f64,
     /// This shard's integer contribution to the feature's collection
     /// count (collection tf for terms, summed phrase frequency for
     /// phrases). Stays an integer until the gather step.
     count: u64,
 }
 
-/// One shard's partial resolution of a query: per-feature local postings
-/// plus the shard's integer contributions to the global statistics.
-pub struct QlShardResolve {
+/// One shard's partial resolution of a list of features: per-feature
+/// local postings plus the shard's integer contributions to the global
+/// statistics. Its buffers are reused from query to query.
+#[derive(Debug, Default)]
+pub(crate) struct QlShardResolve {
     pub(crate) features: Vec<ShardFeature>,
+    /// Every phrase feature's postings, concatenated in feature order.
+    positional: Vec<(DocId, u32)>,
     collection_len: u64,
 }
 
-/// Phase 1 of QL scoring: resolves `query` against one shard (or the
-/// whole corpus), computing local postings and integer stat
-/// contributions. Every query feature yields exactly one entry, so
-/// partials from all shards align by index.
-pub fn ql_resolve_shard(
-    searcher: &Searcher,
-    query: &Query,
-    pos: &mut PositionalScratch,
-) -> QlShardResolve {
-    let mut features = Vec::with_capacity(query.len());
-    for wf in query.features() {
-        let (kind, count) = match &wf.feature {
-            Feature::Term(tok) => match searcher.term_id(tok) {
-                Some(t) => (ShardFeatureKind::Term(Some(t)), searcher.collection_tf(t)),
-                None => (ShardFeatureKind::Term(None), 0),
-            },
-            Feature::Phrase(tokens) => {
-                let ids: Option<Vec<TermId>> =
-                    tokens.iter().map(|t| searcher.term_id(t)).collect();
-                positional_shard_feature(ids.map(|ids| searcher.phrase_postings_with(&ids, pos)))
-            }
-        };
-        features.push(ShardFeature {
-            kind,
-            weight: wf.weight,
-            count,
-        });
+impl QlShardResolve {
+    /// Phase 1 of QL scoring: resolves `features` against one shard (or
+    /// the whole corpus), computing local postings and integer stat
+    /// contributions. Every feature yields exactly one entry, so
+    /// partials from all shards align by index. `ids` is the phrase
+    /// term-id buffer.
+    pub(crate) fn resolve(
+        &mut self,
+        searcher: &Searcher,
+        features: &[&Feature],
+        pos: &mut PositionalScratch,
+        ids: &mut Vec<TermId>,
+    ) {
+        self.features.clear();
+        self.positional.clear();
+        self.collection_len = searcher.collection_len();
+        for feature in features {
+            let (kind, count) = match feature {
+                Feature::Term(tok) => match searcher.term_id(tok) {
+                    Some(t) => (ShardFeatureKind::Term(Some(t)), searcher.collection_tf(t)),
+                    None => (ShardFeatureKind::Term(None), 0),
+                },
+                Feature::Phrase(tokens) => {
+                    let start = self.positional.len();
+                    ids.clear();
+                    ids.extend(tokens.iter().map_while(|t| searcher.term_id(t)));
+                    // A locally out-of-vocabulary token: this shard holds
+                    // no occurrence, so it contributes 0 to the global
+                    // count — exactly what a monolithic index would count
+                    // for these documents.
+                    if ids.len() == tokens.len() {
+                        searcher.phrase_postings_with(ids, pos, &mut self.positional);
+                    }
+                    let end = self.positional.len();
+                    let count = self
+                        .positional(start, end)
+                        .iter()
+                        .map(|&(_, tf)| u64::from(tf))
+                        .sum();
+                    (ShardFeatureKind::Positional { start, end }, count)
+                }
+            };
+            self.features.push(ShardFeature { kind, count });
+        }
     }
-    QlShardResolve {
-        features,
-        collection_len: searcher.collection_len(),
-    }
-}
 
-fn positional_shard_feature(postings: Option<Vec<(DocId, u32)>>) -> (ShardFeatureKind, u64) {
-    // A locally out-of-vocabulary token: this shard holds no
-    // occurrence, so it contributes 0 to the global count — exactly
-    // what a monolithic index would count for these documents.
-    let postings = postings.unwrap_or_default();
-    let count: u64 = postings.iter().map(|&(_, tf)| u64::from(tf)).sum();
-    (ShardFeatureKind::Positional(postings), count)
+    /// The postings run `start..end` of a phrase feature.
+    pub(crate) fn positional(&self, start: usize, end: usize) -> &[(DocId, u32)] {
+        self.positional.get(start..end).unwrap_or_default()
+    }
 }
 
 /// The gather step: sums every shard's integer contributions and derives
-/// the per-feature collection probabilities from the exact global sums —
-/// the same `max(count, 0.5) / max(|C|, 1)` floor as
-/// [`Searcher::collection_prob`], applied to the global integers. A term absent from every shard sums to 0 and floors to the
-/// monolithic out-of-vocabulary probability `0.5 / |C|`.
-pub fn ql_global_pcs(partials: &[QlShardResolve]) -> Vec<f64> {
+/// the per-feature collection probabilities from the exact global sums
+/// into `pcs` — the same `max(count, 0.5) / max(|C|, 1)` floor as
+/// [`Searcher::collection_prob`], applied to the global integers. A term
+/// absent from every shard sums to 0 and floors to the monolithic
+/// out-of-vocabulary probability `0.5 / |C|`.
+pub(crate) fn ql_global_pcs(partials: &[QlShardResolve], pcs: &mut Vec<f64>) {
     let collection_len: u64 = partials.iter().map(|p| p.collection_len).sum();
     let c = collection_len.max(1) as f64;
     let n = partials.first().map_or(0, |p| p.features.len());
-    (0..n)
-        .map(|i| {
-            let count: u64 = partials
-                .iter()
-                .map(|p| p.features.get(i).map_or(0, |f| f.count))
-                .sum();
-            (count as f64).max(0.5) / c
-        })
-        .collect()
-}
-
-/// Phase 2 of sharded QL: scores this shard's candidates with the
-/// *global* collection probabilities and the shard-local tf / |D| —
-/// the same kernel as [`crate::ql::rank_with_scratch`] — and keeps the
-/// shard's top `k` as `(local doc id, score)` pairs. The caller maps
-/// local ids to global ingest ordinals and merges with [`merge_top_k`].
-pub fn ql_rank_shard(
-    searcher: &Searcher,
-    partial: &QlShardResolve,
-    pcs: &[f64],
-    params: QlParams,
-    k: usize,
-    scratch: &mut QlScratch,
-) -> Vec<(u32, f64)> {
-    scratch.rank_partial(searcher, partial, pcs, params.mu, k)
+    pcs.clear();
+    pcs.extend((0..n).map(|i| {
+        let count: u64 = partials
+            .iter()
+            .map(|p| p.features.get(i).map_or(0, |f| f.count))
+            .sum();
+        (count as f64).max(0.5) / c
+    }));
 }
 
 // ----------------------------------------------------- top-k gather --
@@ -244,7 +244,8 @@ mod tests {
     use super::*;
     use crate::analysis::Analyzer;
     use crate::index::IndexBuilder;
-    use crate::ql::{self, QlScratch, SearchHit};
+    use crate::ql::{self, QlParams, QlScratch, SearchHit};
+    use crate::structured::{Query, StagedQuery};
 
     const DOCS: [(&str, &str); 8] = [
         ("d0", "cable car climbs the hill"),
@@ -290,24 +291,20 @@ mod tests {
 
     fn sharded_ql(router: &ShardRouter, query: &Query, params: QlParams, k: usize) -> Vec<SearchHit> {
         let (searchers, ordinals) = sharded(router);
-        let mut pos = PositionalScratch::new();
-        let partials: Vec<QlShardResolve> = searchers
-            .iter()
-            .map(|s| ql_resolve_shard(s, query, &mut pos))
-            .collect();
-        let pcs = ql_global_pcs(&partials);
+        let staged = StagedQuery::single(query);
         let mut scratch = QlScratch::new();
-        let lists: Vec<Vec<(u32, f64)>> = searchers
-            .iter()
-            .zip(&partials)
+        let stages = ql::rank_stages(searchers.iter(), &staged, params, &[k], &mut scratch);
+        let lists: Vec<Vec<(u32, f64)>> = stages
+            .into_iter()
+            .flatten()
             .zip(&ordinals)
-            .map(|((searcher, partial), ords)| {
-                ql_rank_shard(searcher, partial, &pcs, params, k, &mut scratch)
-                    .into_iter()
+            .map(|(list, ords)| {
+                list.into_iter()
                     .map(|(local, score)| (ords[local as usize], score))
                     .collect()
             })
             .collect();
+        assert_eq!(lists.len(), router.shards(), "one list per shard");
         merge_top_k(lists, k, by_score_then_id)
             .into_iter()
             .map(|(doc, score)| SearchHit {
@@ -405,12 +402,18 @@ mod tests {
         let router = ShardRouter::new(3);
         let (searchers, _) = sharded(&router);
         let q = Query::parse_text("zeppelin", &Analyzer::plain());
+        let staged = StagedQuery::single(&q);
         let mut pos = PositionalScratch::new();
         let partials: Vec<QlShardResolve> = searchers
             .iter()
-            .map(|s| ql_resolve_shard(s, &q, &mut pos))
+            .map(|s| {
+                let mut partial = QlShardResolve::default();
+                partial.resolve(s, staged.features(), &mut pos, &mut Vec::new());
+                partial
+            })
             .collect();
-        let pcs = ql_global_pcs(&partials);
+        let mut pcs = Vec::new();
+        ql_global_pcs(&partials, &mut pcs);
         let mono = monolithic();
         assert_eq!(pcs, vec![mono.collection_prob(None)]);
     }

@@ -9,10 +9,12 @@
 //! exact-phrase n-gram — the subset of Indri's `#weight`/`#combine`/`#1`
 //! operators the paper uses.
 
+use rustc_hash::FxHashMap;
+
 use crate::analysis::Analyzer;
 
 /// An atomic match feature.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Feature {
     /// A single analyzed term.
     Term(String),
@@ -110,20 +112,14 @@ impl Query {
     /// first normalized within the part, then scaled by `weight` (Indri's
     /// nested `#weight( w1 #combine(...) w2 #combine(...) )`).
     pub fn combine(parts: &[(Query, f64)]) -> Query {
-        let mut q = Query::new();
-        for (part, weight) in parts {
-            if *weight <= 0.0 || part.is_empty() {
-                continue;
-            }
-            let inner: f64 = part.features.iter().map(|f| f.weight).sum();
-            for f in &part.features {
-                q.features.push(WeightedFeature {
-                    feature: f.feature.clone(),
-                    weight: weight * f.weight / inner,
-                });
-            }
+        Query {
+            features: combined(parts.iter().map(|(part, weight)| (part, *weight)))
+                .map(|(feature, weight)| WeightedFeature {
+                    feature: feature.clone(),
+                    weight,
+                })
+                .collect(),
         }
-        q
     }
 
     /// The query's weighted features.
@@ -161,6 +157,120 @@ impl Query {
         }
         s.push_str(" )");
         s
+    }
+}
+
+/// The features of `parts` with their combined weights, in order: each
+/// part's weights normalized within the part and scaled by the part's
+/// outer weight, `w · λ / Σ_part λ`. Parts with no features or a
+/// non-positive outer weight are skipped. The one weighting formula of
+/// [`Query::combine`] and [`StagedQuery::push_combined`].
+fn combined<'p>(
+    parts: impl IntoIterator<Item = (&'p Query, f64)>,
+) -> impl Iterator<Item = (&'p Feature, f64)> {
+    parts
+        .into_iter()
+        .filter(|(part, weight)| !(*weight <= 0.0 || part.is_empty()))
+        .flat_map(|(part, weight)| {
+            let inner: f64 = part.features.iter().map(|f| f.weight).sum();
+            part.features
+                .iter()
+                .map(move |f| (&f.feature, weight * f.weight / inner))
+        })
+}
+
+/// One feature reference of a stage: its index in the union and its
+/// weight in the stage.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct StageTerm {
+    pub(crate) feature: u32,
+    pub(crate) weight: f64,
+}
+
+/// Several weighted queries ("stages") ranked together over one union of
+/// their distinct features, so each distinct feature is resolved and
+/// read once however many stages use it. Each stage keeps its own
+/// `(union index, weight)` list in its own query order, so it scores
+/// exactly as the [`Query`] it stands for. A single query is the
+/// one-stage case.
+#[derive(Debug, Default)]
+pub struct StagedQuery<'q> {
+    /// The distinct features of every stage, in first-use order.
+    features: Vec<&'q Feature>,
+    /// Union index of every feature in `features`.
+    slots: FxHashMap<&'q Feature, u32>,
+    /// Every stage's terms, stage after stage.
+    terms: Vec<StageTerm>,
+    /// End of each stage's run in `terms`.
+    ends: Vec<usize>,
+}
+
+impl<'q> StagedQuery<'q> {
+    /// The most stages one staged query holds (one bit each in the
+    /// kernel's per-feature stage mask).
+    const MAX_STAGES: usize = 64;
+
+    /// A staged query with no stages.
+    pub fn new() -> Self {
+        StagedQuery::default()
+    }
+
+    /// The one-stage query that ranks exactly as `query`.
+    pub fn single(query: &'q Query) -> Self {
+        let mut staged = StagedQuery::new();
+        staged.push_query(query);
+        staged
+    }
+
+    /// Adds `query` as the next stage, with its own weights.
+    pub fn push_query(&mut self, query: &'q Query) {
+        self.push_stage(query.features.iter().map(|f| (&f.feature, f.weight)));
+    }
+
+    /// Adds the stage [`Query::combine`] would build from `parts`, with
+    /// the same weights, without copying a feature.
+    pub fn push_combined(&mut self, parts: &[(&'q Query, f64)]) {
+        self.push_stage(combined(parts.iter().copied()));
+    }
+
+    fn push_stage(&mut self, features: impl Iterator<Item = (&'q Feature, f64)>) {
+        assert!(
+            self.ends.len() < Self::MAX_STAGES,
+            "a staged query holds at most {} stages",
+            Self::MAX_STAGES
+        );
+        for (feature, weight) in features {
+            let next =
+                u32::try_from(self.features.len()).expect("invariant: feature count fits in u32");
+            let slot = *self.slots.entry(feature).or_insert(next);
+            if slot == next {
+                self.features.push(feature);
+            }
+            self.terms.push(StageTerm {
+                feature: slot,
+                weight,
+            });
+        }
+        self.ends.push(self.terms.len());
+    }
+
+    /// The distinct features of every stage, in first-use order.
+    pub fn features(&self) -> &[&'q Feature] {
+        &self.features
+    }
+
+    /// Number of stages.
+    pub fn num_stages(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The terms of every stage, in stage order, each stage in its own
+    /// query order.
+    pub(crate) fn stages(&self) -> impl Iterator<Item = &[StageTerm]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| self.terms.get(start..end).unwrap_or_default())
     }
 }
 
@@ -231,6 +341,37 @@ mod tests {
         let empty = Query::new();
         let c = Query::combine(&[(q1, 0.5), (empty, 0.5)]);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn staged_query_shares_features_and_keeps_stage_weights() {
+        let a = Analyzer::plain();
+        let user = Query::parse_text("x y", &a);
+        let mut exp1 = Query::new();
+        exp1.push_term("y".into(), 2.0);
+        exp1.push_phrase_tokens(vec!["x".into(), "z".into()], 1.0);
+        let exp2 = Query::parse_text("z x", &a);
+        let mut staged = StagedQuery::new();
+        staged.push_combined(&[(&user, 0.5), (&exp1, 0.5)]);
+        staged.push_combined(&[(&user, 0.5), (&exp2, 0.5)]);
+        staged.push_query(&user);
+        assert_eq!(staged.num_stages(), 3);
+        // x, y, #1(x z), z: the repeats of x and y resolve once.
+        assert_eq!(staged.features().len(), 4);
+        let one = Query::combine(&[(user.clone(), 0.5), (exp1.clone(), 0.5)]);
+        let two = Query::combine(&[(user.clone(), 0.5), (exp2.clone(), 0.5)]);
+        for (stage, query) in staged.stages().zip([&one, &two, &user]) {
+            let got: Vec<(&Feature, u64)> = stage
+                .iter()
+                .map(|t| (staged.features()[t.feature as usize], t.weight.to_bits()))
+                .collect();
+            let want: Vec<(&Feature, u64)> = query
+                .features()
+                .iter()
+                .map(|f| (&f.feature, f.weight.to_bits()))
+                .collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

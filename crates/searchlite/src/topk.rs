@@ -65,37 +65,13 @@ impl TopK {
         }
     }
 
-    /// Finishes and returns the ranked list (best first).
-    pub fn into_sorted(mut self) -> Vec<(u32, f64)> {
-        self.drain_sorted()
-    }
-
-    /// Drains the held candidates as a ranked list (best first), leaving
-    /// the collector empty but with its heap allocation intact — the
-    /// scratch-buffer entry point for batch serving. Doc ids are unique
-    /// within one collector, so the order is total and an unstable sort
-    /// gives the same list as a stable one.
-    pub fn drain_sorted(&mut self) -> Vec<(u32, f64)> {
-        let mut v: Vec<(u32, f64)> = self.heap.drain().map(|e| (e.doc, e.score)).collect();
+    /// Finishes and returns the ranked list (best first). Doc ids are
+    /// unique within one collector, so the order is total and an
+    /// unstable sort gives the same list as a stable one.
+    pub fn into_sorted(self) -> Vec<(u32, f64)> {
+        let mut v: Vec<(u32, f64)> = self.heap.into_iter().map(|e| (e.doc, e.score)).collect();
         v.sort_unstable_by(|a, b| scorecmp::by_score_desc_then_id(a.1, b.1, a.0, b.0));
         v
-    }
-
-    /// Empties the collector and re-arms it for the best `k` entries,
-    /// keeping the heap allocation for reuse.
-    pub fn reset(&mut self, k: usize) {
-        self.k = k;
-        self.heap.clear();
-    }
-
-    /// Number of candidates currently held (≤ k).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no candidate has been kept.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -133,7 +109,6 @@ mod tests {
     fn zero_k_keeps_nothing() {
         let mut t = TopK::new(0);
         t.push(1, 1.0);
-        assert!(t.is_empty());
         assert!(t.into_sorted().is_empty());
     }
 
@@ -152,20 +127,6 @@ mod tests {
         t.push(2, -5.0);
         t.push(3, -20.0);
         assert_eq!(t.into_sorted(), vec![(2, -5.0), (1, -10.0)]);
-    }
-
-    #[test]
-    fn reset_and_drain_reuse_matches_fresh_collector() {
-        let mut t = TopK::new(2);
-        for (d, s) in [(0, 1.0), (1, 5.0), (2, 3.0)] {
-            t.push(d, s);
-        }
-        assert_eq!(t.drain_sorted(), vec![(1, 5.0), (2, 3.0)]);
-        assert!(t.is_empty());
-        t.reset(1);
-        t.push(4, 2.0);
-        t.push(5, 9.0);
-        assert_eq!(t.drain_sorted(), vec![(5, 9.0)]);
     }
 
     #[test]

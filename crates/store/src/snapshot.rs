@@ -5,6 +5,7 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use entitylink::Dictionary;
@@ -193,10 +194,11 @@ pub fn append_segment(
     Ok(())
 }
 
-/// Writes a snapshot atomically: the image goes to `<path>.tmp` in the
-/// same directory, is flushed and synced, then renamed over `path`.
-/// Readers therefore only ever observe either the old complete file or
-/// the new complete file. Returns the number of bytes written.
+/// Writes a snapshot atomically: the image goes to a temp file of its
+/// own in the same directory, is flushed and synced, then renamed over
+/// `path`, and the directory is synced. Readers therefore only ever
+/// observe either the old complete file or the new complete file.
+/// Returns the number of bytes written.
 pub fn write_snapshot(path: &Path, contents: &SnapshotContents<'_>) -> Result<u64, StoreError> {
     let bytes = encode_snapshot(contents)?;
     write_snapshot_bytes(path, &bytes)?;
@@ -205,29 +207,48 @@ pub fn write_snapshot(path: &Path, contents: &SnapshotContents<'_>) -> Result<u6
 
 /// Atomically publishes an already-encoded snapshot image (the
 /// write-temp-sync-rename dance of [`write_snapshot`], for callers that
-/// grow the image incrementally with [`append_segment`]).
+/// grow the image incrementally with [`append_segment`]). Every call
+/// writes its own temp file, so concurrent writers to one path never
+/// clobber each other's image: the last rename wins whole.
 pub fn write_snapshot_bytes(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let tmp = tmp_path(path);
-    {
-        let mut f = fs::File::create(&tmp)?;
+    let written = fs::File::create(&tmp).and_then(|mut f| {
         f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    if let Err(e) = fs::rename(&tmp, path) {
+        f.sync_all()
+    });
+    if let Err(e) = written.and_then(|()| fs::rename(&tmp, path)) {
         // Leave no orphaned temp file behind a failed publication.
         let _ = fs::remove_file(&tmp);
         return Err(StoreError::Io(e));
     }
+    sync_parent_dir(path)?;
     Ok(())
 }
 
+/// `<file name>.<pid>.<n>.tmp` beside `path`, where `n` counts this
+/// process's calls: unique per process and per call.
 fn tmp_path(path: &Path) -> std::path::PathBuf {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let mut name = path.file_name().map_or_else(
         || std::ffi::OsString::from("snapshot"),
         std::ffi::OsStr::to_os_string,
     );
-    name.push(".tmp");
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    name.push(format!(".{}.{call}.tmp", std::process::id()));
     path.with_file_name(name)
+}
+
+/// Syncs the directory holding `path`, so a completed rename survives a
+/// crash. Directories cannot be opened for syncing outside Unix.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    if cfg!(unix) {
+        let dir = path
+            .parent()
+            .filter(|d| !d.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// A fully decoded, fully audited snapshot.
@@ -720,10 +741,63 @@ mod tests {
         };
         let written = write_snapshot(&path, &contents).unwrap();
         assert_eq!(written, fs::metadata(&path).unwrap().len());
-        assert!(!tmp_path(&path).exists(), "temp file must not linger");
+        assert_eq!(temp_files(&dir, "world.snap"), 0, "temp file must not linger");
         let snap = Snapshot::load(&path).unwrap();
         assert_eq!(snap.graph().num_articles(), 2);
         fs::remove_file(&path).unwrap();
+    }
+
+    /// Temp files of `name` left in `dir`.
+    fn temp_files(dir: &Path, name: &str) -> usize {
+        fs::read_dir(dir)
+            .unwrap()
+            .filter(|e| {
+                let file = e.as_ref().unwrap().file_name();
+                let file = file.to_string_lossy();
+                file.starts_with(name) && file.ends_with(".tmp")
+            })
+            .count()
+    }
+
+    #[test]
+    fn temp_names_are_unique_per_call() {
+        let path = Path::new("dir/world.snap");
+        let (a, b) = (tmp_path(path), tmp_path(path));
+        assert_ne!(a, b);
+        assert_eq!(a.parent(), path.parent());
+    }
+
+    #[test]
+    fn concurrent_writers_to_one_path_never_clobber() {
+        let dir = std::env::temp_dir().join(format!("sqe-store-test-race-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("world.snap");
+        let first = toy_bytes();
+        let (graph, dict) = toy_graph_dict();
+        let index = toy_index(&[("d9", "a different image altogether")]);
+        let segments = [&index];
+        let collections = [("other", &segments[..])];
+        let second = encode_snapshot(&SnapshotContents {
+            graph: &graph,
+            collections: &collections,
+            dict: &dict,
+        })
+        .unwrap();
+        std::thread::scope(|s| {
+            for image in [&first, &second] {
+                let path = &path;
+                s.spawn(move || {
+                    for _ in 0..25 {
+                        write_snapshot_bytes(path, image).unwrap();
+                    }
+                });
+            }
+        });
+        let on_disk = fs::read(&path).unwrap();
+        assert!(on_disk == first || on_disk == second, "the file is one whole image");
+        Snapshot::load(&path).unwrap();
+        assert_eq!(temp_files(&dir, "world.snap"), 0, "no temp file left behind");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
