@@ -25,8 +25,14 @@ pub struct RankSegment<'a, T = String> {
 /// of one searcher (the serving layer combines on those and maps only
 /// the combined list to external ids).
 pub fn combine_rankings<T: Eq + Hash + Clone>(segments: &[RankSegment<'_, T>]) -> Vec<T> {
-    let mut out: Vec<T> = Vec::new();
-    let mut seen: rustc_hash::FxHashSet<&T> = rustc_hash::FxHashSet::default();
+    // The combined list holds at most every source entry and at most the
+    // deepest rank: sized once, it never regrows.
+    let sources: usize = segments.iter().map(|seg| seg.run.len()).sum();
+    let deepest = segments.iter().map(|seg| seg.until_rank).max().unwrap_or(0);
+    let size = sources.min(deepest);
+    let mut out: Vec<T> = Vec::with_capacity(size);
+    let mut seen: rustc_hash::FxHashSet<&T> =
+        rustc_hash::FxHashSet::with_capacity_and_hasher(size, Default::default());
     for seg in segments {
         let mut source = seg.run.iter();
         while out.len() < seg.until_rank {

@@ -8,6 +8,7 @@
 //! they have appeared."
 
 use kbgraph::{ArticleId, KbGraph};
+use searchlite::structured::Feature;
 use searchlite::{Analyzer, Query, StagedQuery};
 
 use crate::query_graph::QueryGraph;
@@ -97,15 +98,38 @@ pub fn expansion_part_from(
     max_expansions: usize,
 ) -> Query {
     let mut q = Query::new();
+    for (a, weight) in expansion_weights(expansions, max_expansions) {
+        q.push_phrase_text(graph.article_title(a), analyzer, weight);
+    }
+    q
+}
+
+/// The articles of the expansion part and their weights: the first
+/// `max_expansions` expansions (0 = all), each weighted by its motif
+/// multiplicity `|m_a|`.
+pub fn expansion_weights(
+    expansions: &[(ArticleId, u32)],
+    max_expansions: usize,
+) -> impl Iterator<Item = (ArticleId, f64)> + '_ {
     let take = if max_expansions == 0 {
         usize::MAX
     } else {
         max_expansions
     };
-    for &(a, m) in expansions.iter().take(take) {
-        q.push_phrase_text(graph.article_title(a), analyzer, m as f64);
-    }
-    q
+    expansions
+        .iter()
+        .take(take)
+        .map(|&(a, m)| (a, f64::from(m)))
+}
+
+/// The feature a KB-article title adds to a query part: what
+/// [`Query::push_phrase_text`] adds for `title` at any positive weight,
+/// or `None` when the title analyzes to nothing. The serving layer
+/// keeps one per article instead of analyzing the title per request.
+pub fn title_feature(title: &str, analyzer: &Analyzer) -> Option<Feature> {
+    let mut q = Query::new();
+    q.push_phrase_text(title, analyzer, 1.0);
+    q.features().first().map(|f| f.feature.clone())
 }
 
 /// Assembles the three-part structured query from its raw ingredients:
@@ -131,14 +155,15 @@ pub fn build_query(
 }
 
 /// Adds to `staged` the stage [`build_query`] would assemble from the
-/// same three parts, with the same weights. `SQE_C` builds the user and
-/// query-entity parts once and one expansion part per motif set, and
-/// ranks its three stages as one staged query.
+/// same three parts, with the same weights; each part is its `(feature,
+/// weight)` pairs. The serving layer builds the user and query-entity
+/// parts once per request and one expansion part per motif set, from
+/// title features it analyzed once ([`title_feature`]).
 pub fn push_stage<'q>(
     staged: &mut StagedQuery<'q>,
-    user: &'q Query,
-    entities: &'q Query,
-    expansion: &'q Query,
+    user: &[(&'q Feature, f64)],
+    entities: &[(&'q Feature, f64)],
+    expansion: &[(&'q Feature, f64)],
     cfg: &ExpandConfig,
 ) {
     staged.push_combined(&[
@@ -167,7 +192,6 @@ pub fn build_expanded_query(
 mod tests {
     use super::*;
     use kbgraph::GraphBuilder;
-    use searchlite::structured::Feature;
 
     fn toy() -> (KbGraph, ArticleId, ArticleId, ArticleId) {
         let mut b = GraphBuilder::new();

@@ -441,6 +441,9 @@ pub struct ServeMetrics {
     pub ql_features_resolved: Counter,
     /// `(document, stage)` pairs the QL kernel scored, over all shards.
     pub ql_candidates_scored: Counter,
+    /// KB-article titles analyzed into query features: each article
+    /// once per service, on its first use.
+    pub titles_analyzed: Counter,
     /// Per-stage latency histograms.
     pub stages: StageHistograms,
     /// Ingestion-path latency histograms.
@@ -465,6 +468,7 @@ impl ServeMetrics {
             deadline_exceeded: Counter::new(),
             ql_features_resolved: Counter::new(),
             ql_candidates_scored: Counter::new(),
+            titles_analyzed: Counter::new(),
             stages: StageHistograms::default(),
             ingest: IngestHistograms::default(),
             ladder: LadderMetrics::new(ladder_rungs),
@@ -497,6 +501,7 @@ impl ServeMetrics {
         self.deadline_exceeded.reset();
         self.ql_features_resolved.reset();
         self.ql_candidates_scored.reset();
+        self.titles_analyzed.reset();
         self.stages.reset();
         self.ingest.reset();
         self.ladder.reset();
@@ -519,6 +524,7 @@ impl ServeMetrics {
             deadline_exceeded: self.deadline_exceeded.get(),
             ql_features_resolved: self.ql_features_resolved.get(),
             ql_candidates_scored: self.ql_candidates_scored.get(),
+            titles_analyzed: self.titles_analyzed.get(),
             epoch,
             cache_hit_rate: self.cache_hit_rate(),
             stages: self.stages.snapshot(),
@@ -558,6 +564,9 @@ pub struct MetricsSnapshot {
     pub ql_features_resolved: u64,
     /// `(document, stage)` pairs the QL kernel scored, summed over shards.
     pub ql_candidates_scored: u64,
+    /// KB-article titles analyzed into query features (each at most once
+    /// per service).
+    pub titles_analyzed: u64,
     /// Segment-set epoch of the published searcher view.
     pub epoch: u64,
     /// hits / (hits + misses), 0 when no lookups.

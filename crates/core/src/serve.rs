@@ -12,10 +12,11 @@
 //!   [`SqePipeline`](crate::pipeline::SqePipeline): an LRU
 //!   [`ExpansionCache`] keyed by the sorted query-node set + motif-set
 //!   fingerprint (motif traversal is a pure function of exactly that
-//!   key), per-worker reusable scratch buffers, and [`ServeMetrics`]
-//!   recording cache traffic plus per-stage latency through an injected
-//!   [`Clock`] (no wall-clock reads in library code; tests drive a
-//!   `ManualClock`).
+//!   key), a pool of reusable scratch buffers (one per worker in a
+//!   batch), a per-article table of analyzed KB titles, and
+//!   [`ServeMetrics`] recording cache traffic plus per-stage latency
+//!   through an injected [`Clock`] (no wall-clock reads in library code;
+//!   tests drive a `ManualClock`).
 //!
 //! # Shards
 //!
@@ -63,11 +64,12 @@
 //! end-to-end on run files.
 
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard};
 
 use kbgraph::{ArticleId, KbGraph};
 use searchlite::ql::{self, QlScratch, SearchHit};
 use searchlite::shard::merge_top_k;
+use searchlite::structured::Feature;
 use searchlite::{
     Analyzer, DocId, Index, IngestError, PendingSeal, Query, SealReport, Searcher, SegmentedIndex,
     ShardRouter, StagedQuery,
@@ -345,6 +347,16 @@ pub struct QueryService<'a> {
     /// reading as a parameter, keeping the whole path deterministic
     /// under a `ManualClock`.
     admission: AdmissionController,
+    /// Per KB article: the feature its title adds to an expanded query
+    /// ([`expand::title_feature`]), analyzed on first use. The graph and
+    /// the analyzer (the first shard's, which every published view
+    /// keeps) are fixed for the life of the service, so a filled entry
+    /// never changes. The table itself is allocated by the first
+    /// expanded query, so building a service costs nothing for it.
+    titles: OnceLock<Box<[OnceLock<Option<Feature>>]>>,
+    /// Idle scratch buffers of the single-request entry points; grows to
+    /// the peak number of concurrent callers.
+    scratch: Mutex<Vec<SqeScratch>>,
 }
 
 /// One shard holding `live`, whose ordinals are its own doc ids.
@@ -495,6 +507,8 @@ impl<'a> QueryService<'a> {
             metrics,
             clock,
             admission,
+            titles: OnceLock::new(),
+            scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -514,6 +528,28 @@ impl<'a> QueryService<'a> {
     /// that matter to readers — sealed segments are immutable).
     fn live_lock(&self) -> MutexGuard<'_, Live> {
         match self.live.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// Runs `f` with a scratch from the pool, or a fresh one when every
+    /// pooled scratch is in use, and returns it to the pool afterwards.
+    /// Every query overwrites the scratch buffers it reads, so nothing
+    /// carries over from one request to the next.
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut SqeScratch) -> R) -> R {
+        let mut scratch = self.scratch_pool().pop().unwrap_or_default();
+        let out = f(&mut scratch);
+        self.scratch_pool().push(scratch);
+        out
+    }
+
+    /// Locks the scratch pool. A poisoned lock is recovered: the pool
+    /// holds no invariant (each entry is a whole idle scratch, and a push
+    /// or pop either happened or did not), and the scratch of a request
+    /// that panicked is never returned to it.
+    fn scratch_pool(&self) -> MutexGuard<'_, Vec<SqeScratch>> {
+        match self.scratch.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
@@ -827,7 +863,7 @@ impl<'a> QueryService<'a> {
     /// mapping, `scorecmp` merge. Hit ids are global ingest ordinals.
     pub fn rank_ql(&self, query: &Query, k: usize) -> Vec<SearchHit> {
         let view = self.pinned();
-        view.search_hits(self.scatter_ql(&view, query, k, &mut QlScratch::new()))
+        view.search_hits(self.with_scratch(|s| self.scatter_ql(&view, query, k, &mut s.ql)))
     }
 
     /// The QL pipeline of every stage of `staged` over a pinned shard
@@ -876,6 +912,64 @@ impl<'a> QueryService<'a> {
         self.scatter(view, &StagedQuery::single(query), &[k], scratch)
             .pop()
             .unwrap_or_default()
+    }
+
+    /// The feature `article`'s title adds to an expanded query, analyzed
+    /// on the first call for that article; `None` when the title
+    /// analyzes to nothing, or for an id outside the graph.
+    fn title_feature(&self, article: ArticleId, analyzer: &Analyzer) -> Option<&Feature> {
+        self.titles
+            .get_or_init(|| (0..self.graph.num_articles()).map(|_| OnceLock::new()).collect())
+            .get(article.index())?
+            .get_or_init(|| {
+                self.metrics.titles_analyzed.inc();
+                expand::title_feature(self.graph.article_title(article), analyzer)
+            })
+            .as_ref()
+    }
+
+    /// A query part of KB-article titles at their weights, as
+    /// [`Query::push_phrase_text`] would build it: titles that analyze to
+    /// nothing and non-positive weights add no feature.
+    fn title_part(
+        &self,
+        articles: impl Iterator<Item = (ArticleId, f64)>,
+        analyzer: &Analyzer,
+    ) -> Vec<(&Feature, f64)> {
+        articles
+            .filter(|&(_, weight)| weight > 0.0)
+            .filter_map(|(article, weight)| Some((self.title_feature(article, analyzer)?, weight)))
+            .collect()
+    }
+
+    /// Ranks the expanded queries of `text` and `nodes`, one stage per
+    /// entry of `expansions`, as one staged query ([`QueryService::scatter`]):
+    /// stage `s` is the query [`expand::build_query`] builds with
+    /// `expansions[s]`, ranked to `depths[s]`. The user and query-entity
+    /// parts are built once, from title features analyzed once per
+    /// service.
+    fn rank_expanded(
+        &self,
+        view: &View,
+        text: &str,
+        nodes: &[ArticleId],
+        expansions: &[CachedExpansions],
+        depths: &[usize],
+        scratch: &mut QlScratch,
+    ) -> Vec<Vec<Hit>> {
+        let (analyzer, cfg) = (view.analyzer(), &self.cfg.expand);
+        let user_query = expand::user_part(text, analyzer);
+        let user: Vec<(&Feature, f64)> = user_query.weighted().collect();
+        let entities = self.title_part(nodes.iter().map(|&n| (n, 1.0)), analyzer);
+        let parts: Vec<Vec<(&Feature, f64)>> = expansions
+            .iter()
+            .map(|e| self.title_part(expand::expansion_weights(e, cfg.max_expansions), analyzer))
+            .collect();
+        let mut staged = StagedQuery::new();
+        for part in &parts {
+            expand::push_stage(&mut staged, &user, &entities, part, cfg);
+        }
+        self.scatter(view, &staged, depths, scratch)
     }
 
     /// The expansion features for one query under one motif set:
@@ -938,9 +1032,11 @@ impl<'a> QueryService<'a> {
         if deadline.expired(t1) {
             return Err(Stage::Expand);
         }
-        let query =
-            expand::build_query(self.graph, text, nodes, &expansions, view.analyzer(), &cfg.expand);
-        let hits = self.scatter_ql(view, &query, cfg.depth, &mut scratch.ql);
+        let expansions = std::slice::from_ref(&expansions);
+        let hits = self
+            .rank_expanded(view, text, nodes, expansions, &[cfg.depth], &mut scratch.ql)
+            .pop()
+            .unwrap_or_default();
         let t2 = self.clock.now_nanos();
         self.metrics.stages.rank.record(t2.saturating_sub(t1));
         Ok(hits)
@@ -950,7 +1046,8 @@ impl<'a> QueryService<'a> {
     /// identical output to [`crate::pipeline::SqePipeline::rank_sqe`]
     /// (hit ids are global ordinals).
     pub fn rank_sqe(&self, text: &str, nodes: &[ArticleId], motifs: &MotifSet) -> Vec<SearchHit> {
-        self.rank_sqe_with_scratch(&self.pinned(), text, nodes, motifs, &mut SqeScratch::new())
+        let view = self.pinned();
+        self.with_scratch(|s| self.rank_sqe_with_scratch(&view, text, nodes, motifs, s))
     }
 
     fn rank_sqe_with_scratch(
@@ -974,15 +1071,16 @@ impl<'a> QueryService<'a> {
     /// are ranked as one staged query and combined on document
     /// locations; only the combined list is mapped to external ids.
     pub fn rank_sqe_c(&self, text: &str, nodes: &[ArticleId]) -> Vec<String> {
-        self.rank_sqe_c_with_scratch(&self.pinned(), text, nodes, &mut SqeScratch::new())
+        let view = self.pinned();
+        self.with_scratch(|s| self.rank_sqe_c_with_scratch(&view, text, nodes, s))
     }
 
     /// Expands under each of `SQE_T`, `SQE_T&S` and `SQE_S` (one `expand`
     /// record each), then ranks the three as one query (one `rank`
-    /// record): the user and query-entity parts are built once, the
-    /// union of the stages' features is resolved once per shard, one
-    /// kernel pass scores every stage, and each stage is ranked only as
-    /// deep as [`combine::sqe_c`] reads it.
+    /// record, [`QueryService::rank_expanded`]): the union of the stages'
+    /// features is resolved once per shard, one kernel pass scores every
+    /// stage, and each stage is ranked only as deep as
+    /// [`combine::sqe_c`] reads it.
     fn rank_sqe_c_with_scratch(
         &self,
         view: &View,
@@ -1003,19 +1101,9 @@ impl<'a> QueryService<'a> {
             },
         );
         let r0 = self.clock.now_nanos();
-        let (graph, analyzer, cfg) = (self.graph, view.analyzer(), &self.cfg.expand);
-        let user = expand::user_part(text, analyzer);
-        let entities = expand::entities_part(graph, nodes, analyzer);
-        let parts = expansions.each_ref().map(|expansions| {
-            expand::expansion_part_from(graph, expansions, analyzer, cfg.max_expansions)
-        });
-        let mut staged = StagedQuery::new();
-        for part in &parts {
-            expand::push_stage(&mut staged, &user, &entities, part, cfg);
-        }
         let depths = combine::sqe_c_depths(self.cfg.depth);
         let mut runs = self
-            .scatter(view, &staged, &depths, &mut scratch.ql)
+            .rank_expanded(view, text, nodes, &expansions, &depths, &mut scratch.ql)
             .into_iter()
             .map(|hits| locations(&hits));
         let (t, ts, s) = (
@@ -1120,7 +1208,7 @@ impl<'a> QueryService<'a> {
         deadline: Deadline,
     ) -> ServeOutcome<Vec<SearchHit>> {
         let view = self.pinned();
-        self.serve_admitted_with_scratch(&view, ticket, text, nodes, deadline, &mut SqeScratch::new())
+        self.with_scratch(|s| self.serve_admitted_with_scratch(&view, ticket, text, nodes, deadline, s))
     }
 
     fn serve_admitted_with_scratch(
@@ -1154,7 +1242,7 @@ impl<'a> QueryService<'a> {
     /// prime, via the recorded cost histogram) per-rung costs.
     pub fn serve_at_rung(&self, rung: usize, text: &str, nodes: &[ArticleId]) -> Vec<SearchHit> {
         let view = self.pinned();
-        self.run_rung(&view, rung, text, nodes, Deadline::NONE, &mut SqeScratch::new())
+        self.with_scratch(|s| self.run_rung(&view, rung, text, nodes, Deadline::NONE, s))
             .into_value()
             .unwrap_or_default()
     }
@@ -1538,6 +1626,31 @@ mod tests {
         assert_eq!(sharded.rank_sqe_c(text, &nodes), service.rank_sqe_c(text, &nodes));
         let snap = sharded.metrics_snapshot();
         assert_eq!((snap.ql_features_resolved, snap.ql_candidates_scored), (8, 9));
+    }
+
+    #[test]
+    fn each_title_is_analyzed_once_per_service() {
+        let (graph, index, cable) = world();
+        let service = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        let (text, nodes) = ("cable car funicular", vec![cable]);
+        let touched: rustc_hash::FxHashSet<ArticleId> =
+            [MotifSet::triangular(), MotifSet::t_and_s(), MotifSet::square()]
+                .iter()
+                .flat_map(|motifs| QueryGraphBuilder::from_set(&graph, motifs).build(&nodes).expansions)
+                .map(|(article, _)| article)
+                .chain(nodes.iter().copied())
+                .collect();
+        // The query node "cable car" and its expansion "funicular".
+        assert_eq!(touched.len(), 2);
+        let analyzed = || service.metrics_snapshot().titles_analyzed;
+        service.rank_sqe_c(text, &nodes);
+        assert_eq!(analyzed(), 2, "each distinct title of the first request, once");
+        service.rank_sqe_c(text, &nodes);
+        assert_eq!(analyzed(), 2, "a repeat analyzes no title");
+        // Every other expanded path reads the same table.
+        service.rank_sqe("funicular", &nodes, &MotifSet::t_and_s());
+        service.serve_at_rung(1, text, &nodes);
+        assert_eq!(analyzed(), 2);
     }
 
     #[test]

@@ -19,13 +19,19 @@
 //! (`QlShardResolve`), derives the collection probabilities from exact
 //! integer counts (`ql_global_pcs`), then walks per-segment postings
 //! cursors document at a time, once for all stages. [`rank_with_scratch`]
-//! is its one-stage, one-shard case. The kernel computes each feature's
-//! `μ·P(f|C)` and absent-feature term `ln(0 + μ·P(f|C))` once per query
-//! and `ln(tf + μ·P(f|C))` once per matched (document, feature) pair, and
-//! each stage adds its own terms `λ/Σλ · (log_num − ln(|D| + μ))` in its
-//! own query order, so each score has the bits the plain formula gives.
+//! is its one-stage, one-shard case. Term cursors read the segment's
+//! postings in place; phrase cursors read the resolve's intersections.
+//!
+//! The logarithms are looked up, not recomputed: each feature's
+//! `ln(tf + μ·P(f|C))` for `tf` below [`TF_LOGS`] (the absent-feature
+//! term at `tf = 0`) is computed once per query, and `ln(|D| + μ)` once
+//! per scratch for each length below [`LEN_LOGS`], keyed by the bits of
+//! μ; larger values are computed where they occur. Each stage adds its
+//! own terms `λ/Σλ · (log_num − ln(|D| + μ))` in its own query order.
+//! Every value is the expression the plain formula evaluates, so each
+//! score has the bits the plain formula gives.
 
-use crate::index::{DocId, PositionalScratch, TermId};
+use crate::index::{DocId, PositionalScratch, TermId, TermPostings};
 use crate::searcher::Searcher;
 use crate::shard::{ql_global_pcs, QlShardResolve, ShardFeatureKind};
 use crate::structured::{Query, StagedQuery};
@@ -54,15 +60,47 @@ pub struct SearchHit {
     pub score: f64,
 }
 
+/// Term frequencies whose log-numerator each feature tables per query.
+/// On the full bed's SQE_C replay 91% of matched (document, feature)
+/// pairs have `tf = 1` and 99% have `tf ≤ 2`.
+const TF_LOGS: usize = 3;
+
+/// Document lengths whose `ln(|D| + μ)` a scratch tables (the full
+/// bed's captions are at most 34 tokens long).
+const LEN_LOGS: usize = 1 << 10;
+
 /// Per-query constants of one union feature's Dirichlet term.
 #[derive(Debug, Clone, Copy)]
 struct FeatureConst {
     /// `μ · P(f|C)`.
     mpc: f64,
-    /// `ln(0 + μ·P(f|C))`: the log-numerator of a document without `f`.
-    absent: f64,
+    /// `ln(tf + μ·P(f|C))` for `tf` below [`TF_LOGS`]; at `tf = 0` the
+    /// log-numerator of a document without `f`.
+    logs: [f64; TF_LOGS],
     /// Bit `s` is set when stage `s` uses the feature.
     stages: u64,
+}
+
+impl FeatureConst {
+    fn new(mpc: f64) -> Self {
+        let mut logs = [0.0; TF_LOGS];
+        for (tf, log) in (0u32..).zip(&mut logs) {
+            *log = log_num(tf, mpc);
+        }
+        FeatureConst {
+            mpc,
+            logs,
+            stages: 0,
+        }
+    }
+
+    /// `ln(tf + μ·P(f|C))`.
+    fn log_num(&self, tf: u32) -> f64 {
+        match self.logs.get(tf as usize) {
+            Some(&log) => log,
+            None => log_num(tf, self.mpc),
+        }
+    }
 }
 
 /// One term of a stage: its union feature and `λ_f / Σλ` over the
@@ -95,6 +133,43 @@ pub struct QlWork {
 /// Document-length part of the formula, `ln(|D| + μ)`.
 fn log_denom(doc_len: u32, mu: f64) -> f64 {
     (f64::from(doc_len) + mu).ln()
+}
+
+/// Feature part of the formula, `ln(tf + μ·P(f|C))`.
+fn log_num(tf: u32, mpc: f64) -> f64 {
+    (f64::from(tf) + mpc).ln()
+}
+
+/// `ln(|D| + μ)` for each document length below [`LEN_LOGS`], filled up
+/// to the longest length read, for one μ (compared by its bits).
+#[derive(Debug, Default)]
+struct LenLogs {
+    mu: f64,
+    logs: Vec<f64>,
+}
+
+impl LenLogs {
+    /// Keys the table to `mu`, emptying it when μ changed.
+    fn key(&mut self, mu: f64) {
+        if self.mu.to_bits() != mu.to_bits() {
+            self.mu = mu;
+            self.logs.clear();
+        }
+    }
+
+    /// `ln(len + μ)`.
+    fn get(&mut self, len: u32) -> f64 {
+        let (i, mu) = (len as usize, self.mu);
+        if self.logs.len() <= i && i < LEN_LOGS {
+            let from = u32::try_from(self.logs.len())
+                .expect("invariant: the table is shorter than LEN_LOGS");
+            self.logs.extend((from..=len).map(|l| log_denom(l, mu)));
+        }
+        match self.logs.get(i) {
+            Some(&log) => log,
+            None => log_denom(len, mu),
+        }
+    }
 }
 
 /// A ranking key: sorting keys ascending ranks by score descending, then
@@ -142,20 +217,49 @@ fn take_top_k(keys: &mut Vec<u128>, k: usize) -> Vec<(u32, f64)> {
 /// Doc id of an exhausted cursor; real ids are below the doc count.
 const END: u32 = u32::MAX;
 
-/// A feature's position in the kernel's postings arena: the current
-/// document and its frequency, and the next unread entry of its run.
+/// The postings a cursor reads, in segment-local doc ids.
 #[derive(Debug, Clone, Copy)]
-struct Cursor {
+enum Postings<'a> {
+    /// A term's segment postings, read in place.
+    Term { docs: &'a [u32], tfs: &'a [u32] },
+    /// A phrase's run of the resolve's intersections, in searcher doc
+    /// ids from the segment's `base`.
+    Phrase { run: &'a [(DocId, u32)], base: u32 },
+}
+
+/// A feature's position in its postings: the current document and its
+/// frequency, and the next unread entry.
+#[derive(Debug, Clone, Copy)]
+struct Cursor<'a> {
     doc: u32,
     tf: u32,
     next: usize,
-    end: usize,
+    postings: Postings<'a>,
 }
 
-impl Cursor {
-    fn advance(&mut self, postings: &[(u32, u32)]) {
-        match postings.get(self.next).filter(|_| self.next < self.end) {
-            Some(&(doc, tf)) => {
+impl<'a> Cursor<'a> {
+    /// A cursor on the first entry of `postings`.
+    fn new(postings: Postings<'a>) -> Self {
+        let mut cursor = Cursor {
+            doc: END,
+            tf: 0,
+            next: 0,
+            postings,
+        };
+        cursor.advance();
+        cursor
+    }
+
+    fn advance(&mut self) {
+        let entry = match self.postings {
+            Postings::Term { docs, tfs } => docs
+                .get(self.next)
+                .zip(tfs.get(self.next))
+                .map(|(&d, &tf)| (d, tf)),
+            Postings::Phrase { run, base } => run.get(self.next).map(|&(d, tf)| (d.0 - base, tf)),
+        };
+        match entry {
+            Some((doc, tf)) => {
                 self.doc = doc;
                 self.tf = tf;
                 self.next += 1;
@@ -163,6 +267,18 @@ impl Cursor {
             None => self.doc = END,
         }
     }
+}
+
+/// An empty vector on `v`'s allocation, for cursors of another lifetime:
+/// the kernel keeps one cursor buffer across queries although each
+/// query's cursors borrow that query's postings. Collecting an emptied
+/// `IntoIter` into an element type of the same layout reuses its buffer
+/// (the map never runs).
+fn recycle<'b>(mut v: Vec<Cursor<'_>>) -> Vec<Cursor<'b>> {
+    v.clear();
+    v.into_iter()
+        .map(|_| Cursor::new(Postings::Term { docs: &[], tfs: &[] }))
+        .collect()
 }
 
 /// Scores a single document, matching or not (used by tests that check
@@ -201,15 +317,15 @@ pub fn score_document(searcher: &Searcher, query: &Query, doc: DocId, params: Ql
                     .map_or(0, |&(_, tf)| tf)
             }
         };
-        score += t.coef * ((f64::from(tf) + fc.mpc).ln() - denom);
+        score += t.coef * (fc.log_num(tf) - denom);
     }
     score
 }
 
 /// Reusable buffers for [`rank_stages`] and [`rank_with_scratch`]: the
 /// per-shard resolves, the positional staging buffers and the kernel's
-/// constants, cursors, postings arena and candidate keys survive across
-/// queries, so batch serving does not reallocate them per query.
+/// constants, cursors, logarithm tables and candidate keys survive
+/// across queries, so serving does not reallocate them per query.
 #[derive(Debug, Default)]
 pub struct QlScratch {
     pos: PositionalScratch,
@@ -222,13 +338,13 @@ pub struct QlScratch {
     /// Every stage's terms, stage after stage; `stages` closes each run.
     terms: Vec<TermConst>,
     stages: Vec<StageConst>,
-    cursors: Vec<Cursor>,
-    /// One segment's `(local doc, tf)` postings of every feature,
-    /// concatenated in feature order; each run is sorted by doc.
-    postings: Vec<(u32, u32)>,
+    /// The current segment's cursors, one per feature; empty between
+    /// segments (see [`recycle`]).
+    cursors: Vec<Cursor<'static>>,
     /// The current document's `ln(tf + μ·P(f|C))` per feature (the
     /// absent term where the feature does not occur).
     log_nums: Vec<f64>,
+    len_logs: LenLogs,
     /// Per stage: the current shard's candidates as [`rank_key`]s.
     candidates: Vec<Vec<u128>>,
     work: QlWork,
@@ -246,20 +362,11 @@ impl QlScratch {
         std::mem::take(&mut self.work)
     }
 
-    /// The document-at-a-time kernel on one searcher (a shard, or the
-    /// whole corpus), for every stage at once: walks the union of the
-    /// features' postings once, computes `ln(tf + μ·P(f|C))` once per
-    /// matched (document, feature) pair, and scores a document for each
-    /// stage that uses one of its matched features, adding the stage's
-    /// terms in its own order. Returns each stage's best `ks[s]` as
-    /// `(searcher doc id, score)`, ranked. Segments are walked in doc
-    /// order, and within a segment all cursors advance together over the
-    /// union of their documents.
     /// Resolves the union of `staged`'s features on every shard, gathers
     /// the collection probabilities, and computes the per-query
-    /// constants: each feature's `μ·P(f|C)`, absent term and stage mask,
-    /// and each stage's terms with `λ/Σλ` over the stage's weights,
-    /// stage after stage, each in its query order.
+    /// constants: each feature's `μ·P(f|C)`, tabled log-numerators and
+    /// stage mask, and each stage's terms with `λ/Σλ` over the stage's
+    /// weights, stage after stage, each in its query order.
     fn prepare<'s>(
         &mut self,
         shards: impl Iterator<Item = &'s Searcher> + Clone,
@@ -285,14 +392,7 @@ impl QlScratch {
         work.features_resolved += (n * staged.features().len()) as u64;
         ql_global_pcs(partials, pcs);
         consts.clear();
-        consts.extend(pcs.iter().map(|&pc| {
-            let mpc = mu * pc;
-            FeatureConst {
-                mpc,
-                absent: (0.0 + mpc).ln(),
-                stages: 0,
-            }
-        }));
+        consts.extend(pcs.iter().map(|&pc| FeatureConst::new(mu * pc)));
         terms.clear();
         stages.clear();
         for (s, stage) in staged.stages().enumerate() {
@@ -314,6 +414,15 @@ impl QlScratch {
         }
     }
 
+    /// The document-at-a-time kernel on one searcher (a shard, or the
+    /// whole corpus), for every stage at once: walks the union of the
+    /// features' postings once, looks up or computes `ln(tf + μ·P(f|C))`
+    /// once per matched (document, feature) pair, and scores a document
+    /// for each stage that uses one of its matched features, adding the
+    /// stage's terms in its own order. Returns each stage's best `ks[s]` as
+    /// `(searcher doc id, score)`, ranked. Segments are walked in doc
+    /// order, and within a segment all cursors advance together over the
+    /// union of their documents.
     fn rank_shard(
         &mut self,
         searcher: &Searcher,
@@ -327,8 +436,8 @@ impl QlScratch {
             terms,
             stages,
             cursors,
-            postings,
             log_nums,
+            len_logs,
             candidates,
             work,
             ..
@@ -339,20 +448,25 @@ impl QlScratch {
         log_nums.clear();
         log_nums.resize(consts.len(), 0.0);
         candidates.resize_with(stages.len(), Vec::new);
+        len_logs.key(mu);
+        let mut cursors = recycle(std::mem::take(cursors));
         for (segment, base, index) in searcher.segment_bases() {
             let docs =
                 u32::try_from(index.num_docs()).expect("invariant: segment doc count fits in u32");
-            postings.clear();
             cursors.clear();
-            for f in &partial.features {
-                let first = postings.len();
-                match f.kind {
+            cursors.extend(partial.features.iter().map(|f| {
+                Cursor::new(match f.kind {
                     ShardFeatureKind::Term(Some(t)) => {
-                        if let Some(p) = searcher.segment_postings(segment, t) {
-                            postings.extend(p.docs().iter().copied().zip(p.tfs().iter().copied()));
+                        let p = searcher.segment_postings(segment, t);
+                        Postings::Term {
+                            docs: p.map_or(&[], TermPostings::docs),
+                            tfs: p.map_or(&[], TermPostings::tfs),
                         }
                     }
-                    ShardFeatureKind::Term(None) => {}
+                    ShardFeatureKind::Term(None) => Postings::Term {
+                        docs: &[],
+                        tfs: &[],
+                    },
                     ShardFeatureKind::Positional { start, end } => {
                         // The list is sorted by searcher doc id: this
                         // segment's run starts at the first id ≥ `base`.
@@ -361,18 +475,10 @@ impl QlScratch {
                         let rest = list.get(lo..).unwrap_or_default();
                         let len = rest.partition_point(|&(d, _)| d.0 - base < docs);
                         let run = rest.get(..len).unwrap_or_default();
-                        postings.extend(run.iter().map(|&(d, tf)| (d.0 - base, tf)));
+                        Postings::Phrase { run, base }
                     }
-                }
-                let mut cursor = Cursor {
-                    doc: END,
-                    tf: 0,
-                    next: first,
-                    end: postings.len(),
-                };
-                cursor.advance(postings);
-                cursors.push(cursor);
-            }
+                })
+            }));
             let doc_lens = index.doc_lens();
             let mut doc = cursors.iter().map(|c| c.doc).min().unwrap_or(END);
             while doc != END {
@@ -380,7 +486,7 @@ impl QlScratch {
                     .get(doc as usize)
                     .copied()
                     .expect("invariant: postings reference documents of their segment");
-                let denom = log_denom(len, mu);
+                let denom = len_logs.get(len);
                 let mut matched = 0u64;
                 let mut next = END;
                 for ((c, fc), log_num) in cursors
@@ -389,11 +495,11 @@ impl QlScratch {
                     .zip(log_nums.iter_mut())
                 {
                     if c.doc == doc {
-                        *log_num = (f64::from(c.tf) + fc.mpc).ln();
+                        *log_num = fc.log_num(c.tf);
                         matched |= fc.stages;
-                        c.advance(postings);
+                        c.advance();
                     } else {
-                        *log_num = fc.absent;
+                        *log_num = fc.log_num(0);
                     }
                     next = next.min(c.doc);
                 }
@@ -422,7 +528,8 @@ impl QlScratch {
                 doc = next;
             }
         }
-        candidates
+        self.cursors = recycle(cursors);
+        self.candidates
             .iter_mut()
             .zip(ks)
             .map(|(keys, &k)| take_top_k(keys, k))
@@ -617,6 +724,47 @@ mod tests {
             let fresh = rank(&idx, &q, QlParams { mu: 10.0 }, 5);
             let reused = rank_with_scratch(&idx, &q, QlParams { mu: 10.0 }, 5, &mut scratch);
             assert_eq!(fresh, reused, "query {text:?}");
+        }
+    }
+
+    #[test]
+    fn reused_scratch_keeps_score_bits_across_mu() {
+        // A document longer than the length table and frequencies past
+        // each feature's table, on one index and on three segments.
+        let long = ["cable car"; LEN_LOGS].join(" ");
+        let docs = [
+            ("d0", "cable car climbs the hill"),
+            ("d1", "cable cable cable cable cable car hill"),
+            ("d2", long.as_str()),
+            ("d3", "the hill"),
+        ];
+        let mono = build(&docs);
+        let mut seg = SegmentedIndex::new(Analyzer::plain());
+        for (i, (id, text)) in docs.iter().enumerate() {
+            seg.add_document(id, text).expect("unique test ids");
+            if i % 2 == 0 {
+                seg.seal().expect("non-empty buffer seals");
+            }
+        }
+        seg.seal().expect("non-empty buffer seals");
+        let segd = seg.searcher();
+        let a = Analyzer::plain();
+        let mut phrase = Query::parse_text("hill", &a);
+        phrase.push_phrase_tokens(vec!["cable".into(), "car".into()], 2.0);
+        let queries = [Query::parse_text("cable car", &a), phrase];
+        let bits = |hits: Vec<SearchHit>| -> Vec<(DocId, u64)> {
+            hits.iter().map(|h| (h.doc, h.score.to_bits())).collect()
+        };
+        let mut scratch = QlScratch::new();
+        for mu in [0.5, 2500.0, 10.0, 0.5] {
+            let params = QlParams { mu };
+            for searcher in [&mono, &segd] {
+                for q in &queries {
+                    let fresh = bits(rank(searcher, q, params, 10));
+                    let reused = bits(rank_with_scratch(searcher, q, params, 10, &mut scratch));
+                    assert_eq!(reused, fresh, "mu {mu}, query {}", q.render());
+                }
+            }
         }
     }
 

@@ -82,25 +82,17 @@ impl Query {
         if weight <= 0.0 {
             return;
         }
-        let tokens = analyzer.analyze(text);
-        match tokens.len() {
-            0 => {}
-            1 => self.push_term(tokens.into_iter().next().expect("len 1"), weight),
-            _ => self.features.push(WeightedFeature {
-                feature: Feature::Phrase(tokens),
-                weight,
-            }),
-        }
+        self.push_phrase_tokens(analyzer.analyze(text), weight);
     }
 
     /// Adds an already-analyzed phrase.
-    pub fn push_phrase_tokens(&mut self, tokens: Vec<String>, weight: f64) {
+    pub fn push_phrase_tokens(&mut self, mut tokens: Vec<String>, weight: f64) {
         if weight <= 0.0 {
             return;
         }
         match tokens.len() {
             0 => {}
-            1 => self.push_term(tokens.into_iter().next().expect("len 1"), weight),
+            1 => self.push_term(tokens.pop().unwrap_or_default(), weight),
             _ => self.features.push(WeightedFeature {
                 feature: Feature::Phrase(tokens),
                 weight,
@@ -113,18 +105,28 @@ impl Query {
     /// nested `#weight( w1 #combine(...) w2 #combine(...) )`).
     pub fn combine(parts: &[(Query, f64)]) -> Query {
         Query {
-            features: combined(parts.iter().map(|(part, weight)| (part, *weight)))
-                .map(|(feature, weight)| WeightedFeature {
-                    feature: feature.clone(),
-                    weight,
-                })
-                .collect(),
+            features: combined(
+                parts
+                    .iter()
+                    .map(|(part, weight)| (part.weighted(), *weight)),
+            )
+            .map(|(feature, weight)| WeightedFeature {
+                feature: feature.clone(),
+                weight,
+            })
+            .collect(),
         }
     }
 
     /// The query's weighted features.
     pub fn features(&self) -> &[WeightedFeature] {
         &self.features
+    }
+
+    /// The query's features with their weights, by reference: the form
+    /// [`StagedQuery::push_combined`] takes a part in.
+    pub fn weighted(&self) -> impl Iterator<Item = (&Feature, f64)> + Clone + '_ {
+        self.features.iter().map(|f| (&f.feature, f.weight))
     }
 
     /// True when the query has no features.
@@ -163,19 +165,21 @@ impl Query {
 /// The features of `parts` with their combined weights, in order: each
 /// part's weights normalized within the part and scaled by the part's
 /// outer weight, `w · λ / Σ_part λ`. Parts with no features or a
-/// non-positive outer weight are skipped. The one weighting formula of
-/// [`Query::combine`] and [`StagedQuery::push_combined`].
-fn combined<'p>(
-    parts: impl IntoIterator<Item = (&'p Query, f64)>,
-) -> impl Iterator<Item = (&'p Feature, f64)> {
+/// non-positive outer weight are skipped. A part is its `(feature,
+/// weight)` pairs. The one weighting formula of [`Query::combine`] and
+/// [`StagedQuery::push_combined`].
+fn combined<'p, P>(
+    parts: impl IntoIterator<Item = (P, f64)>,
+) -> impl Iterator<Item = (&'p Feature, f64)>
+where
+    P: Iterator<Item = (&'p Feature, f64)> + Clone,
+{
     parts
         .into_iter()
-        .filter(|(part, weight)| !(*weight <= 0.0 || part.is_empty()))
+        .filter(|(part, weight)| !(*weight <= 0.0 || part.clone().next().is_none()))
         .flat_map(|(part, weight)| {
-            let inner: f64 = part.features.iter().map(|f| f.weight).sum();
-            part.features
-                .iter()
-                .map(move |f| (&f.feature, weight * f.weight / inner))
+            let inner: f64 = part.clone().map(|(_, w)| w).sum();
+            part.map(move |(feature, w)| (feature, weight * w / inner))
         })
 }
 
@@ -224,13 +228,18 @@ impl<'q> StagedQuery<'q> {
 
     /// Adds `query` as the next stage, with its own weights.
     pub fn push_query(&mut self, query: &'q Query) {
-        self.push_stage(query.features.iter().map(|f| (&f.feature, f.weight)));
+        self.push_stage(query.weighted());
     }
 
     /// Adds the stage [`Query::combine`] would build from `parts`, with
-    /// the same weights, without copying a feature.
-    pub fn push_combined(&mut self, parts: &[(&'q Query, f64)]) {
-        self.push_stage(combined(parts.iter().copied()));
+    /// the same weights, without copying a feature. Each part is its
+    /// `(feature, weight)` pairs ([`Query::weighted`] of a query part).
+    pub fn push_combined(&mut self, parts: &[(&[(&'q Feature, f64)], f64)]) {
+        self.push_stage(combined(
+            parts
+                .iter()
+                .map(|&(part, weight)| (part.iter().copied(), weight)),
+        ));
     }
 
     fn push_stage(&mut self, features: impl Iterator<Item = (&'q Feature, f64)>) {
@@ -351,9 +360,13 @@ mod tests {
         exp1.push_term("y".into(), 2.0);
         exp1.push_phrase_tokens(vec!["x".into(), "z".into()], 1.0);
         let exp2 = Query::parse_text("z x", &a);
+        fn refs(q: &Query) -> Vec<(&Feature, f64)> {
+            q.weighted().collect()
+        }
+        let (user_refs, exp1_refs, exp2_refs) = (refs(&user), refs(&exp1), refs(&exp2));
         let mut staged = StagedQuery::new();
-        staged.push_combined(&[(&user, 0.5), (&exp1, 0.5)]);
-        staged.push_combined(&[(&user, 0.5), (&exp2, 0.5)]);
+        staged.push_combined(&[(&user_refs, 0.5), (&exp1_refs, 0.5)]);
+        staged.push_combined(&[(&user_refs, 0.5), (&exp2_refs, 0.5)]);
         staged.push_query(&user);
         assert_eq!(staged.num_stages(), 3);
         // x, y, #1(x z), z: the repeats of x and y resolve once.

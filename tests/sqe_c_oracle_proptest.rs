@@ -8,7 +8,8 @@
 //! query, each stage ranked only as deep as the combine reads it) must
 //! give the same list through `QueryService::rank_sqe_c` on one index
 //! and through `ShardedService::rank_sqe_c`/`run_batch_sqe_c` over 1–4
-//! shards with random salts.
+//! shards with random salts, for every request of a random sequence
+//! served by the same two services.
 
 mod oracle;
 
@@ -16,7 +17,7 @@ use kbgraph::{ArticleId, GraphBuilder, KbGraph};
 use oracle::oracle;
 use proptest::prelude::*;
 use searchlite::ql::QlParams;
-use searchlite::{Analyzer, IndexBuilder, ShardRouter};
+use searchlite::{Analyzer, IndexBuilder, Query, ShardRouter};
 use sqe::{
     combine, expand, MotifSet, QueryGraphBuilder, QueryService, ServeConfig, ShardedService,
     SqeConfig,
@@ -119,16 +120,9 @@ fn build_docs(raw: Vec<Vec<&str>>, big: bool) -> Vec<Vec<String>> {
     }
 }
 
-/// The reference: each stage ranked alone by the oracle to `depth`,
-/// then combined.
-fn reference(
-    graph: &KbGraph,
-    docs: &[Vec<String>],
-    text: &str,
-    nodes: &[ArticleId],
-    cfg: &SqeConfig,
-) -> Vec<String> {
-    let runs: Vec<Vec<String>> = [
+/// The three stage queries of a request, built the reference way.
+fn stage_queries(graph: &KbGraph, text: &str, nodes: &[ArticleId], cfg: &SqeConfig) -> Vec<Query> {
+    [
         MotifSet::triangular(),
         MotifSet::t_and_s(),
         MotifSet::square(),
@@ -136,24 +130,47 @@ fn reference(
     .iter()
     .map(|motifs| {
         let qg = QueryGraphBuilder::from_set(graph, motifs).build(nodes);
-        let query = expand::build_query(
+        expand::build_query(
             graph,
             text,
             nodes,
             &qg.expansions,
             &Analyzer::plain(),
             &cfg.expand,
-        );
-        oracle(docs, &query, cfg.ql.mu, cfg.depth)
-            .into_iter()
-            .map(|(d, _)| format!("d{d}"))
-            .collect()
+        )
     })
-    .collect();
+    .collect()
+}
+
+/// The reference: each stage ranked alone by the oracle to `depth`,
+/// then combined.
+fn reference(docs: &[Vec<String>], stages: &[Query], cfg: &SqeConfig) -> Vec<String> {
+    let runs: Vec<Vec<String>> = stages
+        .iter()
+        .map(|query| {
+            oracle(docs, query, cfg.ql.mu, cfg.depth)
+                .into_iter()
+                .map(|(d, _)| format!("d{d}"))
+                .collect()
+        })
+        .collect();
     combine::sqe_c(&runs[0], &runs[1], &runs[2], cfg.depth)
 }
 
+/// A request: query words and indexes of its linked articles.
+fn request() -> impl Strategy<Value = (Vec<&'static str>, Vec<usize>)> {
+    (
+        prop::collection::vec(prop::sample::select(QUERY_WORDS.to_vec()), 0..4),
+        prop::collection::vec(0usize..8, 1..3),
+    )
+}
+
 proptest! {
+    /// A sequence of requests through one single-index service and one
+    /// sharded service: the pooled scratch and the per-service title
+    /// table carry over from request to request, and a plain QL ranking
+    /// at another depth is mixed in, so stale scratch state or a title
+    /// entry filled for the wrong article would change an answer.
     #[test]
     fn fused_sqe_c_matches_three_oracle_rankings_combined(
         raw_docs in prop::collection::vec(
@@ -161,33 +178,35 @@ proptest! {
             1..40,
         ),
         raw_kb in kb(),
-        query in (
-            prop::collection::vec(prop::sample::select(QUERY_WORDS.to_vec()), 0..4),
-            prop::collection::vec(0usize..8, 1..3),
-        ),
+        requests in prop::collection::vec(request(), 3..6),
+        ql in (0usize..DEPTHS.len(), 0usize..3),
         shape in (0usize..DEPTHS.len(), 0usize..MUS.len(), 0usize..4),
         sharding in (1usize..5, 0u64..u64::MAX),
     ) {
         let (depth_idx, mu_idx, big) = shape;
         let docs = build_docs(raw_docs, big == 0);
         let (graph, articles) = build_kb(&raw_kb);
-        let (words, node_idx) = query;
-        let text = words.join(" ");
-        let nodes: Vec<ArticleId> = node_idx.iter().map(|&i| articles[i % articles.len()]).collect();
         let cfg = SqeConfig {
             ql: QlParams { mu: MUS[mu_idx] },
             depth: DEPTHS[depth_idx],
             ..SqeConfig::default()
         };
-        let want = reference(&graph, &docs, &text, &nodes, &cfg);
+        let requests: Vec<(String, Vec<ArticleId>)> = requests
+            .iter()
+            .map(|(words, node_idx)| {
+                let nodes = node_idx.iter().map(|&i| articles[i % articles.len()]).collect();
+                (words.join(" "), nodes)
+            })
+            .collect();
+        // The QL ranking's depth differs from the SQE_C depth.
+        let (ql_depth, ql_at) = ql;
+        let ql_k = DEPTHS[if ql_depth == depth_idx { (ql_depth + 1) % DEPTHS.len() } else { ql_depth }];
 
         let mut b = IndexBuilder::new(Analyzer::plain());
         for (i, d) in docs.iter().enumerate() {
             b.add_document(&format!("d{i}"), &d.join(" ")).expect("generated ids are unique");
         }
         let single = QueryService::new(&graph, &b.build(), cfg, ServeConfig::default());
-        prop_assert_eq!(&single.rank_sqe_c(&text, &nodes), &want, "one index");
-
         let (shards, salt) = sharding;
         let service = ShardedService::new(
             &graph,
@@ -200,8 +219,33 @@ proptest! {
             service.add_document(&format!("d{i}"), &d.join(" ")).expect("generated ids are unique");
         }
         service.seal_all();
-        prop_assert_eq!(&service.rank_sqe_c(&text, &nodes), &want, "{} shards, salt {:#x}", shards, salt);
-        let batch = service.run_batch_sqe_c(&[(text.clone(), nodes.clone())]);
-        prop_assert_eq!(&batch, &vec![want], "batch, {} shards", shards);
+
+        let mut wants = Vec::new();
+        for (i, (text, nodes)) in requests.iter().enumerate() {
+            let stages = stage_queries(&graph, text, nodes, &cfg);
+            if i == ql_at {
+                // SQE_T&S's query ranked alone; hit ids are ingest
+                // ordinals, which are the document numbers.
+                let query = &stages[1];
+                let want = oracle(&docs, query, cfg.ql.mu, ql_k);
+                let bits = |hits: Vec<searchlite::SearchHit>| -> Vec<(u32, u64)> {
+                    hits.iter().map(|h| (h.doc.0, h.score.to_bits())).collect()
+                };
+                prop_assert_eq!(&bits(single.rank_ql(query, ql_k)), &want, "QL, one index");
+                prop_assert_eq!(&bits(service.rank_ql(query, ql_k)), &want, "QL, {} shards", shards);
+            }
+            let want = reference(&docs, &stages, &cfg);
+            prop_assert_eq!(&single.rank_sqe_c(text, nodes), &want, "request {}, one index", i);
+            prop_assert_eq!(
+                &service.rank_sqe_c(text, nodes),
+                &want,
+                "request {}, {} shards, salt {:#x}",
+                i,
+                shards,
+                salt
+            );
+            wants.push(want);
+        }
+        prop_assert_eq!(&service.run_batch_sqe_c(&requests), &wants, "batch, {} shards", shards);
     }
 }
