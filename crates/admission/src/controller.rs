@@ -116,7 +116,11 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     pub fn new(cfg: AdmissionConfig) -> Self {
-        let burst = if cfg.rate_per_sec == 0 { 0 } else { cfg.burst.max(1) };
+        let burst = if cfg.rate_per_sec == 0 {
+            0
+        } else {
+            cfg.burst.max(1)
+        };
         AdmissionController {
             cfg,
             pending: AtomicU64::new(0),
@@ -159,7 +163,9 @@ impl AdmissionController {
             self.release_slot();
             return Err(ShedReason::RateLimited);
         }
-        Ok(Ticket { enqueued_nanos: now })
+        Ok(Ticket {
+            enqueued_nanos: now,
+        })
     }
 
     /// Called when an admitted request is dequeued to start work. Always
@@ -262,8 +268,8 @@ impl AdmissionController {
             let refilled = u128::from(st.tokens)
                 .saturating_add(u128::from(elapsed).saturating_mul(u128::from(rate)))
                 .min(cap);
-            st.tokens = u64::try_from(refilled)
-                .expect("invariant: bucket level is clamped to fit in u64");
+            st.tokens =
+                u64::try_from(refilled).expect("invariant: bucket level is clamped to fit in u64");
             st.last_refill_nanos = now;
         }
         if st.tokens >= TOKEN_SCALE {
@@ -318,7 +324,10 @@ mod tests {
 
     #[test]
     fn queue_bound_rejects_when_full_and_recovers_on_start() {
-        let cfg = AdmissionConfig { queue_capacity: 2, ..AdmissionConfig::unlimited() };
+        let cfg = AdmissionConfig {
+            queue_capacity: 2,
+            ..AdmissionConfig::unlimited()
+        };
         let ctl = AdmissionController::new(cfg);
         let a = ctl.try_admit(0).expect("invariant: slot 1 free");
         let _b = ctl.try_admit(0).expect("invariant: slot 2 free");
@@ -330,7 +339,10 @@ mod tests {
 
     #[test]
     fn cancel_releases_the_slot() {
-        let cfg = AdmissionConfig { queue_capacity: 1, ..AdmissionConfig::unlimited() };
+        let cfg = AdmissionConfig {
+            queue_capacity: 1,
+            ..AdmissionConfig::unlimited()
+        };
         let ctl = AdmissionController::new(cfg);
         let t = ctl.try_admit(0).expect("invariant: slot free");
         assert_eq!(ctl.try_admit(0), Err(ShedReason::QueueFull));
@@ -351,7 +363,10 @@ mod tests {
         assert_eq!(first, [true, true, true, false, false]);
         // After 500ms one token (2/s * 0.5s) has refilled.
         let half_sec = 500_000_000;
-        let second: Vec<bool> = admit_n(&ctl, 2, half_sec).iter().map(|r| r.is_ok()).collect();
+        let second: Vec<bool> = admit_n(&ctl, 2, half_sec)
+            .iter()
+            .map(|r| r.is_ok())
+            .collect();
         assert_eq!(second, [true, false]);
         for r in admit_n(&ctl, 2, half_sec) {
             assert_eq!(r, Err(ShedReason::RateLimited));
@@ -359,7 +374,10 @@ mod tests {
         // Refill is capped at burst: after a long idle stretch, exactly
         // three tokens again.
         let much_later = half_sec + 100_000_000_000;
-        let third: Vec<bool> = admit_n(&ctl, 4, much_later).iter().map(|r| r.is_ok()).collect();
+        let third: Vec<bool> = admit_n(&ctl, 4, much_later)
+            .iter()
+            .map(|r| r.is_ok())
+            .collect();
         assert_eq!(third, [true, true, true, false]);
     }
 
@@ -388,7 +406,8 @@ mod tests {
         };
         let ctl = AdmissionController::new(cfg);
         let enq = |at: u64| -> Ticket {
-            ctl.try_admit(at).expect("invariant: admission is unlimited here")
+            ctl.try_admit(at)
+                .expect("invariant: admission is unlimited here")
         };
         // Below target: never sheds.
         let t = enq(0);
@@ -396,22 +415,38 @@ mod tests {
         // Crossing target arms the law but does not shed within the
         // first interval.
         let t = enq(1_000);
-        assert_eq!(ctl.on_start(t, 3_000), Ok(()), "delay 2000 >= target arms the law");
+        assert_eq!(
+            ctl.on_start(t, 3_000),
+            Ok(()),
+            "delay 2000 >= target arms the law"
+        );
         let t = enq(4_000);
-        assert_eq!(ctl.on_start(t, 9_000), Ok(()), "still inside the first interval");
+        assert_eq!(
+            ctl.on_start(t, 9_000),
+            Ok(()),
+            "still inside the first interval"
+        );
         // Past the armed point with delay still above target: shed.
         let t = enq(10_000);
         assert_eq!(ctl.on_start(t, 13_500), Err(ShedReason::QueueDelay));
         // The next shed arms sooner (interval / sqrt(2) ≈ 7092ns out).
         let t = enq(14_000);
-        assert_eq!(ctl.on_start(t, 16_000), Ok(()), "inside the shortened interval");
+        assert_eq!(
+            ctl.on_start(t, 16_000),
+            Ok(()),
+            "inside the shortened interval"
+        );
         let t = enq(15_000);
         assert_eq!(ctl.on_start(t, 20_600), Err(ShedReason::QueueDelay));
         // One below-target dequeue ends the episode entirely.
         let t = enq(21_000);
         assert_eq!(ctl.on_start(t, 21_100), Ok(()));
         let t = enq(22_000);
-        assert_eq!(ctl.on_start(t, 25_000), Ok(()), "episode reset: re-arming from scratch");
+        assert_eq!(
+            ctl.on_start(t, 25_000),
+            Ok(()),
+            "episode reset: re-arming from scratch"
+        );
     }
 
     #[test]
@@ -427,7 +462,18 @@ mod tests {
 
     #[test]
     fn isqrt_matches_floor_sqrt() {
-        for (n, root) in [(0u64, 0u64), (1, 1), (2, 1), (3, 1), (4, 2), (8, 2), (9, 3), (99, 9), (100, 10), (10_000, 100)] {
+        for (n, root) in [
+            (0u64, 0u64),
+            (1, 1),
+            (2, 1),
+            (3, 1),
+            (4, 2),
+            (8, 2),
+            (9, 3),
+            (99, 9),
+            (100, 10),
+            (10_000, 100),
+        ] {
             assert_eq!(isqrt(n), root, "isqrt({n})");
         }
     }

@@ -603,9 +603,9 @@ impl SourceFile {
             for s in &b.stmts {
                 s.walk(&mut |e| match e {
                     Expr::Block(inner) => rec(&inner.items, ty, in_test, f),
-                    Expr::For { body, .. }
-                    | Expr::While { body, .. }
-                    | Expr::Loop { body, .. } => rec(&body.items, ty, in_test, f),
+                    Expr::For { body, .. } | Expr::While { body, .. } | Expr::Loop { body, .. } => {
+                        rec(&body.items, ty, in_test, f)
+                    }
                     Expr::If { then, .. } => rec(&then.items, ty, in_test, f),
                     _ => {}
                 });

@@ -109,9 +109,9 @@ impl Baseline {
             .ok_or_else(|| "baseline root must be a JSON object".to_string())?;
         let mut entries = BTreeMap::new();
         for (k, count) in obj.iter() {
-            let n = count
-                .as_u64()
-                .ok_or_else(|| format!("baseline count for {k:?} must be a non-negative integer"))?;
+            let n = count.as_u64().ok_or_else(|| {
+                format!("baseline count for {k:?} must be a non-negative integer")
+            })?;
             entries.insert(k.clone(), n);
         }
         Ok(Baseline { entries })

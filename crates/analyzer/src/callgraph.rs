@@ -71,19 +71,118 @@ pub struct FnNode {
 /// overwhelmingly std calls, and resolving them would connect nearly every
 /// function to every workspace impl of `push`/`len`/`get`/...
 pub(crate) const STD_METHOD_NAMES: &[&str] = &[
-    "new", "push", "pop", "len", "is_empty", "get", "get_mut", "insert", "remove", "contains",
-    "contains_key", "iter", "iter_mut", "into_iter", "next", "clone", "clear", "extend", "entry",
-    "keys", "values", "drain", "sort", "sort_by", "sort_unstable", "sort_unstable_by",
-    "sort_by_key", "map", "and_then", "filter", "collect", "fold", "sum", "count", "min", "max",
-    "rev", "enumerate", "zip", "take", "skip", "chain", "flat_map", "flatten", "cmp",
-    "partial_cmp", "eq", "hash", "fmt", "write", "read", "push_str", "chars", "bytes", "split",
-    "trim", "parse", "to_string", "to_owned", "as_str", "as_ref", "as_slice", "as_bytes", "join",
-    "last", "first", "retain", "dedup", "windows", "chunks", "copied", "cloned", "unwrap",
-    "unwrap_or", "unwrap_or_else", "unwrap_or_default", "expect", "ok", "err", "any", "all",
-    "find", "position", "resize", "truncate", "swap", "abs", "min_by", "max_by", "min_by_key",
-    "max_by_key", "to_vec", "starts_with", "ends_with", "lines", "floor", "ceil", "sqrt", "ln",
-    "log2", "powi", "powf", "exp", "default", "with_capacity", "reserve", "load", "store",
-    "fetch_add", "compare_exchange", "lock", "try_lock",
+    "new",
+    "push",
+    "pop",
+    "len",
+    "is_empty",
+    "get",
+    "get_mut",
+    "insert",
+    "remove",
+    "contains",
+    "contains_key",
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "next",
+    "clone",
+    "clear",
+    "extend",
+    "entry",
+    "keys",
+    "values",
+    "drain",
+    "sort",
+    "sort_by",
+    "sort_unstable",
+    "sort_unstable_by",
+    "sort_by_key",
+    "map",
+    "and_then",
+    "filter",
+    "collect",
+    "fold",
+    "sum",
+    "count",
+    "min",
+    "max",
+    "rev",
+    "enumerate",
+    "zip",
+    "take",
+    "skip",
+    "chain",
+    "flat_map",
+    "flatten",
+    "cmp",
+    "partial_cmp",
+    "eq",
+    "hash",
+    "fmt",
+    "write",
+    "read",
+    "push_str",
+    "chars",
+    "bytes",
+    "split",
+    "trim",
+    "parse",
+    "to_string",
+    "to_owned",
+    "as_str",
+    "as_ref",
+    "as_slice",
+    "as_bytes",
+    "join",
+    "last",
+    "first",
+    "retain",
+    "dedup",
+    "windows",
+    "chunks",
+    "copied",
+    "cloned",
+    "unwrap",
+    "unwrap_or",
+    "unwrap_or_else",
+    "unwrap_or_default",
+    "expect",
+    "ok",
+    "err",
+    "any",
+    "all",
+    "find",
+    "position",
+    "resize",
+    "truncate",
+    "swap",
+    "abs",
+    "min_by",
+    "max_by",
+    "min_by_key",
+    "max_by_key",
+    "to_vec",
+    "starts_with",
+    "ends_with",
+    "lines",
+    "floor",
+    "ceil",
+    "sqrt",
+    "ln",
+    "log2",
+    "powi",
+    "powf",
+    "exp",
+    "default",
+    "with_capacity",
+    "reserve",
+    "load",
+    "store",
+    "fetch_add",
+    "compare_exchange",
+    "lock",
+    "try_lock",
 ];
 
 /// Second-to-last path segment — the qualifier of `Ty::name` / `krate::name`.
@@ -347,7 +446,11 @@ fn scan_body(def: &FnDef) -> (Vec<PanicSite>, Vec<CallDesc>) {
     for s in &body.stmts {
         s.walk(&mut |e| match e {
             Expr::MethodCall {
-                method, args, line, recv, ..
+                method,
+                args,
+                line,
+                recv,
+                ..
             } => {
                 match method.as_str() {
                     "unwrap" if args.is_empty() => panics.push(PanicSite {
@@ -355,9 +458,9 @@ fn scan_body(def: &FnDef) -> (Vec<PanicSite>, Vec<CallDesc>) {
                         kind: PanicKind::Unwrap,
                     }),
                     "expect" => {
-                        let invariant = args.iter().any(|a| {
-                            matches!(a, Expr::Lit { text, .. } if text.contains("invariant"))
-                        });
+                        let invariant = args.iter().any(
+                            |a| matches!(a, Expr::Lit { text, .. } if text.contains("invariant")),
+                        );
                         if !invariant {
                             panics.push(PanicSite {
                                 line: *line,
@@ -376,7 +479,9 @@ fn scan_body(def: &FnDef) -> (Vec<PanicSite>, Vec<CallDesc>) {
                     self_recv,
                 });
             }
-            Expr::Call { callee, line: _, .. } => {
+            Expr::Call {
+                callee, line: _, ..
+            } => {
                 if let Expr::Path { segs, .. } = callee.as_ref() {
                     calls.push(CallDesc::Path(segs.clone()));
                 }

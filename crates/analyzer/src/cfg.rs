@@ -167,9 +167,7 @@ impl<'a> Builder<'a> {
             .stmts
             .iter()
             .filter_map(|s| match s {
-                Expr::Let {
-                    name: Some(n), ..
-                } => Some(n.clone()),
+                Expr::Let { name: Some(n), .. } => Some(n.clone()),
                 _ => None,
             })
             .collect();
@@ -554,9 +552,9 @@ mod tests {
             .blocks
             .iter()
             .position(|b| {
-                b.stmts.iter().any(
-                    |s| matches!(s, Stmt::Expr(e) if e.text().contains("tail")),
-                )
+                b.stmts
+                    .iter()
+                    .any(|s| matches!(s, Stmt::Expr(e) if e.text().contains("tail")))
             })
             .expect("tail placed");
         assert!(reach[tail], "code after loop-with-break must be reachable");
@@ -564,9 +562,7 @@ mod tests {
 
     #[test]
     fn nested_loop_break_stays_local() {
-        let (f, _) = first_cfg(
-            "fn f() { let x = loop { break 1; }; touch(x); }",
-        );
+        let (f, _) = first_cfg("fn f() { let x = loop { break 1; }; touch(x); }");
         let cfg = build(&f, "f");
         // The statement-level `let` contains a nested loop whose break is
         // local: no edge out of the entry block except fallthrough.
@@ -640,6 +636,10 @@ mod tests {
             d.0 = (d.0 + 1).min(10);
         });
         // Longest path through the body: cond + two + three + ScopeEnd ≥ 3.
-        assert!(out.0 >= 3, "exit state must reflect the longest path, got {}", out.0);
+        assert!(
+            out.0 >= 3,
+            "exit state must reflect the longest path, got {}",
+            out.0
+        );
     }
 }

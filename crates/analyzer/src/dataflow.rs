@@ -46,7 +46,8 @@ pub fn is_hash_ty(t: &str) -> bool {
 }
 
 /// Iterator-producing methods whose order is the container's.
-pub const HASH_ITER_METHODS: &[&str] = &["iter", "iter_mut", "into_iter", "keys", "values", "drain"];
+pub const HASH_ITER_METHODS: &[&str] =
+    &["iter", "iter_mut", "into_iter", "keys", "values", "drain"];
 
 /// Corpus-statistic integer names (fields, accessors, locals) whose
 /// merge must stay in exact integer arithmetic.
@@ -397,8 +398,7 @@ pub fn lock_model(model: &WorkspaceModel) -> LockModel {
             .as_ref()
             .and_then(|b| b.stmts.last())
             .map(|s| s as *const Expr);
-        let mut transfer =
-            |stmt: &Stmt<'_>, held: &mut HeldSet| held_step(stmt, held, &accessors);
+        let mut transfer = |stmt: &Stmt<'_>, held: &mut HeldSet| held_step(stmt, held, &accessors);
         let mut visit = |stmt: &Stmt<'_>, held: &HeldSet| {
             let Stmt::Expr(e) = stmt else { return };
             let acq = find_acquires(e, &accessors);

@@ -326,10 +326,7 @@ mod tests {
     fn raw_strings_with_hashes() {
         let t = lex(r####"let s = r#"quote " inside"#; x"####);
         assert!(t.iter().any(|t| t.is_ident("x")));
-        assert_eq!(
-            t.iter().filter(|t| t.kind == TokKind::Literal).count(),
-            1
-        );
+        assert_eq!(t.iter().filter(|t| t.kind == TokKind::Literal).count(), 1);
     }
 
     #[test]
@@ -351,7 +348,9 @@ mod tests {
     #[test]
     fn escaped_char_literal() {
         let t = lex(r"let c = '\n'; next");
-        assert!(t.iter().any(|t| t.kind == TokKind::Literal && t.text == r"'\n'"));
+        assert!(t
+            .iter()
+            .any(|t| t.kind == TokKind::Literal && t.text == r"'\n'"));
         assert!(t.iter().any(|t| t.is_ident("next")));
     }
 

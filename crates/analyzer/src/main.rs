@@ -93,7 +93,9 @@ fn run_lint(args: &[String], root: &Path) -> Result<Vec<Diagnostic>, String> {
 
 /// Escapes a GitHub workflow-command *message* (data after `::`).
 fn gh_escape(text: &str) -> String {
-    text.replace('%', "%25").replace('\r', "%0D").replace('\n', "%0A")
+    text.replace('%', "%25")
+        .replace('\r', "%0D")
+        .replace('\n', "%0A")
 }
 
 /// Escapes a GitHub workflow-command *property* (file=, line=): message
@@ -133,7 +135,10 @@ fn cmd_check(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
+    let errors = diags
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .count();
     let warns = diags.len() - errors;
     match format.as_str() {
         "json" => println!("{}", diagnostics_to_json(&diags)),
@@ -171,9 +176,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 println!("new (not in baseline): {d}");
             }
             for k in &ratchet.stale {
-                println!(
-                    "stale baseline entry (fixed — regenerate with `sqe-lint baseline`): {k}"
-                );
+                println!("stale baseline entry (fixed — regenerate with `sqe-lint baseline`): {k}");
                 // A stale entry often means the finding *moved* (message
                 // reword, file rename) rather than died: point at the
                 // closest survivor so the fix is obvious.
@@ -282,7 +285,10 @@ fn cmd_bench(args: &[String]) -> ExitCode {
     if let Some(out_path) = flag_value(args, "--out") {
         let mut m = serde_json::Map::new();
         m.insert("files".into(), serde_json::Value::from(files as u64));
-        m.insert("findings".into(), serde_json::Value::from(diags.len() as u64));
+        m.insert(
+            "findings".into(),
+            serde_json::Value::from(diags.len() as u64),
+        );
         m.insert("lint_wall_ms".into(), serde_json::Value::from(wall_ms));
         if let Some(r) = reference_ms {
             m.insert("reference_ms".into(), serde_json::Value::from(r));
@@ -318,14 +324,17 @@ fn load_config(args: &[String], root: &Path) -> Result<LintConfig, String> {
             default
         }
     };
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let text =
+        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     LintConfig::from_json(&text)
 }
 
 fn cmd_rules() -> ExitCode {
     for (name, description, severity, layer) in rules::rule_table() {
-        println!("{name:<28} {:<6} {layer:<6} {description}", severity.as_str());
+        println!(
+            "{name:<28} {:<6} {layer:<6} {description}",
+            severity.as_str()
+        );
     }
     ExitCode::SUCCESS
 }
@@ -344,7 +353,12 @@ fn cmd_explain(args: &[String]) -> ExitCode {
         }
         return ExitCode::from(2);
     };
-    println!("{} ({} layer, default severity {})", e.name, e.layer, e.severity.as_str());
+    println!(
+        "{} ({} layer, default severity {})",
+        e.name,
+        e.layer,
+        e.severity.as_str()
+    );
     println!();
     println!("  {}", e.summary);
     println!();
@@ -360,8 +374,14 @@ fn cmd_explain(args: &[String]) -> ExitCode {
     }
     println!();
     println!("suppress (requires a written justification in review):");
-    println!("  // lint:allow({})       — this line or the line below", e.name);
-    println!("  // lint:allow-file({})  — whole file, in the header comment", e.name);
+    println!(
+        "  // lint:allow({})       — this line or the line below",
+        e.name
+    );
+    println!(
+        "  // lint:allow-file({})  — whole file, in the header comment",
+        e.name
+    );
     ExitCode::SUCCESS
 }
 
@@ -406,7 +426,11 @@ fn cmd_audit(args: &[String]) -> ExitCode {
         "graph audit: {} articles, {} categories — {}",
         bed.kb.graph.num_articles(),
         bed.kb.graph.num_categories(),
-        if graph_audit.is_clean() { "clean" } else { "VIOLATIONS" }
+        if graph_audit.is_clean() {
+            "clean"
+        } else {
+            "VIOLATIONS"
+        }
     );
     if !graph_audit.is_clean() {
         println!("{}", graph_audit.report());
@@ -414,7 +438,11 @@ fn cmd_audit(args: &[String]) -> ExitCode {
     println!(
         "index audit: {} docs — {}",
         index.num_docs(),
-        if index_audit.is_clean() { "clean" } else { "VIOLATIONS" }
+        if index_audit.is_clean() {
+            "clean"
+        } else {
+            "VIOLATIONS"
+        }
     );
     if !index_audit.is_clean() {
         println!("{}", index_audit.report());
@@ -469,7 +497,10 @@ fn selftest_results() -> Vec<(&'static str, bool)> {
     /// Reassembles `g` with one CSR slot replaced.
     /// Slots: 0 article_links, 1 article_links_rev, 4 subcats, 5 subcats_rev.
     fn with_part(g: &KbGraph, slot: usize, part: Csr) -> KbGraph {
-        let titles_a: Vec<String> = g.articles().map(|a| g.article_title(a).to_string()).collect();
+        let titles_a: Vec<String> = g
+            .articles()
+            .map(|a| g.article_title(a).to_string())
+            .collect();
         let titles_c: Vec<String> = g
             .categories()
             .map(|c| g.category_title(c).to_string())
@@ -527,7 +558,8 @@ fn selftest_results() -> Vec<(&'static str, bool)> {
             |v| {
                 matches!(
                     v,
-                    GraphViolation::OffsetsNotMonotonic { .. } | GraphViolation::OffsetsShape { .. }
+                    GraphViolation::OffsetsNotMonotonic { .. }
+                        | GraphViolation::OffsetsShape { .. }
                 )
             },
         ),

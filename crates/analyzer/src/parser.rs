@@ -372,11 +372,10 @@ fn parse_item(p: &mut P<'_>) -> Option<Item> {
             p.i += 1;
             continue;
         }
-        if p.peek().is_some_and(|t| {
-            t.is_ident("async") || t.is_ident("unsafe") || t.is_ident("default")
-        }) && p
-            .peek_at(1)
-            .is_some_and(|n| n.ident().is_some_and(|s| ITEM_KEYWORDS.contains(&s)))
+        if p.peek()
+            .is_some_and(|t| t.is_ident("async") || t.is_ident("unsafe") || t.is_ident("default"))
+            && p.peek_at(1)
+                .is_some_and(|n| n.ident().is_some_and(|s| ITEM_KEYWORDS.contains(&s)))
         {
             p.i += 1;
             continue;
@@ -501,7 +500,9 @@ fn parse_item(p: &mut P<'_>) -> Option<Item> {
             p.i += 1;
             p.eat_punct('!');
             let _name = p.bump();
-            if p.peek().is_some_and(|t| t.group('{').is_some() || t.group('(').is_some()) {
+            if p.peek()
+                .is_some_and(|t| t.group('{').is_some() || t.group('(').is_some())
+            {
                 p.i += 1;
             }
             p.eat_punct(';');
@@ -596,8 +597,7 @@ fn parse_fn(p: &mut P<'_>, attrs: Attrs) -> Option<FnDef> {
     };
     // Return type: `-> Type` until body, `;`, or `where`.
     let mut ret = String::new();
-    if p.peek().is_some_and(|t| t.is_punct('-')) && p.peek_at(1).is_some_and(|t| t.is_punct('>'))
-    {
+    if p.peek().is_some_and(|t| t.is_punct('-')) && p.peek_at(1).is_some_and(|t| t.is_punct('>')) {
         p.i += 2;
         let ty = p.take_until(|t| t.group('{').is_some() || t.is_punct(';') || t.is_ident("where"));
         ret = render(ty);
@@ -690,12 +690,13 @@ fn parse_block(trees: &[Tree], line: u32) -> Block {
         let save = p.i;
         let attrs_probe = eat_attrs(&mut p);
         let is_item = p.peek().is_some_and(|t| {
-            t.ident().is_some_and(|s| {
-                (ITEM_KEYWORDS.contains(&s) && s != "impl") || s == "pub"
-            })
-        }) && !p.peek().is_some_and(|t| t.is_ident("const") && {
-            // `const { ... }` block expressions are not items.
-            p.peek_at(1).is_some_and(|n| n.group('{').is_some())
+            t.ident()
+                .is_some_and(|s| (ITEM_KEYWORDS.contains(&s) && s != "impl") || s == "pub")
+        }) && !p.peek().is_some_and(|t| {
+            t.is_ident("const") && {
+                // `const { ... }` block expressions are not items.
+                p.peek_at(1).is_some_and(|n| n.group('{').is_some())
+            }
         });
         if is_item {
             if let Some(item) = parse_item(&mut p) {
@@ -816,9 +817,7 @@ fn parse_let(p: &mut P<'_>) -> Expr {
         _ => None,
     };
     let mut ty = None;
-    if p.peek().is_some_and(|t| t.is_punct(':'))
-        && !p.peek_at(1).is_some_and(|t| t.is_punct(':'))
-    {
+    if p.peek().is_some_and(|t| t.is_punct(':')) && !p.peek_at(1).is_some_and(|t| t.is_punct(':')) {
         p.i += 1;
         let start = p.i;
         let mut angle = 0i32;
@@ -1031,8 +1030,7 @@ fn parse_chain(p: &mut P<'_>) -> Expr {
     }
     if first.is_ident("return") || first.is_ident("yield") {
         p.i += 1;
-        let value = if p.done() || p.peek().is_some_and(|t| t.is_punct(';') || t.is_punct(','))
-        {
+        let value = if p.done() || p.peek().is_some_and(|t| t.is_punct(';') || t.is_punct(',')) {
             None
         } else {
             Some(Box::new(parse_chain_seq(p)))
@@ -1047,8 +1045,7 @@ fn parse_chain(p: &mut P<'_>) -> Expr {
         {
             p.i += 1;
         }
-        let value = if p.done() || p.peek().is_some_and(|t| t.is_punct(';') || t.is_punct(','))
-        {
+        let value = if p.done() || p.peek().is_some_and(|t| t.is_punct(';') || t.is_punct(',')) {
             None
         } else {
             Some(Box::new(parse_chain_seq(p)))
@@ -1174,7 +1171,9 @@ fn parse_chain(p: &mut P<'_>) -> Expr {
                 p.i += 1;
                 let g = p.bump().expect("peeked group");
                 let inner = match g {
-                    Tree::Group { delim: '{', trees, .. } => {
+                    Tree::Group {
+                        delim: '{', trees, ..
+                    } => {
                         vec![Expr::Block(parse_block(trees, g.line()))]
                     }
                     Tree::Group { trees, .. } => split_top_commas(trees)
@@ -1208,10 +1207,7 @@ fn parse_chain(p: &mut P<'_>) -> Expr {
                     })
                     .collect();
                 Expr::Other {
-                    children: vec![
-                        Expr::Path { segs, line },
-                        Expr::Other { children, line },
-                    ],
+                    children: vec![Expr::Path { segs, line }, Expr::Other { children, line }],
                     line,
                 }
             } else {
@@ -1225,7 +1221,9 @@ fn parse_chain(p: &mut P<'_>) -> Expr {
                 line,
             }
         }
-        Tree::Group { delim: '{', trees, .. } => {
+        Tree::Group {
+            delim: '{', trees, ..
+        } => {
             p.i += 1;
             Expr::Block(parse_block(trees, line))
         }
@@ -1321,7 +1319,10 @@ fn postfix(p: &mut P<'_>, mut cur: Expr) -> Expr {
             if let Some(args) = t.group('(') {
                 let cline = t.line();
                 p.i += 1;
-                let args = split_top_commas(args).into_iter().map(parse_slice).collect();
+                let args = split_top_commas(args)
+                    .into_iter()
+                    .map(parse_slice)
+                    .collect();
                 cur = Expr::Call {
                     callee: Box::new(cur),
                     args,
@@ -1379,7 +1380,9 @@ fn parse_cast_type(p: &mut P<'_>) -> String {
     }) {
         p.i += 1;
     }
-    if p.peek().is_some_and(|t| t.group('[').is_some() || t.group('(').is_some()) {
+    if p.peek()
+        .is_some_and(|t| t.group('[').is_some() || t.group('(').is_some())
+    {
         p.i += 1;
     } else {
         // Path with `::` and generics.
@@ -1530,7 +1533,10 @@ mod tests {
             if let Some(b) = &def.body {
                 for s in &b.stmts {
                     s.walk(&mut |e| {
-                        if let Expr::MethodCall { method, turbofish, .. } = e {
+                        if let Expr::MethodCall {
+                            method, turbofish, ..
+                        } = e
+                        {
                             fish.push((method.clone(), turbofish.clone()));
                         }
                     });
@@ -1551,13 +1557,14 @@ mod tests {
 
     #[test]
     fn macros_and_struct_literals() {
-        let f = parse(
-            "fn f() -> P { assert!(a <= b, \"msg\"); P { x: g(), y: 2 } }",
-        );
+        let f = parse("fn f() -> P { assert!(a <= b, \"msg\"); P { x: g(), y: 2 } }");
         assert!(f.errors.is_empty());
         let dump = all_exprs(&f).join("\n");
         assert!(dump.contains("Macro"), "{dump}");
-        assert!(dump.contains("Call"), "struct literal field call kept: {dump}");
+        assert!(
+            dump.contains("Call"),
+            "struct literal field call kept: {dump}"
+        );
     }
 
     #[test]

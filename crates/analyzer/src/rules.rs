@@ -147,11 +147,14 @@ pub fn rule_table() -> Vec<(&'static str, &'static str, Severity, &'static str)>
         .iter()
         .map(|r| (r.name(), r.description(), r.default_severity(), "token"))
         .collect();
-    out.extend(
-        ast_registry()
-            .iter()
-            .map(|r| (r.name(), r.description(), r.default_severity(), layer_of(r.name()))),
-    );
+    out.extend(ast_registry().iter().map(|r| {
+        (
+            r.name(),
+            r.description(),
+            r.default_severity(),
+            layer_of(r.name()),
+        )
+    }));
     out
 }
 
@@ -697,8 +700,7 @@ impl AstRule for PanicReachability {
             .iter()
             .enumerate()
             .filter(|(_, n)| {
-                !n.is_test
-                    && (ENTRY_FILES.contains(&n.file.as_str()) || n.qual == "Csr::neighbors")
+                !n.is_test && (ENTRY_FILES.contains(&n.file.as_str()) || n.qual == "Csr::neighbors")
             })
             .map(|(i, _)| i)
             .collect();
@@ -936,15 +938,17 @@ impl AstRule for HashIterationDeterminism {
                         }
                     }
                     Expr::Let {
-                        name, init: Some(i), ty, ..
+                        name,
+                        init: Some(i),
+                        ty,
+                        ..
                     } => {
                         i.walk(&mut |n| {
                             if let Expr::MethodCall { method, line, .. } = n {
                                 if method == "collect" {
                                     handled_collects.insert(*line);
-                                    let sorted_later = name
-                                        .as_deref()
-                                        .is_some_and(|b| sorted.contains(b));
+                                    let sorted_later =
+                                        name.as_deref().is_some_and(|b| sorted.contains(b));
                                     if !sorted_later
                                         && Self::collect_is_bad(
                                             n,
@@ -968,7 +972,11 @@ impl AstRule for HashIterationDeterminism {
                         flag(*line, "`collect()` from hash iteration", out);
                     }
                     Expr::MethodCall {
-                        recv, method, args, line, ..
+                        recv,
+                        method,
+                        args,
+                        line,
+                        ..
                     } if method == "extend"
                         && args
                             .iter()

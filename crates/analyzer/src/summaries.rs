@@ -113,7 +113,11 @@ impl Taint {
 
     /// All concrete sources, order then value, deterministic.
     pub fn sources(&self) -> Vec<String> {
-        self.order.iter().chain(self.value.iter()).cloned().collect()
+        self.order
+            .iter()
+            .chain(self.value.iter())
+            .cloned()
+            .collect()
     }
 
     fn join(&mut self, other: &Taint) -> bool {
@@ -185,9 +189,7 @@ fn passes_binding_directly(e: &Expr, name: &str) -> bool {
         Expr::Path { segs, .. } => segs.len() == 1 && segs[0] == name,
         Expr::Call { args, .. } => args.iter().any(|a| passes_binding_directly(a, name)),
         Expr::Try { expr, .. } | Expr::Cast { expr, .. } => passes_binding_directly(expr, name),
-        Expr::Other { children, .. } => {
-            children.iter().any(|c| passes_binding_directly(c, name))
-        }
+        Expr::Other { children, .. } => children.iter().any(|c| passes_binding_directly(c, name)),
         _ => false,
     }
 }
@@ -346,9 +348,8 @@ fn eval_taint(e: &Expr, env: &TaintEnv, cx: &TaintCx<'_>) -> Taint {
                 t.value.extend(rt.value.iter().cloned());
                 t.from_params.extend(rt.from_params.iter().copied());
                 if !rt.order.is_empty() {
-                    let floaty = turbofish.contains("f64")
-                        || turbofish.contains("f32")
-                        || method == "fold";
+                    let floaty =
+                        turbofish.contains("f64") || turbofish.contains("f32") || method == "fold";
                     if floaty {
                         t.value
                             .insert("float accumulation in hash-iteration order".to_string());
@@ -404,7 +405,8 @@ fn eval_taint(e: &Expr, env: &TaintEnv, cx: &TaintCx<'_>) -> Taint {
                 let last = segs.last().map(String::as_str).unwrap_or("");
                 // Sources: wall-clock time and thread identity.
                 if last == "now" && segs.iter().any(|s| s == "SystemTime") {
-                    t.value.insert("wall-clock time (SystemTime::now)".to_string());
+                    t.value
+                        .insert("wall-clock time (SystemTime::now)".to_string());
                     return t;
                 }
                 if last == "current" && segs.iter().any(|s| s == "thread") {
@@ -512,40 +514,38 @@ fn hash_roots_of(def: &FnDef) -> BTreeSet<String> {
 /// receiver, scope end kills.
 fn taint_step(stmt: &Stmt<'_>, env: &mut TaintEnv, cx: &TaintCx<'_>) {
     match stmt {
-        Stmt::Expr(e) => {
-            match e {
-                Expr::Let {
-                    name: Some(n),
-                    init: Some(init),
-                    ..
-                } => {
-                    let t = eval_taint(init, env, cx);
-                    env.vars.insert(n.clone(), t);
-                }
-                Expr::Assign { op, lhs, rhs, .. } => {
-                    if let Expr::Path { segs, .. } = lhs.as_ref() {
-                        if segs.len() == 1 {
-                            let t = eval_taint(rhs, env, cx);
-                            if op == "=" {
-                                env.vars.insert(segs[0].clone(), t);
-                            } else if let Some(cur) = env.vars.get_mut(&segs[0]) {
-                                cur.join(&t);
-                            } else {
-                                env.vars.insert(segs[0].clone(), t);
-                            }
-                        }
-                    }
-                }
-                Expr::MethodCall { recv, method, .. } if method.starts_with("sort") => {
-                    if let Some(root) = recv.root_ident() {
-                        if let Some(t) = env.vars.get_mut(root) {
-                            t.order.clear();
-                        }
-                    }
-                }
-                _ => {}
+        Stmt::Expr(e) => match e {
+            Expr::Let {
+                name: Some(n),
+                init: Some(init),
+                ..
+            } => {
+                let t = eval_taint(init, env, cx);
+                env.vars.insert(n.clone(), t);
             }
-        }
+            Expr::Assign { op, lhs, rhs, .. } => {
+                if let Expr::Path { segs, .. } = lhs.as_ref() {
+                    if segs.len() == 1 {
+                        let t = eval_taint(rhs, env, cx);
+                        if op == "=" {
+                            env.vars.insert(segs[0].clone(), t);
+                        } else if let Some(cur) = env.vars.get_mut(&segs[0]) {
+                            cur.join(&t);
+                        } else {
+                            env.vars.insert(segs[0].clone(), t);
+                        }
+                    }
+                }
+            }
+            Expr::MethodCall { recv, method, .. } if method.starts_with("sort") => {
+                if let Some(root) = recv.root_ident() {
+                    if let Some(t) = env.vars.get_mut(root) {
+                        t.order.clear();
+                    }
+                }
+            }
+            _ => {}
+        },
         Stmt::ScopeEnd(names) => {
             for n in names {
                 env.vars.remove(n.as_str());
@@ -726,10 +726,8 @@ impl Summaries {
         // derived fact is monotone (sets only grow, `blocks` only flips
         // None → Some), so each inner loop terminates.
         for comp in graph.sccs() {
-            let cyclic = comp.len() > 1
-                || comp
-                    .first()
-                    .is_some_and(|&v| graph.callees(v).contains(&v));
+            let cyclic =
+                comp.len() > 1 || comp.first().is_some_and(|&v| graph.callees(v).contains(&v));
             loop {
                 let mut changed = false;
                 for &v in &comp {
@@ -1014,9 +1012,7 @@ pub fn protection(model: &WorkspaceModel, graph: &CallGraph) -> Protection {
                     let callee = match node {
                         Expr::MethodCall { method, .. } => Some((method.as_str(), true)),
                         Expr::Call { callee, .. } => match callee.as_ref() {
-                            Expr::Path { segs, .. } => {
-                                segs.last().map(|s| (s.as_str(), false))
-                            }
+                            Expr::Path { segs, .. } => segs.last().map(|s| (s.as_str(), false)),
                             _ => None,
                         },
                         _ => None,
@@ -1118,8 +1114,7 @@ pub fn protection(model: &WorkspaceModel, graph: &CallGraph) -> Protection {
         guards.insert(key.clone(), lock.to_string());
         for &ai in idxs {
             let a = &accesses[ai];
-            let covered =
-                a.held.contains(lock) || entry[a.fn_idx].contains(lock);
+            let covered = a.held.contains(lock) || entry[a.fn_idx].contains(lock);
             if !covered {
                 races.push(RaceFinding {
                     struct_name: key.0.clone(),
@@ -1157,11 +1152,7 @@ pub struct Handoff {
 /// escaping parameter position of a workspace callee. The local
 /// guard-escape pass cannot see these — the store happens one or more
 /// calls away.
-pub fn guard_handoffs(
-    model: &WorkspaceModel,
-    graph: &CallGraph,
-    sums: &Summaries,
-) -> Vec<Handoff> {
+pub fn guard_handoffs(model: &WorkspaceModel, graph: &CallGraph, sums: &Summaries) -> Vec<Handoff> {
     let accessors = guard_accessors(model);
     let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for (i, n) in graph.nodes.iter().enumerate() {
@@ -1264,7 +1255,10 @@ mod tests {
              pub fn top() { mid(); }",
         )]);
         let s = Summaries::build(&m, &g);
-        let deep = summary(&s, &g, "deep").blocks.as_ref().expect("deep blocks");
+        let deep = summary(&s, &g, "deep")
+            .blocks
+            .as_ref()
+            .expect("deep blocks");
         assert_eq!(deep.what, "rename");
         assert!(deep.via.is_empty());
         let top = summary(&s, &g, "top").blocks.as_ref().expect("top blocks");

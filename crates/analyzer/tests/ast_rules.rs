@@ -28,7 +28,10 @@ const ENTRY: &str = "pub fn rank(xs: &[u32]) -> u32 { kbgraph::lookup(xs, 0) }";
 fn panic_reachability_bad_fixture_flagged_cross_file() {
     let diags = lint(&[
         ("crates/searchlite/src/ql.rs", ENTRY.to_string()),
-        ("crates/kbgraph/src/lookup.rs", fixture("panic_reach_bad.rs")),
+        (
+            "crates/kbgraph/src/lookup.rs",
+            fixture("panic_reach_bad.rs"),
+        ),
     ]);
     let hits = of_rule(&diags, "panic-reachability");
     assert!(!hits.is_empty(), "bad fixture must be flagged: {diags:?}");
@@ -48,9 +51,15 @@ fn panic_reachability_bad_fixture_flagged_cross_file() {
 fn panic_reachability_good_fixture_clean() {
     let diags = lint(&[
         ("crates/searchlite/src/ql.rs", ENTRY.to_string()),
-        ("crates/kbgraph/src/lookup.rs", fixture("panic_reach_good.rs")),
+        (
+            "crates/kbgraph/src/lookup.rs",
+            fixture("panic_reach_good.rs"),
+        ),
     ]);
-    assert!(of_rule(&diags, "panic-reachability").is_empty(), "{diags:?}");
+    assert!(
+        of_rule(&diags, "panic-reachability").is_empty(),
+        "{diags:?}"
+    );
 }
 
 #[test]
@@ -187,7 +196,10 @@ fn snapshot_load_good_fixture_clean() {
 
 #[test]
 fn audit_mutation_test_code_exempt() {
-    let src = format!("#[cfg(test)]\nmod tests {{\n{}\n}}", fixture("audit_mutation_bad.rs"));
+    let src = format!(
+        "#[cfg(test)]\nmod tests {{\n{}\n}}",
+        fixture("audit_mutation_bad.rs")
+    );
     let diags = lint(&[("crates/kbgraph/src/patch.rs", src)]);
     assert!(
         of_rule(&diags, "must-audit-after-mutation").is_empty(),
@@ -199,14 +211,21 @@ fn audit_mutation_test_code_exempt() {
 fn lock_order_bad_fixture_flagged_both_directions() {
     let diags = lint(&[("crates/x/src/lib.rs", fixture("lock_order_bad.rs"))]);
     let hits = of_rule(&diags, "lock-order-consistency");
-    assert_eq!(hits.len(), 2, "one finding per conflicting function: {diags:?}");
+    assert_eq!(
+        hits.len(),
+        2,
+        "one finding per conflicting function: {diags:?}"
+    );
     assert!(hits.iter().all(|d| d.severity == Severity::Error));
 }
 
 #[test]
 fn lock_order_good_fixture_clean() {
     let diags = lint(&[("crates/x/src/lib.rs", fixture("lock_order_good.rs"))]);
-    assert!(of_rule(&diags, "lock-order-consistency").is_empty(), "{diags:?}");
+    assert!(
+        of_rule(&diags, "lock-order-consistency").is_empty(),
+        "{diags:?}"
+    );
 }
 
 #[test]
@@ -221,7 +240,10 @@ fn lock_blocking_bad_fixture_flagged() {
 #[test]
 fn lock_blocking_good_fixture_clean() {
     let diags = lint(&[("crates/x/src/lib.rs", fixture("lock_blocking_good.rs"))]);
-    assert!(of_rule(&diags, "no-blocking-while-locked").is_empty(), "{diags:?}");
+    assert!(
+        of_rule(&diags, "no-blocking-while-locked").is_empty(),
+        "{diags:?}"
+    );
 }
 
 #[test]
@@ -271,7 +293,10 @@ fn guard_escape_good_fixture_clean() {
 fn float_taint_bad_fixture_flagged() {
     let diags = lint(&[("crates/x/src/lib.rs", fixture("float_taint_bad.rs"))]);
     let hits = of_rule(&diags, "float-taint-before-merge");
-    assert!(!hits.is_empty(), "float round-trip in a stat merge: {diags:?}");
+    assert!(
+        !hits.is_empty(),
+        "float round-trip in a stat merge: {diags:?}"
+    );
     assert!(hits.iter().all(|d| d.severity == Severity::Error));
 }
 
@@ -309,7 +334,9 @@ fn allow_file_does_not_leak_across_files() {
     ]);
     let hits = of_rule(&diags, "hash-iteration-determinism");
     assert_eq!(hits.len(), 2, "only the unsuppressed file: {diags:?}");
-    assert!(hits.iter().all(|d| d.path == "crates/synthwiki/src/other.rs"));
+    assert!(hits
+        .iter()
+        .all(|d| d.path == "crates/synthwiki/src/other.rs"));
 }
 
 #[test]

@@ -26,12 +26,13 @@ fn of_rule<'a>(diags: &'a [Diagnostic], rule: &str) -> Vec<&'a Diagnostic> {
 
 #[test]
 fn unguarded_field_bad_fixture_flags_only_the_raceful_access() {
-    let diags = lint(&[(
-        "crates/x/src/state.rs",
-        fixture("unguarded_field_bad.rs"),
-    )]);
+    let diags = lint(&[("crates/x/src/state.rs", fixture("unguarded_field_bad.rs"))]);
     let hits = of_rule(&diags, "unguarded-shared-field");
-    assert_eq!(hits.len(), 1, "exactly the lock-free write in sneak: {diags:?}");
+    assert_eq!(
+        hits.len(),
+        1,
+        "exactly the lock-free write in sneak: {diags:?}"
+    );
     assert_eq!(hits[0].severity, Severity::Error);
     assert!(
         hits[0].message.contains("sneak") && hits[0].message.contains("state"),
@@ -53,10 +54,7 @@ fn unguarded_field_guard_inference_needs_entry_contexts() {
     // accesses would look guarded and no guard would be inferred at all
     // — so the single finding above doubles as a pin on the
     // interprocedural half of the analysis.
-    let diags = lint(&[(
-        "crates/x/src/state.rs",
-        fixture("unguarded_field_good.rs"),
-    )]);
+    let diags = lint(&[("crates/x/src/state.rs", fixture("unguarded_field_good.rs"))]);
     assert!(
         of_rule(&diags, "unguarded-shared-field").is_empty(),
         "every access path holds the guard: {diags:?}"

@@ -26,7 +26,10 @@ fn nan_sort_bad_fires_per_call_site() {
 #[test]
 fn nan_sort_good_is_clean() {
     let src = include_str!("fixtures/nan_sort_good.rs");
-    assert_eq!(rule_count("crates/x/src/lib.rs", src, "no-nan-unsafe-sort"), 0);
+    assert_eq!(
+        rule_count("crates/x/src/lib.rs", src, "no-nan-unsafe-sort"),
+        0
+    );
 }
 
 #[test]
@@ -43,7 +46,11 @@ fn rng_bad_fires_for_both_sources() {
 fn rng_bad_is_exempt_under_benches() {
     let src = include_str!("fixtures/rng_bad.rs");
     assert_eq!(
-        rule_count("crates/bench/benches/e2e.rs", src, "no-nondeterministic-rng"),
+        rule_count(
+            "crates/bench/benches/e2e.rs",
+            src,
+            "no-nondeterministic-rng"
+        ),
         0
     );
 }
@@ -51,7 +58,10 @@ fn rng_bad_is_exempt_under_benches() {
 #[test]
 fn rng_good_is_clean() {
     let src = include_str!("fixtures/rng_good.rs");
-    assert_eq!(rule_count("crates/x/src/lib.rs", src, "no-nondeterministic-rng"), 0);
+    assert_eq!(
+        rule_count("crates/x/src/lib.rs", src, "no-nondeterministic-rng"),
+        0
+    );
 }
 
 #[test]
@@ -69,14 +79,21 @@ fn hot_path_bad_fires_only_on_hot_files() {
         .collect();
     assert_eq!(indexing.len(), 1, "one slice index at demoted severity");
     // The same text outside the hot list is not this rule's business.
-    assert_eq!(rule_count("crates/x/src/lib.rs", src, "no-panicking-hot-path"), 0);
+    assert_eq!(
+        rule_count("crates/x/src/lib.rs", src, "no-panicking-hot-path"),
+        0
+    );
 }
 
 #[test]
 fn hot_path_good_is_clean() {
     let src = include_str!("fixtures/hot_path_good.rs");
     assert_eq!(
-        rule_count("crates/searchlite/src/topk.rs", src, "no-panicking-hot-path"),
+        rule_count(
+            "crates/searchlite/src/topk.rs",
+            src,
+            "no-panicking-hot-path"
+        ),
         0,
         "expect with invariant message, get(), and test-module unwraps are all fine"
     );
@@ -86,18 +103,29 @@ fn hot_path_good_is_clean() {
 fn persist_bad_fires_per_type() {
     let src = include_str!("fixtures/persist_bad.rs");
     assert_eq!(
-        rule_count("crates/kbgraph/src/graph.rs", src, "persist-types-derive-serde"),
+        rule_count(
+            "crates/kbgraph/src/graph.rs",
+            src,
+            "persist-types-derive-serde"
+        ),
         2,
         "struct and enum without serde derives must each fire"
     );
-    assert_eq!(rule_count("crates/x/src/lib.rs", src, "persist-types-derive-serde"), 0);
+    assert_eq!(
+        rule_count("crates/x/src/lib.rs", src, "persist-types-derive-serde"),
+        0
+    );
 }
 
 #[test]
 fn persist_good_is_clean() {
     let src = include_str!("fixtures/persist_good.rs");
     assert_eq!(
-        rule_count("crates/kbgraph/src/graph.rs", src, "persist-types-derive-serde"),
+        rule_count(
+            "crates/kbgraph/src/graph.rs",
+            src,
+            "persist-types-derive-serde"
+        ),
         0,
         "derived types pass and the lint:allow opt-out holds"
     );
@@ -113,8 +141,16 @@ fn workspace_walk_finds_bad_fixture_and_skips_vendor() {
     let vendor_dir = root.join("vendor/dep/src");
     std::fs::create_dir_all(&src_dir).unwrap();
     std::fs::create_dir_all(&vendor_dir).unwrap();
-    std::fs::write(src_dir.join("lib.rs"), include_str!("fixtures/nan_sort_bad.rs")).unwrap();
-    std::fs::write(vendor_dir.join("lib.rs"), include_str!("fixtures/nan_sort_bad.rs")).unwrap();
+    std::fs::write(
+        src_dir.join("lib.rs"),
+        include_str!("fixtures/nan_sort_bad.rs"),
+    )
+    .unwrap();
+    std::fs::write(
+        vendor_dir.join("lib.rs"),
+        include_str!("fixtures/nan_sort_bad.rs"),
+    )
+    .unwrap();
 
     let diags = lint_workspace(&root, &LintConfig::default()).unwrap();
     std::fs::remove_dir_all(&root).unwrap();

@@ -103,7 +103,9 @@ fn bench_ablations(c: &mut Criterion) {
     let full = eval_p10(&ctx, true, false);
     let unweighted = eval_p10(&ctx, false, false);
     let one_way = eval_p10(&ctx, true, true);
-    println!("ablation P@10: full={full:.3} unweighted|m_a|={unweighted:.3} one-way-links={one_way:.3}");
+    println!(
+        "ablation P@10: full={full:.3} unweighted|m_a|={unweighted:.3} one-way-links={one_way:.3}"
+    );
 
     let mut group = c.benchmark_group("ablation");
     group.sample_size(10);
@@ -131,7 +133,11 @@ fn bench_ablations(c: &mut Criterion) {
     let mut pg = c.benchmark_group("parallel_expansion");
     for threads in [1usize, 4] {
         pg.bench_function(format!("threads_{threads}"), |b| {
-            b.iter(|| builder.build_many(std::hint::black_box(&queries), threads).len())
+            b.iter(|| {
+                builder
+                    .build_many(std::hint::black_box(&queries), threads)
+                    .len()
+            })
         });
     }
     pg.finish();

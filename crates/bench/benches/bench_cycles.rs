@@ -17,14 +17,18 @@ fn bench_cycles(c: &mut Criterion) {
             max_expand_degree: 64,
             max_cycles: 100_000,
         };
-        group.bench_with_input(BenchmarkId::new("max_len", max_len), &limits, |b, &limits| {
-            b.iter(|| {
-                let mut finder = CycleFinder::new(graph, limits);
-                let mut count = 0usize;
-                finder.visit_cycles(std::hint::black_box(anchor), |_| count += 1);
-                count
-            })
-        });
+        group.bench_with_input(
+            BenchmarkId::new("max_len", max_len),
+            &limits,
+            |b, &limits| {
+                b.iter(|| {
+                    let mut finder = CycleFinder::new(graph, limits);
+                    let mut count = 0usize;
+                    finder.visit_cycles(std::hint::black_box(anchor), |_| count += 1);
+                    count
+                })
+            },
+        );
     }
     group.finish();
 

@@ -21,7 +21,9 @@ fn bench_indexing(c: &mut Criterion) {
         b.iter(|| {
             let mut builder = IndexBuilder::new(Analyzer::english());
             for (id, text) in &docs {
-                builder.add_document(id, text).expect("generated ids are unique");
+                builder
+                    .add_document(id, text)
+                    .expect("generated ids are unique");
             }
             builder.build().num_terms()
         })

@@ -21,21 +21,17 @@ fn bench_motif_configs(c: &mut Criterion) {
             ("SQE_T&S", sqe::MotifSet::t_and_s()),
             ("SQE_S", sqe::MotifSet::square()),
         ] {
-            group.bench_with_input(
-                BenchmarkId::new(name, dataset),
-                &queries,
-                |b, queries| {
-                    b.iter(|| {
-                        let mut total = 0usize;
-                        for nodes in queries {
-                            total += pipeline
-                                .build_query_graph(std::hint::black_box(nodes), &motifs)
-                                .num_expansions();
-                        }
-                        total
-                    })
-                },
-            );
+            group.bench_with_input(BenchmarkId::new(name, dataset), &queries, |b, queries| {
+                b.iter(|| {
+                    let mut total = 0usize;
+                    for nodes in queries {
+                        total += pipeline
+                            .build_query_graph(std::hint::black_box(nodes), &motifs)
+                            .num_expansions();
+                    }
+                    total
+                })
+            });
         }
     }
     group.finish();

@@ -38,7 +38,9 @@ fn bench_prf(c: &mut Criterion) {
         ..params
     };
     c.bench_function("prf/sqe_then_prf", |b| {
-        b.iter(|| prf::rank_with_prf(searcher, std::hint::black_box(&expanded.query), rm3, 1000).len())
+        b.iter(|| {
+            prf::rank_with_prf(searcher, std::hint::black_box(&expanded.query), rm3, 1000).len()
+        })
     });
 }
 

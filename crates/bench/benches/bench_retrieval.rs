@@ -28,7 +28,11 @@ fn bench_retrieval(c: &mut Criterion) {
         })
     });
     c.bench_function("rank/SQE_C", |b| {
-        b.iter(|| pipeline.rank_sqe_c(std::hint::black_box(&q.text), &nodes).len())
+        b.iter(|| {
+            pipeline
+                .rank_sqe_c(std::hint::black_box(&q.text), &nodes)
+                .len()
+        })
     });
 }
 

@@ -94,7 +94,10 @@ fn adhoc_query(ctx: &ExperimentContext, text: &str) {
         );
     }
     let expanded = p.expand(text, &nodes, &MotifSet::t_and_s());
-    println!("expansion features ({}):", expanded.query_graph.num_expansions());
+    println!(
+        "expansion features ({}):",
+        expanded.query_graph.num_expansions()
+    );
     for &(a, m) in expanded.query_graph.expansions.iter().take(10) {
         println!("  {} (|m_a| = {m})", ctx.bed.kb.graph.article_title(a));
     }
@@ -132,7 +135,10 @@ fn run_serve_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[Stri
         serve_bench::ServeBenchOptions::default()
     };
     if let Some(list) = args.iter().find_map(|a| a.strip_prefix("--threads=")) {
-        let counts: Vec<usize> = list.split(',').filter_map(|t| t.trim().parse().ok()).collect();
+        let counts: Vec<usize> = list
+            .split(',')
+            .filter_map(|t| t.trim().parse().ok())
+            .collect();
         if counts.is_empty() {
             eprintln!("--threads: expected a comma-separated list of worker counts, got '{list}'");
             return Err(2);
@@ -154,7 +160,10 @@ fn run_serve_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[Stri
         .unwrap_or("BENCH_serve.json");
     let report = serve_bench::run_serve_bench(ctx, context_name, &opts);
     print!("{}", serve_bench::format_report(&report));
-    written(out, serve_bench::write_report(&report, std::path::Path::new(out)))
+    written(
+        out,
+        serve_bench::write_report(&report, std::path::Path::new(out)),
+    )
 }
 
 /// Enumerates the generalized motif space against the planted optimal
@@ -172,7 +181,10 @@ fn run_motif_search_cli(ctx: &ExperimentContext, context_name: &str, args: &[Str
         .unwrap_or("BENCH_motif.json");
     let report = motif_search::run_motif_search(ctx, context_name, &opts);
     print!("{}", motif_search::format_report(&report));
-    written(out, motif_search::write_report(&report, std::path::Path::new(out)))
+    written(
+        out,
+        motif_search::write_report(&report, std::path::Path::new(out)),
+    )
 }
 
 /// Runs the open-loop admission/deadline load generator and writes
@@ -191,7 +203,9 @@ fn run_load_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[Strin
             .filter(|&r: &f64| r > 0.0)
             .collect();
         if rates.is_empty() {
-            eprintln!("--rate: expected a comma-separated list of positive qps values, got '{list}'");
+            eprintln!(
+                "--rate: expected a comma-separated list of positive qps values, got '{list}'"
+            );
             return Err(2);
         }
         opts.explicit_rates = rates;
@@ -220,7 +234,10 @@ fn run_load_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[Strin
         .unwrap_or("BENCH_load.json");
     let report = load_bench::run_load_bench(ctx, context_name, &opts);
     print!("{}", load_bench::format_report(&report));
-    written(out, load_bench::write_report(&report, std::path::Path::new(out)))
+    written(
+        out,
+        load_bench::write_report(&report, std::path::Path::new(out)),
+    )
 }
 
 /// Runs the live-ingestion benchmark and writes `BENCH_ingest.json`.
@@ -237,7 +254,10 @@ fn run_ingest_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[Str
         .unwrap_or("BENCH_ingest.json");
     let report = ingest_bench::run_ingest_bench(ctx, context_name, &opts);
     print!("{}", ingest_bench::format_report(&report));
-    written(out, ingest_bench::write_report(&report, std::path::Path::new(out)))
+    written(
+        out,
+        ingest_bench::write_report(&report, std::path::Path::new(out)),
+    )
 }
 
 /// `experiments ingest-bench --articles=N [--shards=M]`: streams an
@@ -277,7 +297,10 @@ fn run_streaming_ingest_cli(args: &[String]) -> CliResult {
     eprintln!("streaming {articles} articles into {shards} shard(s) per collection...");
     let report = ingest_bench::run_streaming_ingest_bench(&cfg, &opts);
     print!("{}", ingest_bench::format_streaming_report(&report));
-    written(out, ingest_bench::write_streaming_report(&report, std::path::Path::new(out)))
+    written(
+        out,
+        ingest_bench::write_streaming_report(&report, std::path::Path::new(out)),
+    )
 }
 
 fn print_snapshot_info(info: &sqe_store::SnapshotInfo) {
@@ -310,7 +333,12 @@ fn run_snapshot_cli(args: &[String], small: bool, verb: Option<&str>) -> CliResu
             } else {
                 ExperimentContext::full()
             };
-            let names: Vec<&str> = ctx.bed.collections.iter().map(|c| c.name.as_str()).collect();
+            let names: Vec<&str> = ctx
+                .bed
+                .collections
+                .iter()
+                .map(|c| c.name.as_str())
+                .collect();
             let segment_slices: Vec<Vec<&searchlite::Index>> =
                 ctx.indexes.iter().map(|i| vec![i]).collect();
             let named: Vec<(&str, &[&searchlite::Index])> = names
@@ -361,7 +389,9 @@ fn run_snapshot_cli(args: &[String], small: bool, verb: Option<&str>) -> CliResu
             }
         }
         _ => {
-            eprintln!("usage: experiments snapshot write|verify|info [--small] [--file=world.snap]");
+            eprintln!(
+                "usage: experiments snapshot write|verify|info [--small] [--file=world.snap]"
+            );
             Err(2)
         }
     }
@@ -387,7 +417,10 @@ fn run_store_bench_cli(args: &[String], small: bool) -> CliResult {
         .unwrap_or("BENCH_store.json");
     let report = store_bench::run_store_bench(&cfg, if small { "small" } else { "full" }, &opts);
     print!("{}", store_bench::format_report(&report));
-    written(out, store_bench::write_report(&report, std::path::Path::new(out)))
+    written(
+        out,
+        store_bench::write_report(&report, std::path::Path::new(out)),
+    )
 }
 
 fn main() -> std::process::ExitCode {
@@ -466,9 +499,7 @@ fn run(args: Vec<String>) -> CliResult {
             "serve-bench" => {
                 run_serve_bench_cli(&ctx, if small { "small" } else { "full" }, &args)?
             }
-            "load-bench" => {
-                run_load_bench_cli(&ctx, if small { "small" } else { "full" }, &args)?
-            }
+            "load-bench" => run_load_bench_cli(&ctx, if small { "small" } else { "full" }, &args)?,
             "motif-search" => {
                 run_motif_search_cli(&ctx, if small { "small" } else { "full" }, &args)?
             }
@@ -507,7 +538,9 @@ fn run(args: Vec<String>) -> CliResult {
                 eprintln!("       experiments motif-search [--smoke] [--out=BENCH_motif.json]");
                 eprintln!("       experiments ingest-bench [--smoke] [--out=BENCH_ingest.json]");
                 eprintln!("       experiments ingest-bench --articles=N [--shards=M] [--smoke] [--out=BENCH_ingest.json]");
-                eprintln!("       experiments snapshot write|verify|info [--small] [--file=world.snap]");
+                eprintln!(
+                    "       experiments snapshot write|verify|info [--small] [--file=world.snap]"
+                );
                 eprintln!("       experiments store-bench [--smoke] [--out=BENCH_store.json]");
                 return Err(2);
             }

@@ -95,10 +95,7 @@ mod tests {
         let direct = mean_precision(&ctx.runner("imageclef").run_sqe_c(false), &direct_qrels, 10);
         // Written qrels drop zero-relevant queries (standard trec format);
         // imageclef has none, so the values must agree exactly.
-        assert!(
-            (reparsed - direct).abs() < 1e-12,
-            "{reparsed} vs {direct}"
-        );
+        assert!((reparsed - direct).abs() < 1e-12, "{reparsed} vs {direct}");
         let summary: serde_json::Value =
             serde_json::from_str(&fs::read_to_string(dir.join("summary.json")).unwrap()).unwrap();
         assert!(summary.get("SQE_C (M)").is_some());

@@ -79,7 +79,9 @@ pub fn figure2(ctx: &ExperimentContext) -> String {
                 "{length:<6}{:<8}{c:<18.3}{:<20.3}{:.3}\n",
                 st.cycles, st.category_ratio, st.extra_edge_density
             )),
-            None => s.push_str(&format!("{length:<6}0       {c:<18.3}-                   -\n")),
+            None => s.push_str(&format!(
+                "{length:<6}0       {c:<18.3}-                   -\n"
+            )),
         }
     }
 
@@ -89,15 +91,17 @@ pub fn figure2(ctx: &ExperimentContext) -> String {
     let mut unreachable_total = 0usize;
     for q in &ds.queries {
         let g = gt.graph(&q.id).expect("covered");
-        let sources: Vec<kbgraph::Node> =
-            g.query_nodes.iter().map(|&a| kbgraph::Node::Article(a)).collect();
+        let sources: Vec<kbgraph::Node> = g
+            .query_nodes
+            .iter()
+            .map(|&a| kbgraph::Node::Article(a))
+            .collect();
         let targets: Vec<kbgraph::Node> = g
             .expansion_nodes
             .iter()
             .map(|&a| kbgraph::Node::Article(a))
             .collect();
-        let (hist, unreachable) =
-            kbgraph::distance_histogram(graph, &sources, &targets, 3);
+        let (hist, unreachable) = kbgraph::distance_histogram(graph, &sources, &targets, 3);
         for (i, h) in hist.iter().enumerate() {
             hist_total[i] += h;
         }
@@ -126,7 +130,8 @@ pub fn figure5(ctx: &ExperimentContext) -> String {
         ("SQE_T&S", r.run_sqe(&sqe::MotifSet::t_and_s(), false)),
         ("SQE_S", r.run_sqe(&sqe::MotifSet::square(), false)),
     ];
-    let mut s = String::from("=== Figure 5: % improvement over best QL baseline (Image CLEF) ===\n");
+    let mut s =
+        String::from("=== Figure 5: % improvement over best QL baseline (Image CLEF) ===\n");
     s.push_str(&format!("{:<10}", ""));
     for k in TREC_CUTOFFS {
         s.push_str(&format!("{:>10}", format!("P@{k}")));
@@ -160,8 +165,14 @@ pub fn figure6(ctx: &ExperimentContext, dataset: &str) -> String {
         PrecisionTable::evaluate(&r.run_ql_qe(true), &qrels),
     ];
     let series = [
-        ("SQE_C (M)", PrecisionTable::evaluate(&r.run_sqe_c(false), &qrels)),
-        ("SQE_C (A)", PrecisionTable::evaluate(&r.run_sqe_c(true), &qrels)),
+        (
+            "SQE_C (M)",
+            PrecisionTable::evaluate(&r.run_sqe_c(false), &qrels),
+        ),
+        (
+            "SQE_C (A)",
+            PrecisionTable::evaluate(&r.run_sqe_c(true), &qrels),
+        ),
         ("QL_X", PrecisionTable::evaluate(&r.run_ql_x(), &qrels)),
     ];
     let mut s = format!("=== Figure 6 ({dataset}): % improvement over best baseline ===\n");

@@ -134,11 +134,7 @@ fn nanos_to_ms(n: u64) -> f64 {
 }
 
 /// Converts the phase-scoped metrics snapshot into a report entry.
-fn phase_report(
-    service: &QueryService<'_>,
-    phase: &str,
-    wall_ms: f64,
-) -> IngestPhaseReport {
+fn phase_report(service: &QueryService<'_>, phase: &str, wall_ms: f64) -> IngestPhaseReport {
     let snap = service.metrics_snapshot();
     let ingest_stages = INGEST_STAGE_NAMES
         .iter()
@@ -204,8 +200,7 @@ pub fn run_ingest_bench(
         // Phase 1: static — the sealed corpus, no writes.
         let start = Instant::now();
         std::hint::black_box(service.run_batch_sqe_c(&load).len());
-        let static_phase =
-            phase_report(&service, "static", start.elapsed().as_secs_f64() * 1e3);
+        let static_phase = phase_report(&service, "static", start.elapsed().as_secs_f64() * 1e3);
 
         // Phase 2: ingest — queries interleaved with adds and seals.
         // Document text is recycled from the collection so the streamed
@@ -227,16 +222,14 @@ pub fn run_ingest_bench(
             std::hint::black_box(service.run_batch_sqe_c(&load).len());
             std::hint::black_box(chunk);
         }
-        let ingest_phase =
-            phase_report(&service, "ingest", start.elapsed().as_secs_f64() * 1e3);
+        let ingest_phase = phase_report(&service, "ingest", start.elapsed().as_secs_f64() * 1e3);
 
         // Phase 3: merged — one compaction, then the same replay.
         service.reset_metrics();
         let start = Instant::now();
         service.force_merge();
         std::hint::black_box(service.run_batch_sqe_c(&load).len());
-        let merged_phase =
-            phase_report(&service, "merged", start.elapsed().as_secs_f64() * 1e3);
+        let merged_phase = phase_report(&service, "merged", start.elapsed().as_secs_f64() * 1e3);
 
         cells.push(IngestCellReport {
             dataset: dataset.to_owned(),

@@ -167,7 +167,11 @@ pub struct LoadBenchReport {
 /// What one request contributed to the run.
 enum Obs {
     /// A ranking came back, at the given ladder rung index.
-    Served { level: usize, arrival: u64, done: u64 },
+    Served {
+        level: usize,
+        arrival: u64,
+        done: u64,
+    },
     /// Admission (or the on-start CoDel check) rejected it.
     Shed { reason: &'static str },
     /// The deadline blew at a stage boundary mid-run.
@@ -198,8 +202,13 @@ fn build_workload(
     for q in &ds.queries {
         for v in 0..variants.max(1) {
             let text = perturb_query(&q.text, v, &model);
-            let nodes: Vec<ArticleId> =
-                ctx.linker.link(&text).iter().take(3).map(|l| l.article).collect();
+            let nodes: Vec<ArticleId> = ctx
+                .linker
+                .link(&text)
+                .iter()
+                .take(3)
+                .map(|l| l.article)
+                .collect();
             out.push((text, nodes));
         }
     }
@@ -338,7 +347,11 @@ fn run_one_level(
                                 local.push(match outcome {
                                     ServeOutcome::Ok(hits) => {
                                         std::hint::black_box(hits.len());
-                                        Obs::Served { level: 0, arrival: job.arrival, done }
+                                        Obs::Served {
+                                            level: 0,
+                                            arrival: job.arrival,
+                                            done,
+                                        }
                                     }
                                     ServeOutcome::Degraded(rung, hits) => {
                                         std::hint::black_box(hits.len());
@@ -348,12 +361,13 @@ fn run_one_level(
                                             done,
                                         }
                                     }
-                                    ServeOutcome::Shed(reason) => {
-                                        Obs::Shed { reason: reason.name() }
-                                    }
-                                    ServeOutcome::DeadlineExceeded(_) => {
-                                        Obs::Deadline { arrival: job.arrival, done }
-                                    }
+                                    ServeOutcome::Shed(reason) => Obs::Shed {
+                                        reason: reason.name(),
+                                    },
+                                    ServeOutcome::DeadlineExceeded(_) => Obs::Deadline {
+                                        arrival: job.arrival,
+                                        done,
+                                    },
                                 });
                             }
                             None => {
@@ -393,9 +407,16 @@ fn run_one_level(
                 match service.admit() {
                     Ok(ticket) => {
                         let deadline = Deadline::within(arrival, budget_nanos);
-                        let _ = tx.send(Job { idx, ticket: Some(ticket), arrival, deadline });
+                        let _ = tx.send(Job {
+                            idx,
+                            ticket: Some(ticket),
+                            arrival,
+                            deadline,
+                        });
                     }
-                    Err(reason) => observations.push(Obs::Shed { reason: reason.name() }),
+                    Err(reason) => observations.push(Obs::Shed {
+                        reason: reason.name(),
+                    }),
                 }
             } else {
                 let _ = tx.send(Job {
@@ -443,7 +464,11 @@ fn summarize(
     let mut last_done = run_start;
     for obs in observations {
         match obs {
-            Obs::Served { level, arrival, done } => {
+            Obs::Served {
+                level,
+                arrival,
+                done,
+            } => {
                 completed += 1;
                 bump(&mut degraded_mix, *level);
                 latencies.push(done.saturating_sub(*arrival));
@@ -513,9 +538,8 @@ pub fn run_load_bench(
         .unwrap_or(0.0)
         .max(1.0);
     let capacity_qps = opts.workers.max(1) as f64 / (mean_full_nanos / 1e9);
-    let budget_nanos = (opts.deadline_mult
-        * costs.first().copied().unwrap_or(1_000_000) as f64)
-        .max(1.0) as u64;
+    let budget_nanos =
+        (opts.deadline_mult * costs.first().copied().unwrap_or(1_000_000) as f64).max(1.0) as u64;
 
     // Token rate 2× capacity is a deliberate backstop, not the primary
     // valve: queue-delay shedding and deadline-driven degradation are
@@ -525,7 +549,11 @@ pub fn run_load_bench(
         rate_per_sec: (capacity_qps * 2.0).ceil().max(1.0) as u64,
         burst: (opts.workers.max(1) * 4) as u64,
         codel_target_nanos: costs.first().copied().unwrap_or(1_000_000),
-        codel_interval_nanos: costs.first().copied().unwrap_or(1_000_000).saturating_mul(4),
+        codel_interval_nanos: costs
+            .first()
+            .copied()
+            .unwrap_or(1_000_000)
+            .saturating_mul(4),
         default_deadline_nanos: 0,
     };
     let protected = build_service(ctx, opts, admission, &clock);
@@ -534,14 +562,20 @@ pub fn run_load_bench(
     let _ = calibrate(&protected, &workload);
 
     let rates: Vec<(f64, f64)> = if opts.explicit_rates.is_empty() {
-        opts.multipliers.iter().map(|&m| (m, m * capacity_qps)).collect()
+        opts.multipliers
+            .iter()
+            .map(|&m| (m, m * capacity_qps))
+            .collect()
     } else {
         opts.explicit_rates.iter().map(|&r| (0.0, r)).collect()
     };
 
     let mut levels = Vec::with_capacity(rates.len() * 2);
     for (i, &(multiplier, rate_qps)) in rates.iter().enumerate() {
-        let run_seed = opts.seed.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let run_seed = opts
+            .seed
+            .wrapping_add(i as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
         for (svc, mode, is_protected) in [
             (&unprotected, "unprotected", false),
             (&protected, "protected", true),

@@ -149,11 +149,7 @@ pub fn candidate_sets(opts: &MotifSearchOptions) -> Vec<MotifSet> {
 
 /// Mean expansion-node F1 of a motif set against the planted optimal
 /// query graphs of one dataset.
-fn mean_expansion_f1(
-    ctx: &ExperimentContext,
-    dataset: &str,
-    motifs: &MotifSet,
-) -> f64 {
+fn mean_expansion_f1(ctx: &ExperimentContext, dataset: &str, motifs: &MotifSet) -> f64 {
     let r = ctx.runner(dataset);
     let p = r.pipeline();
     let gt = ctx.ground_truth(dataset);
@@ -289,10 +285,17 @@ mod tests {
     fn candidate_space_is_distinct_and_large_enough() {
         for opts in [MotifSearchOptions::default(), MotifSearchOptions::smoke()] {
             let sets = candidate_sets(&opts);
-            assert!(sets.len() >= 12, "need >= 12 candidates, got {}", sets.len());
-            let fps: BTreeSet<String> =
-                sets.iter().map(|s| s.fingerprint().to_string()).collect();
-            assert_eq!(fps.len(), sets.len(), "candidate fingerprints must be distinct");
+            assert!(
+                sets.len() >= 12,
+                "need >= 12 candidates, got {}",
+                sets.len()
+            );
+            let fps: BTreeSet<String> = sets.iter().map(|s| s.fingerprint().to_string()).collect();
+            assert_eq!(
+                fps.len(),
+                sets.len(),
+                "candidate fingerprints must be distinct"
+            );
             assert!(sets.contains(&MotifSet::t_and_s()));
             assert!(sets.contains(&MotifSet::triangular()));
             assert!(sets.contains(&MotifSet::square()));

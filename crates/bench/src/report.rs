@@ -138,7 +138,10 @@ mod tests {
     #[test]
     fn formatting_contains_all_rows_and_cutoffs() {
         let (qrels, good, bad) = world();
-        let rows = vec![eval_row(&bad, &qrels, &[]), eval_row(&good, &qrels, &[&bad])];
+        let rows = vec![
+            eval_row(&bad, &qrels, &[]),
+            eval_row(&good, &qrels, &[&bad]),
+        ];
         let s = format_precision_table("Table X", &rows);
         assert!(s.contains("Table X"));
         assert!(s.contains("P@1000"));

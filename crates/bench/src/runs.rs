@@ -50,7 +50,11 @@ impl<'a> DatasetRunner<'a> {
 
     /// The pipeline bound to this dataset's collection.
     pub fn pipeline(&self) -> SqePipeline<'_> {
-        SqePipeline::new(&self.ctx.bed.kb.graph, self.searcher.clone(), self.ctx.sqe_config)
+        SqePipeline::new(
+            &self.ctx.bed.kb.graph,
+            self.searcher.clone(),
+            self.ctx.sqe_config,
+        )
     }
 
     /// Manually selected query nodes (the generator's true targets).
@@ -209,7 +213,8 @@ impl<'a> DatasetRunner<'a> {
         let params = self.prf_params();
         self.collect(name, |q, p| {
             let query = self.prf_base_query(q, base, p);
-            let hits = prf::rank_with_prf(&self.searcher, &query, params, self.ctx.sqe_config.depth);
+            let hits =
+                prf::rank_with_prf(&self.searcher, &query, params, self.ctx.sqe_config.depth);
             self.ids(p, &hits)
         })
     }
@@ -227,7 +232,11 @@ impl<'a> DatasetRunner<'a> {
         self.collect("SQE_C/PRF", |q, p| {
             let nodes = self.manual_nodes(q);
             let mut lists: Vec<Vec<String>> = Vec::with_capacity(3);
-            for motifs in [MotifSet::triangular(), MotifSet::t_and_s(), MotifSet::square()] {
+            for motifs in [
+                MotifSet::triangular(),
+                MotifSet::t_and_s(),
+                MotifSet::square(),
+            ] {
                 let eq = p.expand(&q.text, &nodes, &motifs);
                 let hits = prf::rank_with_prf(&self.searcher, &eq.query, params, depth);
                 lists.push(self.ids(p, &hits));
@@ -294,10 +303,7 @@ mod tests {
         let qrels = ctx.qrels("imageclef");
         let base = mean_precision(&r.run_ql_q(), &qrels, 10);
         let sqe = mean_precision(&r.run_sqe(&MotifSet::t_and_s(), false), &qrels, 10);
-        assert!(
-            sqe > base,
-            "SQE_T&S P@10 {sqe} must beat QL_Q P@10 {base}"
-        );
+        assert!(sqe > base, "SQE_T&S P@10 {sqe} must beat QL_Q P@10 {base}");
     }
 
     #[test]

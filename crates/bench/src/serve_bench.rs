@@ -24,7 +24,9 @@ use std::time::Instant;
 use kbgraph::ArticleId;
 use searchlite::{Analyzer, ShardRouter};
 use serde::Serialize;
-use sqe::{MetricsSnapshot, MonotonicClock, QueryService, ServeConfig, ShardedService, STAGE_NAMES};
+use sqe::{
+    MetricsSnapshot, MonotonicClock, QueryService, ServeConfig, ShardedService, STAGE_NAMES,
+};
 
 use crate::context::ExperimentContext;
 
@@ -390,8 +392,7 @@ mod tests {
         }
         // The JSON round-trips through the vendored serde.
         let json = report_json(&report);
-        let parsed: serde_json::Value =
-            serde_json::from_str(&json).expect("report JSON parses");
+        let parsed: serde_json::Value = serde_json::from_str(&json).expect("report JSON parses");
         let warm_phase = parsed
             .get("cells")
             .and_then(|c| c.as_array())

@@ -90,12 +90,7 @@ pub fn run_store_bench(
     // One context provides the state the persistence paths serialize.
     let ctx = ExperimentContext::from_config(cfg);
     let graph = &ctx.bed.kb.graph;
-    let collections: Vec<String> = ctx
-        .bed
-        .collections
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
+    let collections: Vec<String> = ctx.bed.collections.iter().map(|c| c.name.clone()).collect();
 
     // Path 2: the JSON strings (graph + one string per index).
     let graph_json = graph.to_json().expect("graph serializes to JSON");
@@ -104,8 +99,7 @@ pub fn run_store_bench(
         .iter()
         .map(|i| i.to_json().expect("index serializes to JSON"))
         .collect();
-    let json_bytes =
-        (graph_json.len() + index_jsons.iter().map(String::len).sum::<usize>()) as u64;
+    let json_bytes = (graph_json.len() + index_jsons.iter().map(String::len).sum::<usize>()) as u64;
     let json_load_ms = measure_ms(protocol, || {
         let g = kbgraph::KbGraph::from_json(&graph_json).expect("persisted graph decodes");
         std::hint::black_box(g.num_articles());
@@ -195,7 +189,11 @@ mod tests {
 
     #[test]
     fn smoke_bench_reports_sane_numbers() {
-        let report = run_store_bench(&TestBedConfig::small(), "small", &StoreBenchOptions::smoke());
+        let report = run_store_bench(
+            &TestBedConfig::small(),
+            "small",
+            &StoreBenchOptions::smoke(),
+        );
         assert_eq!(report.collections.len(), 2);
         assert!(report.regenerate_ms > 0.0);
         assert!(report.json_load_ms > 0.0);

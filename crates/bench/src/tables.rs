@@ -20,7 +20,11 @@ pub fn table1(ctx: &ExperimentContext) -> String {
         eval_row(&ql_q, &qrels, &[]),
         eval_row(&ql_e, &qrels, &[]),
         eval_row(&ql_qe, &qrels, &[]),
-        eval_row(&r.run_sqe(&MotifSet::triangular(), false), &qrels, &baselines),
+        eval_row(
+            &r.run_sqe(&MotifSet::triangular(), false),
+            &qrels,
+            &baselines,
+        ),
         eval_row(&r.run_sqe(&MotifSet::t_and_s(), false), &qrels, &baselines),
         eval_row(&r.run_sqe(&MotifSet::square(), false), &qrels, &baselines),
         eval_row(&r.run_sqe_ub(), &qrels, &[]),
@@ -146,7 +150,11 @@ pub fn table1_rows(ctx: &ExperimentContext) -> Vec<EvalRow> {
         eval_row(&ql_q, &qrels, &[]),
         eval_row(&ql_e, &qrels, &[]),
         eval_row(&ql_qe, &qrels, &[]),
-        eval_row(&r.run_sqe(&MotifSet::triangular(), false), &qrels, &baselines),
+        eval_row(
+            &r.run_sqe(&MotifSet::triangular(), false),
+            &qrels,
+            &baselines,
+        ),
         eval_row(&r.run_sqe(&MotifSet::t_and_s(), false), &qrels, &baselines),
         eval_row(&r.run_sqe(&MotifSet::square(), false), &qrels, &baselines),
         eval_row(&r.run_sqe_ub(), &qrels, &[]),
@@ -168,7 +176,10 @@ pub fn ablation(ctx: &ExperimentContext) -> String {
 
     // Each variant builds its own query graph / expansion config.
     #[allow(clippy::type_complexity)]
-    let variants: Vec<(&str, Box<dyn Fn(&synthwiki::QuerySpec) -> searchlite::Query>)> = vec![
+    let variants: Vec<(
+        &str,
+        Box<dyn Fn(&synthwiki::QuerySpec) -> searchlite::Query>,
+    )> = vec![
         (
             "full (T&S)",
             Box::new(|q: &synthwiki::QuerySpec| {
@@ -270,8 +281,7 @@ pub fn ablation(ctx: &ExperimentContext) -> String {
         let mut run = Run::new(name);
         for q in &r.dataset().queries {
             let query = make_query(q);
-            let hits =
-                searchlite::ql::rank(pipeline.searcher(), &query, ctx.sqe_config.ql, 1000);
+            let hits = searchlite::ql::rank(pipeline.searcher(), &query, ctx.sqe_config.ql, 1000);
             run.set_ranking(&q.id, pipeline.external_ids(&hits));
         }
         rows.push(eval_row(&run, &qrels, &[]));

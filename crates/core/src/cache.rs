@@ -443,7 +443,12 @@ mod tests {
             let hit = c
                 .get(&CacheKey::new(&nodes, set.fingerprint()))
                 .expect("every set keeps its own entry");
-            assert_eq!(*hit, vec![(ArticleId::new(100), i as u32)], "{}", set.name());
+            assert_eq!(
+                *hit,
+                vec![(ArticleId::new(100), i as u32)],
+                "{}",
+                set.name()
+            );
         }
         assert_eq!(c.len(), sets.len());
     }

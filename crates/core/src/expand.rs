@@ -181,7 +181,14 @@ pub fn build_expanded_query(
     analyzer: &Analyzer,
     cfg: &ExpandConfig,
 ) -> ExpandedQuery {
-    let query = build_query(graph, user_text, &qg.query_nodes, &qg.expansions, analyzer, cfg);
+    let query = build_query(
+        graph,
+        user_text,
+        &qg.query_nodes,
+        &qg.expansions,
+        analyzer,
+        cfg,
+    );
     ExpandedQuery {
         query,
         query_graph: qg.clone(),
@@ -247,7 +254,13 @@ mod tests {
             query_nodes: vec![q],
             expansions: vec![(e1, 2)],
         };
-        let eq = build_expanded_query(&g, "mountain transport", &qg, &analyzer(), &ExpandConfig::default());
+        let eq = build_expanded_query(
+            &g,
+            "mountain transport",
+            &qg,
+            &analyzer(),
+            &ExpandConfig::default(),
+        );
         // 2 user terms + 1 entity phrase + 1 expansion feature.
         assert_eq!(eq.query.len(), 4);
         assert!((eq.query.total_weight() - 1.0).abs() < 1e-9);
@@ -269,7 +282,13 @@ mod tests {
     fn no_query_nodes_still_yields_user_query() {
         let (g, _, _, _) = toy();
         let qg = QueryGraph::default();
-        let eq = build_expanded_query(&g, "mountain trains", &qg, &analyzer(), &ExpandConfig::default());
+        let eq = build_expanded_query(
+            &g,
+            "mountain trains",
+            &qg,
+            &analyzer(),
+            &ExpandConfig::default(),
+        );
         assert_eq!(eq.query.len(), 2);
     }
 

@@ -54,11 +54,7 @@ pub enum Objective {
 }
 
 /// Scores one pattern over the examples.
-pub fn score_pattern(
-    graph: &KbGraph,
-    pattern: PatternMotif,
-    examples: &[Example],
-) -> LearnedMotif {
+pub fn score_pattern(graph: &KbGraph, pattern: PatternMotif, examples: &[Example]) -> LearnedMotif {
     let mut tp = 0usize;
     let mut proposed = 0usize;
     let mut optimal_total = 0usize;
@@ -168,7 +164,12 @@ mod tests {
         let (g, examples) = world();
         let ranked = learn_motifs(&g, &examples, Objective::F1);
         let best = &ranked[0];
-        assert_eq!(best.pattern.link, LinkCondition::Mutual, "best: {}", best.pattern.name());
+        assert_eq!(
+            best.pattern.link,
+            LinkCondition::Mutual,
+            "best: {}",
+            best.pattern.name()
+        );
         assert!(
             matches!(
                 best.pattern.category,

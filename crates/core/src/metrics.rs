@@ -713,7 +713,11 @@ mod tests {
     fn ladder_metrics_skip_zero_cost_observations() {
         let l = LadderMetrics::new(3);
         l.record_cost(0, 0);
-        assert_eq!(l.cost_snapshot()[0].count, 0, "zero-duration costs carry no signal");
+        assert_eq!(
+            l.cost_snapshot()[0].count,
+            0,
+            "zero-duration costs carry no signal"
+        );
         l.record_cost(0, 10_000);
         l.record_cost(1, 4_000);
         l.record_cost(2, 1_000);

@@ -109,7 +109,6 @@ impl PatternMotif {
         };
         format!("{l}+{c}")
     }
-
 }
 
 /// Candidate articles satisfying the link condition — the shared CSR
@@ -179,9 +178,7 @@ pub(crate) fn category_instances(
             let mut squares = 0u32;
             for &a in qc {
                 for &b in cc {
-                    if a != b
-                        && graph.category_adjacent(CategoryId::new(a), CategoryId::new(b))
-                    {
+                    if a != b && graph.category_adjacent(CategoryId::new(a), CategoryId::new(b)) {
                         squares += 1;
                     }
                 }
@@ -319,8 +316,7 @@ mod tests {
         assert_eq!(all.len(), 12);
         assert!(all.contains(&PatternMotif::triangular()));
         assert!(all.contains(&PatternMotif::square()));
-        let names: std::collections::HashSet<String> =
-            all.iter().map(|p| p.name()).collect();
+        let names: std::collections::HashSet<String> = all.iter().map(|p| p.name()).collect();
         assert_eq!(names.len(), 12, "names must be distinct");
     }
 
@@ -333,10 +329,16 @@ mod tests {
             CategoryCondition::Adjacent,
             CategoryCondition::Unconstrained,
         ] {
-            let out: Vec<_> = PatternMotif { link: LinkCondition::OutLink, category: cat }
-                .expansions(&g, q);
-            let any: Vec<_> = PatternMotif { link: LinkCondition::AnyDirection, category: cat }
-                .expansions(&g, q);
+            let out: Vec<_> = PatternMotif {
+                link: LinkCondition::OutLink,
+                category: cat,
+            }
+            .expansions(&g, q);
+            let any: Vec<_> = PatternMotif {
+                link: LinkCondition::AnyDirection,
+                category: cat,
+            }
+            .expansions(&g, q);
             for (a, _) in &out {
                 assert!(any.iter().any(|(x, _)| x == a), "{cat:?}");
             }

@@ -143,7 +143,13 @@ impl<'a> SqePipeline<'a> {
     /// degraded-mode rung.
     pub fn rank_user_with_scratch(&self, text: &str, scratch: &mut SqeScratch) -> Vec<SearchHit> {
         let q = expand::user_part(text, self.searcher.analyzer());
-        ql::rank_with_scratch(&self.searcher, &q, self.cfg.ql, self.cfg.depth, &mut scratch.ql)
+        ql::rank_with_scratch(
+            &self.searcher,
+            &q,
+            self.cfg.ql,
+            self.cfg.depth,
+            &mut scratch.ql,
+        )
     }
 
     /// `QL_E`: the query-entity titles only, as a keyword bag (the
@@ -224,8 +230,13 @@ impl<'a> SqePipeline<'a> {
             self.searcher.analyzer(),
             &self.cfg.expand,
         );
-        let hits =
-            ql::rank_with_scratch(&self.searcher, &query, self.cfg.ql, self.cfg.depth, &mut scratch.ql);
+        let hits = ql::rank_with_scratch(
+            &self.searcher,
+            &query,
+            self.cfg.ql,
+            self.cfg.depth,
+            &mut scratch.ql,
+        );
         (hits, qg)
     }
 
@@ -262,9 +273,12 @@ impl<'a> SqePipeline<'a> {
         motifs: &MotifSet,
         threads: usize,
     ) -> Vec<Vec<SearchHit>> {
-        crate::serve::run_indexed(queries, threads, SqeScratch::new, |(text, nodes), scratch| {
-            self.rank_sqe_with_scratch(text, nodes, motifs, scratch).0
-        })
+        crate::serve::run_indexed(
+            queries,
+            threads,
+            SqeScratch::new,
+            |(text, nodes), scratch| self.rank_sqe_with_scratch(text, nodes, motifs, scratch).0,
+        )
     }
 
     /// `SQE_C`: the paper's rank-range combination — ranks 1–5 from
@@ -303,10 +317,14 @@ mod tests {
         let graph = b.build();
 
         let mut ib = IndexBuilder::new(Analyzer::plain());
-        ib.add_document("d-cable-0", "cable car climbing the peak").expect("unique test ids");
-        ib.add_document("d-funi-0", "old funicular near the village").expect("unique test ids");
-        ib.add_document("d-funi-1", "the funicular station entrance").expect("unique test ids");
-        ib.add_document("d-noise-0", "a market square with fruit").expect("unique test ids");
+        ib.add_document("d-cable-0", "cable car climbing the peak")
+            .expect("unique test ids");
+        ib.add_document("d-funi-0", "old funicular near the village")
+            .expect("unique test ids");
+        ib.add_document("d-funi-1", "the funicular station entrance")
+            .expect("unique test ids");
+        ib.add_document("d-noise-0", "a market square with fruit")
+            .expect("unique test ids");
         let index = ib.build();
         (graph, index, cable)
     }
@@ -421,14 +439,21 @@ mod tests {
         let (graph, index, cable) = world();
         // The same four documents, split across two segments.
         let mut a = IndexBuilder::new(Analyzer::plain());
-        a.add_document("d-cable-0", "cable car climbing the peak").expect("unique test ids");
-        a.add_document("d-funi-0", "old funicular near the village").expect("unique test ids");
+        a.add_document("d-cable-0", "cable car climbing the peak")
+            .expect("unique test ids");
+        a.add_document("d-funi-0", "old funicular near the village")
+            .expect("unique test ids");
         let mut b = IndexBuilder::new(Analyzer::plain());
-        b.add_document("d-funi-1", "the funicular station entrance").expect("unique test ids");
-        b.add_document("d-noise-0", "a market square with fruit").expect("unique test ids");
+        b.add_document("d-funi-1", "the funicular station entrance")
+            .expect("unique test ids");
+        b.add_document("d-noise-0", "a market square with fruit")
+            .expect("unique test ids");
         let searcher = Searcher::new(
             Analyzer::plain(),
-            vec![Arc::new(Segment::new(0, a.build())), Arc::new(Segment::new(1, b.build()))],
+            vec![
+                Arc::new(Segment::new(0, a.build())),
+                Arc::new(Segment::new(1, b.build())),
+            ],
             0,
         );
         let mono = SqePipeline::from_index(&graph, &index, SqeConfig::default());
@@ -438,7 +463,11 @@ mod tests {
         assert_eq!(qg1.expansions, qg2.expansions);
         assert_eq!(mono.external_ids(&h1), segp.external_ids(&h2));
         for (x, y) in h1.iter().zip(h2.iter()) {
-            assert_eq!(x.score.to_bits(), y.score.to_bits(), "scores must be bit-identical");
+            assert_eq!(
+                x.score.to_bits(),
+                y.score.to_bits(),
+                "scores must be bit-identical"
+            );
         }
     }
 

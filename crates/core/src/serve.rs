@@ -399,9 +399,16 @@ impl<'a> QueryService<'a> {
         serve_cfg: ServeConfig,
     ) -> Result<Self, sqe_store::StoreError> {
         let searcher = snapshot.searcher(collection)?;
-        let live =
-            SegmentedIndex::from_segments(searcher.analyzer().clone(), searcher.segments().to_vec());
-        Ok(QueryService::from_segmented(snapshot.graph(), live, cfg, serve_cfg))
+        let live = SegmentedIndex::from_segments(
+            searcher.analyzer().clone(),
+            searcher.segments().to_vec(),
+        );
+        Ok(QueryService::from_segmented(
+            snapshot.graph(),
+            live,
+            cfg,
+            serve_cfg,
+        ))
     }
 
     /// Creates a one-shard service over an existing segmented corpus
@@ -637,34 +644,57 @@ impl<'a> QueryService<'a> {
 
     /// A pinned clone of one shard's published searcher.
     pub fn shard_searcher(&self, shard: usize) -> Option<Searcher> {
-        self.view_read().shards.get(shard).map(|s| s.searcher.clone())
+        self.view_read()
+            .shards
+            .get(shard)
+            .map(|s| s.searcher.clone())
     }
 
     /// The per-shard segment-set epochs of the published views. Sealing
     /// shard `s` bumps exactly entry `s`.
     pub fn epoch_vector(&self) -> Vec<u64> {
-        self.view_read().shards.iter().map(|s| s.searcher.epoch()).collect()
+        self.view_read()
+            .shards
+            .iter()
+            .map(|s| s.searcher.epoch())
+            .collect()
     }
 
     /// The scalar epoch: the sum of the epoch vector, monotone under any
     /// seal or merge on any shard.
     pub fn epoch(&self) -> u64 {
-        self.view_read().shards.iter().map(|s| s.searcher.epoch()).sum()
+        self.view_read()
+            .shards
+            .iter()
+            .map(|s| s.searcher.epoch())
+            .sum()
     }
 
     /// Sealed segments visible to queries, over all shards.
     pub fn num_segments(&self) -> usize {
-        self.view_read().shards.iter().map(|s| s.searcher.num_segments()).sum()
+        self.view_read()
+            .shards
+            .iter()
+            .map(|s| s.searcher.num_segments())
+            .sum()
     }
 
     /// Searchable documents, over all shards.
     pub fn num_docs(&self) -> usize {
-        self.view_read().shards.iter().map(|s| s.searcher.num_docs()).sum()
+        self.view_read()
+            .shards
+            .iter()
+            .map(|s| s.searcher.num_docs())
+            .sum()
     }
 
     /// Documents waiting in shard buffers (invisible until sealed).
     pub fn num_buffered_docs(&self) -> usize {
-        self.live_lock().shards.iter().map(SegmentedIndex::num_buffered_docs).sum()
+        self.live_lock()
+            .shards
+            .iter()
+            .map(SegmentedIndex::num_buffered_docs)
+            .sum()
     }
 
     /// Converts hits (global-ordinal ids) to external document ids
@@ -788,7 +818,11 @@ impl<'a> QueryService<'a> {
         let outcome = task.run_policy();
         let (view, locations) = {
             let mut live = self.live_lock();
-            if let Some(merges) = live.shards.get_mut(shard).and_then(|s| s.install_merge(outcome)) {
+            if let Some(merges) = live
+                .shards
+                .get_mut(shard)
+                .and_then(|s| s.install_merge(outcome))
+            {
                 report.merges = merges;
             }
             live.shard_view(shard)
@@ -834,7 +868,12 @@ impl<'a> QueryService<'a> {
     fn merge_shard(&self, shard: usize) -> bool {
         let t0 = self.clock.now_nanos();
         let _maint = self.maint_lock();
-        let Some(task) = self.live_lock().shards.get(shard).map(SegmentedIndex::merge_task) else {
+        let Some(task) = self
+            .live_lock()
+            .shards
+            .get(shard)
+            .map(SegmentedIndex::merge_task)
+        else {
             return false;
         };
         let Some(outcome) = task.run_full() else {
@@ -842,7 +881,12 @@ impl<'a> QueryService<'a> {
         };
         let (view, locations) = {
             let mut live = self.live_lock();
-            if live.shards.get_mut(shard).and_then(|s| s.install_merge(outcome)).is_none() {
+            if live
+                .shards
+                .get_mut(shard)
+                .and_then(|s| s.install_merge(outcome))
+                .is_none()
+            {
                 // Unreachable while `maint` serializes maintenance, but a
                 // stale outcome must never clobber a newer segment set.
                 return false;
@@ -882,8 +926,12 @@ impl<'a> QueryService<'a> {
         let searchers = view.shards.iter().map(|s| &s.searcher);
         let stages = ql::rank_stages(searchers, staged, self.cfg.ql, depths, scratch);
         let work = scratch.take_work();
-        self.metrics.ql_features_resolved.add(work.features_resolved);
-        self.metrics.ql_candidates_scored.add(work.candidates_scored);
+        self.metrics
+            .ql_features_resolved
+            .add(work.features_resolved);
+        self.metrics
+            .ql_candidates_scored
+            .add(work.candidates_scored);
         stages
             .into_iter()
             .zip(depths)
@@ -908,7 +956,13 @@ impl<'a> QueryService<'a> {
     }
 
     /// [`QueryService::scatter`] of one query: its best `k` hits.
-    fn scatter_ql(&self, view: &View, query: &Query, k: usize, scratch: &mut QlScratch) -> Vec<Hit> {
+    fn scatter_ql(
+        &self,
+        view: &View,
+        query: &Query,
+        k: usize,
+        scratch: &mut QlScratch,
+    ) -> Vec<Hit> {
         self.scatter(view, &StagedQuery::single(query), &[k], scratch)
             .pop()
             .unwrap_or_default()
@@ -919,7 +973,11 @@ impl<'a> QueryService<'a> {
     /// analyzes to nothing, or for an id outside the graph.
     fn title_feature(&self, article: ArticleId, analyzer: &Analyzer) -> Option<&Feature> {
         self.titles
-            .get_or_init(|| (0..self.graph.num_articles()).map(|_| OnceLock::new()).collect())
+            .get_or_init(|| {
+                (0..self.graph.num_articles())
+                    .map(|_| OnceLock::new())
+                    .collect()
+            })
             .get(article.index())?
             .get_or_init(|| {
                 self.metrics.titles_analyzed.inc();
@@ -1089,17 +1147,20 @@ impl<'a> QueryService<'a> {
         scratch: &mut SqeScratch,
     ) -> Vec<String> {
         let t0 = self.clock.now_nanos();
-        let expansions = [MotifSet::triangular(), MotifSet::t_and_s(), MotifSet::square()].map(
-            |motifs| {
-                let e0 = self.clock.now_nanos();
-                let expansions = self.expansions_for(nodes, &motifs, scratch);
-                self.metrics
-                    .stages
-                    .expand
-                    .record(self.clock.now_nanos().saturating_sub(e0));
-                expansions
-            },
-        );
+        let expansions = [
+            MotifSet::triangular(),
+            MotifSet::t_and_s(),
+            MotifSet::square(),
+        ]
+        .map(|motifs| {
+            let e0 = self.clock.now_nanos();
+            let expansions = self.expansions_for(nodes, &motifs, scratch);
+            self.metrics
+                .stages
+                .expand
+                .record(self.clock.now_nanos().saturating_sub(e0));
+            expansions
+        });
         let r0 = self.clock.now_nanos();
         let depths = combine::sqe_c_depths(self.cfg.depth);
         let mut runs = self
@@ -1139,7 +1200,9 @@ impl<'a> QueryService<'a> {
             queries,
             self.serve_cfg.workers,
             SqeScratch::new,
-            |(text, nodes), scratch| self.rank_sqe_with_scratch(&view, text, nodes, motifs, scratch),
+            |(text, nodes), scratch| {
+                self.rank_sqe_with_scratch(&view, text, nodes, motifs, scratch)
+            },
         )
     }
 
@@ -1208,7 +1271,9 @@ impl<'a> QueryService<'a> {
         deadline: Deadline,
     ) -> ServeOutcome<Vec<SearchHit>> {
         let view = self.pinned();
-        self.with_scratch(|s| self.serve_admitted_with_scratch(&view, ticket, text, nodes, deadline, s))
+        self.with_scratch(|s| {
+            self.serve_admitted_with_scratch(&view, ticket, text, nodes, deadline, s)
+        })
     }
 
     fn serve_admitted_with_scratch(
@@ -1354,7 +1419,10 @@ impl Live {
             .map(SegmentedIndex::searcher)
             .expect("invariant: shard index validated by the caller");
         let ordinals = self.ordinals.get(shard).cloned().unwrap_or_default();
-        (ShardView { searcher, ordinals }, Arc::clone(&self.locations))
+        (
+            ShardView { searcher, ordinals },
+            Arc::clone(&self.locations),
+        )
     }
 }
 
@@ -1534,15 +1602,10 @@ mod tests {
         // Scratch values accumulate across items without cross-talk: the
         // per-item result only depends on the item, never on scheduling.
         let items: Vec<u32> = (0..16).collect();
-        let got = run_indexed(
-            &items,
-            4,
-            Vec::<u32>::new,
-            |&x, scratch: &mut Vec<u32>| {
-                scratch.push(x);
-                x + 1
-            },
-        );
+        let got = run_indexed(&items, 4, Vec::<u32>::new, |&x, scratch: &mut Vec<u32>| {
+            scratch.push(x);
+            x + 1
+        });
         assert_eq!(got, (1..=16).collect::<Vec<u32>>());
     }
 
@@ -1550,8 +1613,13 @@ mod tests {
     fn service_matches_pipeline_for_each_motif_config() {
         let (graph, index, cable) = world();
         let pipeline = SqePipeline::from_index(&graph, &index, SqeConfig::default());
-        let service = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
-        for motifs in [MotifSet::triangular(), MotifSet::square(), MotifSet::t_and_s()] {
+        let service =
+            QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        for motifs in [
+            MotifSet::triangular(),
+            MotifSet::square(),
+            MotifSet::t_and_s(),
+        ] {
             for (text, nodes) in queries(cable) {
                 let want = pipeline.rank_sqe(&text, &nodes, &motifs).0;
                 // Twice: cold then warm cache.
@@ -1565,7 +1633,8 @@ mod tests {
     fn service_sqe_c_matches_pipeline() {
         let (graph, index, cable) = world();
         let pipeline = SqePipeline::from_index(&graph, &index, SqeConfig::default());
-        let service = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        let service =
+            QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
         for (text, nodes) in queries(cable) {
             let want = pipeline.rank_sqe_c(&text, &nodes);
             assert_eq!(service.rank_sqe_c(&text, &nodes), want);
@@ -1576,17 +1645,29 @@ mod tests {
     #[test]
     fn sqe_c_resolves_each_distinct_feature_once() {
         let (graph, index, cable) = world();
-        let service = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        let service =
+            QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
         let (text, nodes) = ("cable car funicular", vec![cable]);
         let searcher = service.searcher();
         let cfg = SqeConfig::default();
-        let stages: Vec<Query> = [MotifSet::triangular(), MotifSet::t_and_s(), MotifSet::square()]
-            .iter()
-            .map(|motifs| {
-                let qg = QueryGraphBuilder::from_set(&graph, motifs).build(&nodes);
-                expand::build_query(&graph, text, &nodes, &qg.expansions, searcher.analyzer(), &cfg.expand)
-            })
-            .collect();
+        let stages: Vec<Query> = [
+            MotifSet::triangular(),
+            MotifSet::t_and_s(),
+            MotifSet::square(),
+        ]
+        .iter()
+        .map(|motifs| {
+            let qg = QueryGraphBuilder::from_set(&graph, motifs).build(&nodes);
+            expand::build_query(
+                &graph,
+                text,
+                &nodes,
+                &qg.expansions,
+                searcher.analyzer(),
+                &cfg.expand,
+            )
+        })
+        .collect();
         let features: Vec<usize> = stages.iter().map(Query::len).collect();
         let distinct: rustc_hash::FxHashSet<&searchlite::structured::Feature> = stages
             .iter()
@@ -1605,7 +1686,10 @@ mod tests {
 
         service.rank_sqe_c(text, &nodes);
         let snap = service.metrics_snapshot();
-        assert_eq!(snap.ql_features_resolved, 4, "the distinct features, once each");
+        assert_eq!(
+            snap.ql_features_resolved, 4,
+            "the distinct features, once each"
+        );
         assert_eq!(snap.ql_candidates_scored, 9, "each stage's candidates");
         let stage = |i: usize| snap.stages.get(i).map(|h| h.count).expect("four stages");
         assert_eq!([stage(0), stage(1), stage(2), stage(3)], [3, 1, 1, 1]);
@@ -1623,28 +1707,46 @@ mod tests {
             sharded.add_document(id, text).expect("unique test ids");
         }
         sharded.seal_all();
-        assert_eq!(sharded.rank_sqe_c(text, &nodes), service.rank_sqe_c(text, &nodes));
+        assert_eq!(
+            sharded.rank_sqe_c(text, &nodes),
+            service.rank_sqe_c(text, &nodes)
+        );
         let snap = sharded.metrics_snapshot();
-        assert_eq!((snap.ql_features_resolved, snap.ql_candidates_scored), (8, 9));
+        assert_eq!(
+            (snap.ql_features_resolved, snap.ql_candidates_scored),
+            (8, 9)
+        );
     }
 
     #[test]
     fn each_title_is_analyzed_once_per_service() {
         let (graph, index, cable) = world();
-        let service = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        let service =
+            QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
         let (text, nodes) = ("cable car funicular", vec![cable]);
-        let touched: rustc_hash::FxHashSet<ArticleId> =
-            [MotifSet::triangular(), MotifSet::t_and_s(), MotifSet::square()]
-                .iter()
-                .flat_map(|motifs| QueryGraphBuilder::from_set(&graph, motifs).build(&nodes).expansions)
-                .map(|(article, _)| article)
-                .chain(nodes.iter().copied())
-                .collect();
+        let touched: rustc_hash::FxHashSet<ArticleId> = [
+            MotifSet::triangular(),
+            MotifSet::t_and_s(),
+            MotifSet::square(),
+        ]
+        .iter()
+        .flat_map(|motifs| {
+            QueryGraphBuilder::from_set(&graph, motifs)
+                .build(&nodes)
+                .expansions
+        })
+        .map(|(article, _)| article)
+        .chain(nodes.iter().copied())
+        .collect();
         // The query node "cable car" and its expansion "funicular".
         assert_eq!(touched.len(), 2);
         let analyzed = || service.metrics_snapshot().titles_analyzed;
         service.rank_sqe_c(text, &nodes);
-        assert_eq!(analyzed(), 2, "each distinct title of the first request, once");
+        assert_eq!(
+            analyzed(),
+            2,
+            "each distinct title of the first request, once"
+        );
         service.rank_sqe_c(text, &nodes);
         assert_eq!(analyzed(), 2, "a repeat analyzes no title");
         // Every other expanded path reads the same table.
@@ -1668,15 +1770,24 @@ mod tests {
                 ..ServeConfig::default()
             };
             let service = QueryService::new(&graph, &index, SqeConfig::default(), serve_cfg);
-            assert_eq!(service.run_batch(&qs, &MotifSet::t_and_s()), want, "cold workers={workers}");
-            assert_eq!(service.run_batch(&qs, &MotifSet::t_and_s()), want, "warm workers={workers}");
+            assert_eq!(
+                service.run_batch(&qs, &MotifSet::t_and_s()),
+                want,
+                "cold workers={workers}"
+            );
+            assert_eq!(
+                service.run_batch(&qs, &MotifSet::t_and_s()),
+                want,
+                "warm workers={workers}"
+            );
         }
     }
 
     #[test]
     fn cache_counters_track_hits_and_misses() {
         let (graph, index, cable) = world();
-        let service = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        let service =
+            QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
         let qs = queries(cable);
         service.run_batch(&qs, &MotifSet::triangular());
         let snap = service.metrics_snapshot();
@@ -1696,10 +1807,14 @@ mod tests {
     #[test]
     fn invalidation_forces_recompute() {
         let (graph, index, cable) = world();
-        let service = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        let service =
+            QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
         let hits = service.rank_sqe("cable car", &[cable], &MotifSet::triangular());
         service.invalidate_cache();
-        assert_eq!(service.rank_sqe("cable car", &[cable], &MotifSet::triangular()), hits);
+        assert_eq!(
+            service.rank_sqe("cable car", &[cable], &MotifSet::triangular()),
+            hits
+        );
         let snap = service.metrics_snapshot();
         assert_eq!(snap.cache_misses, 2, "post-invalidation lookup misses");
         assert_eq!(snap.invalidations, 1);
@@ -1718,7 +1833,9 @@ mod tests {
         for _ in 0..2 {
             assert_eq!(
                 service.rank_sqe("cable car", &[cable], &MotifSet::t_and_s()),
-                pipeline.rank_sqe("cable car", &[cable], &MotifSet::t_and_s()).0
+                pipeline
+                    .rank_sqe("cable car", &[cable], &MotifSet::t_and_s())
+                    .0
             );
         }
         let snap = service.metrics_snapshot();
@@ -1760,7 +1877,8 @@ mod tests {
     #[test]
     fn seal_publishes_and_invalidates_exactly_once() {
         let (graph, index, cable) = world();
-        let service = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        let service =
+            QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
         assert_eq!(service.epoch(), 0);
         assert_eq!(service.num_segments(), 1);
 
@@ -1794,7 +1912,9 @@ mod tests {
         // The post-seal query sees the new doc and recomputes expansions.
         let after = service.rank_sqe("funicular", &[cable], &MotifSet::triangular());
         assert_eq!(after.len(), before.len() + 1);
-        assert!(service.external_ids(&after).contains(&"d-funi-2".to_owned()));
+        assert!(service
+            .external_ids(&after)
+            .contains(&"d-funi-2".to_owned()));
 
         // Empty-buffer seal: no epoch bump, no invalidation.
         assert!(service.seal().is_none());
@@ -1810,7 +1930,8 @@ mod tests {
     #[test]
     fn force_merge_compacts_without_changing_results() {
         let (graph, index, cable) = world();
-        let service = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        let service =
+            QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
         // Two seals on top of segment 0 → 3 segments (default merge
         // factor 4 leaves them unmerged).
         for (id, text) in [
@@ -1839,7 +1960,8 @@ mod tests {
     #[test]
     fn serve_unbounded_matches_rank_sqe_full() {
         let (graph, index, cable) = world();
-        let service = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        let service =
+            QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
         let want = service.rank_sqe("cable car", &[cable], &MotifSet::t_and_s());
         match service.serve("cable car", &[cable], Deadline::NONE) {
             ServeOutcome::Ok(hits) => assert_eq!(hits, want),
@@ -1877,7 +1999,11 @@ mod tests {
             .collect();
         let serve_with = |budget: u64| {
             service
-                .serve("cable car", &[cable], Deadline::within(clock.now_nanos(), budget))
+                .serve(
+                    "cable car",
+                    &[cable],
+                    Deadline::within(clock.now_nanos(), budget),
+                )
                 .label()
         };
         assert_eq!(serve_with(est[0] + 1), "ok");
@@ -1885,7 +2011,11 @@ mod tests {
         assert_eq!(serve_with(est[1]), "degraded:triangular");
         assert_eq!(serve_with(est[2]), "degraded:unexpanded");
         assert_eq!(serve_with(est[2] - 1), "shed:budget_exhausted");
-        assert_eq!(serve_with(0), "deadline:queue", "zero budget is dead on arrival");
+        assert_eq!(
+            serve_with(0),
+            "deadline:queue",
+            "zero budget is dead on arrival"
+        );
         let snap = service.metrics_snapshot();
         assert_eq!(snap.ladder_served, [2, 1, 1]);
         assert_eq!(snap.sheds, 1);
@@ -1949,10 +2079,20 @@ mod tests {
         // queue check but is expired by the post-expand read; a 10µs
         // budget survives the whole pipeline.
         let t = service.admit().expect("invariant: unlimited admission");
-        let out = service.serve_admitted(t, "cable car", &[cable], Deadline::within(clock.now_nanos(), 150));
+        let out = service.serve_admitted(
+            t,
+            "cable car",
+            &[cable],
+            Deadline::within(clock.now_nanos(), 150),
+        );
         assert_eq!(out.label(), "deadline:expand");
         let t = service.admit().expect("invariant: unlimited admission");
-        let out = service.serve_admitted(t, "cable car", &[cable], Deadline::within(clock.now_nanos(), 10_000));
+        let out = service.serve_admitted(
+            t,
+            "cable car",
+            &[cable],
+            Deadline::within(clock.now_nanos(), 10_000),
+        );
         assert_eq!(out.label(), "ok");
         let snap = service.metrics_snapshot();
         assert_eq!(snap.deadline_exceeded, 1);
@@ -1967,7 +2107,11 @@ mod tests {
             .map(|i| ServeRequest {
                 text: "cable car".to_owned(),
                 nodes: vec![cable],
-                deadline: if i % 3 == 2 { Deadline::at(0) } else { Deadline::NONE },
+                deadline: if i % 3 == 2 {
+                    Deadline::at(0)
+                } else {
+                    Deadline::NONE
+                },
             })
             .collect();
         let mut reference: Option<Vec<String>> = None;
@@ -1981,8 +2125,11 @@ mod tests {
                 ..ServeConfig::default()
             };
             let service = QueryService::new(&graph, &index, SqeConfig::default(), serve_cfg);
-            let labels: Vec<String> =
-                service.serve_batch(&requests).iter().map(|o| o.label()).collect();
+            let labels: Vec<String> = service
+                .serve_batch(&requests)
+                .iter()
+                .map(|o| o.label())
+                .collect();
             // NullClock: every deadline of 0 at now=0 has remaining 0.
             assert!(labels.iter().any(|l| l == "shed:queue_full"));
             assert!(labels.iter().any(|l| l == "deadline:queue"));
@@ -1999,10 +2146,13 @@ mod tests {
         // run_batch clones the view once: results match the pre-seal
         // corpus even if a seal lands between construction and the batch.
         let (graph, index, cable) = world();
-        let service = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
+        let service =
+            QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
         let qs = queries(cable);
         let want = service.run_batch(&qs, &MotifSet::triangular());
-        service.add_document("d-late-0", "late funicular arrival").expect("fresh");
+        service
+            .add_document("d-late-0", "late funicular arrival")
+            .expect("fresh");
         // The searcher grabbed before the seal keeps serving the old corpus.
         let pinned = service.searcher();
         service.seal().expect("seals");
@@ -2025,14 +2175,20 @@ mod tests {
             for text in ["cable car", "funicular fog", "brand new funicular"] {
                 let hits = service.rank_sqe(text, &[cable], &MotifSet::t_and_s());
                 assert!(!hits.is_empty(), "{label}: {text:?} matches");
-                let direct: Vec<String> =
-                    hits.iter().map(|h| searcher.external_id(h.doc).to_owned()).collect();
+                let direct: Vec<String> = hits
+                    .iter()
+                    .map(|h| searcher.external_id(h.doc).to_owned())
+                    .collect();
                 assert_eq!(service.external_ids(&hits), direct, "{label}: {text:?}");
             }
         }
         let (graph, index, cable) = world_of(&DOCS);
         let cfg = SqeConfig::default;
-        check(&QueryService::new(&graph, &index, cfg(), ServeConfig::default()), cable, "new");
+        check(
+            &QueryService::new(&graph, &index, cfg(), ServeConfig::default()),
+            cable,
+            "new",
+        );
 
         let (first, second) = DOCS.split_at(3);
         let part = |docs: &[(&str, &str)]| world_of(docs).1;
@@ -2059,10 +2215,19 @@ mod tests {
                 live.seal().expect("non-empty buffer seals");
             }
         }
-        assert!(live.num_buffered_docs() > 0, "test needs buffered documents");
+        assert!(
+            live.num_buffered_docs() > 0,
+            "test needs buffered documents"
+        );
         let service = QueryService::from_segmented(&graph, live, cfg(), ServeConfig::default());
-        let late = service.add_document("d-late-0", "a brand new funicular").expect("fresh id");
-        assert_eq!(late, DocId(8), "ordinals continue after the buffered documents");
+        let late = service
+            .add_document("d-late-0", "a brand new funicular")
+            .expect("fresh id");
+        assert_eq!(
+            late,
+            DocId(8),
+            "ordinals continue after the buffered documents"
+        );
         service.seal().expect("buffer seals");
         check(&service, cable, "from_segmented, sealed");
         assert!(service.force_merge());
@@ -2076,13 +2241,22 @@ mod tests {
         let mono = QueryService::new(&graph, &index, SqeConfig::default(), ServeConfig::default());
         for shards in [1usize, 2, 3, 5] {
             let service = sharded_service(&graph, shards, 0, 1);
-            for motifs in [MotifSet::triangular(), MotifSet::square(), MotifSet::t_and_s()] {
+            for motifs in [
+                MotifSet::triangular(),
+                MotifSet::square(),
+                MotifSet::t_and_s(),
+            ] {
                 for (text, nodes) in queries(cable) {
                     let want = mono.rank_sqe(&text, &nodes, &motifs);
                     let want_ids = mono.external_ids(&want);
                     let got = service.rank_sqe(&text, &nodes, &motifs);
                     let got_ids = service.external_ids(&got);
-                    assert_eq!(got_ids, want_ids, "shards={shards} motifs={}", motifs.name());
+                    assert_eq!(
+                        got_ids,
+                        want_ids,
+                        "shards={shards} motifs={}",
+                        motifs.name()
+                    );
                     let want_scores: Vec<f64> = want.iter().map(|h| h.score).collect();
                     let got_scores: Vec<f64> = got.iter().map(|h| h.score).collect();
                     assert_eq!(got_scores, want_scores, "scores must be bit-identical");
@@ -2145,7 +2319,9 @@ mod tests {
         // Route a new doc, find its shard, seal only that shard.
         let id = "d-late-0";
         let shard = service.router().route(id);
-        service.add_document(id, "a late funicular arrival").expect("fresh id");
+        service
+            .add_document(id, "a late funicular arrival")
+            .expect("fresh id");
         assert_eq!(service.num_buffered_docs(), 1);
         assert_eq!(
             service.rank_sqe("funicular", &[cable], &MotifSet::triangular()),
@@ -2158,7 +2334,11 @@ mod tests {
         let bumped: Vec<usize> = (0..after.len())
             .filter(|&i| after[i] != before[i])
             .collect();
-        assert_eq!(bumped, vec![shard], "exactly the sealed shard's epoch advances");
+        assert_eq!(
+            bumped,
+            vec![shard],
+            "exactly the sealed shard's epoch advances"
+        );
         assert_eq!(
             service.metrics_snapshot().invalidations,
             invalidations_before + 1,
@@ -2167,7 +2347,10 @@ mod tests {
         // Sealing an empty buffer changes nothing.
         assert!(service.seal_shard(shard).is_none());
         assert_eq!(service.epoch_vector(), after);
-        assert_eq!(service.metrics_snapshot().invalidations, invalidations_before + 1);
+        assert_eq!(
+            service.metrics_snapshot().invalidations,
+            invalidations_before + 1
+        );
     }
 
     #[test]
@@ -2194,10 +2377,13 @@ mod tests {
                 break;
             }
         }
-        let mut shards: Vec<SegmentedIndex> =
-            (0..4).map(|_| SegmentedIndex::new(Analyzer::plain())).collect();
+        let mut shards: Vec<SegmentedIndex> = (0..4)
+            .map(|_| SegmentedIndex::new(Analyzer::plain()))
+            .collect();
         let mut ordinals: Vec<Vec<u32>> = vec![Vec::new(); 4];
-        shards[home].add_document(id, "the original").expect("fresh id");
+        shards[home]
+            .add_document(id, "the original")
+            .expect("fresh id");
         shards[home].seal().expect("seals");
         ordinals[home].push(0);
         let service = QueryService::from_shards(
@@ -2208,7 +2394,11 @@ mod tests {
             SqeConfig::default(),
             ServeConfig::default(),
         );
-        assert_ne!(service.router().route(id), home, "test needs a re-routed id");
+        assert_ne!(
+            service.router().route(id),
+            home,
+            "test needs a re-routed id"
+        );
         assert!(
             matches!(
                 service.add_document(id, "a doppelganger"),
@@ -2225,7 +2415,9 @@ mod tests {
         let service = sharded_service(&graph, 2, 0, 2);
         let qs = queries(cable);
         let want = service.run_batch(&qs, &MotifSet::triangular());
-        service.add_document("d-late-1", "late cable car news").expect("fresh id");
+        service
+            .add_document("d-late-1", "late cable car news")
+            .expect("fresh id");
         let pinned = service.pinned();
         service.seal_all();
         let docs: usize = pinned.shards.iter().map(|s| s.searcher.num_docs()).sum();
@@ -2250,7 +2442,11 @@ mod tests {
                     assert_eq!(hits, want, "shards={shards}");
                     assert_eq!(
                         service.external_ids(&hits),
-                        mono.external_ids(&mono.rank_sqe("cable car", &[cable], &MotifSet::t_and_s())),
+                        mono.external_ids(&mono.rank_sqe(
+                            "cable car",
+                            &[cable],
+                            &MotifSet::t_and_s()
+                        )),
                         "shards={shards}"
                     );
                 }
@@ -2288,7 +2484,9 @@ mod tests {
             SqeConfig::default(),
             ServeConfig::default(),
         );
-        assert!(service.rank_sqe("cable car", &[cable], &MotifSet::triangular()).is_empty());
+        assert!(service
+            .rank_sqe("cable car", &[cable], &MotifSet::triangular())
+            .is_empty());
         assert!(service.rank_sqe_c("cable car", &[cable]).is_empty());
         assert_eq!(service.epoch_vector(), vec![0, 0, 0]);
     }

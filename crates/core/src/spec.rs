@@ -122,8 +122,11 @@ impl WeightRule {
     }
 }
 
-const LINKS: [LinkCondition; 3] =
-    [LinkCondition::Mutual, LinkCondition::OutLink, LinkCondition::AnyDirection];
+const LINKS: [LinkCondition; 3] = [
+    LinkCondition::Mutual,
+    LinkCondition::OutLink,
+    LinkCondition::AnyDirection,
+];
 
 fn link_name(link: LinkCondition) -> &'static str {
     match link {
@@ -179,7 +182,11 @@ impl MotifSpec {
         for &link in &LINKS {
             for &category in &CategoryScope::ALL {
                 for &weight in &WeightRule::ALL {
-                    out.push(MotifSpec { link, category, weight });
+                    out.push(MotifSpec {
+                        link,
+                        category,
+                        weight,
+                    });
                 }
             }
         }
@@ -269,7 +276,11 @@ impl MotifSpec {
         if parts.next().is_some() {
             return None;
         }
-        Some(MotifSpec { link, category, weight })
+        Some(MotifSpec {
+            link,
+            category,
+            weight,
+        })
     }
 
     /// Number of motif instances the candidate closes (0 = no match),
@@ -608,8 +619,14 @@ mod tests {
         b.add_membership(banksy, artists);
         b.add_subcategory(artists, street_art);
         let g = b.build();
-        assert_eq!(MotifSpec::square().expansions(&g, graffiti), vec![(banksy, 1)]);
-        assert_eq!(MotifSpec::square().expansions(&g, banksy), vec![(graffiti, 1)]);
+        assert_eq!(
+            MotifSpec::square().expansions(&g, graffiti),
+            vec![(banksy, 1)]
+        );
+        assert_eq!(
+            MotifSpec::square().expansions(&g, banksy),
+            vec![(graffiti, 1)]
+        );
     }
 
     #[test]
@@ -678,7 +695,10 @@ mod tests {
             ..MotifSpec::triangular()
         };
         assert_eq!(unit.expansions(&g, cable), vec![(funi, 1)]);
-        assert_eq!(MotifSpec::triangular().expansions(&g, cable), vec![(funi, 2)]);
+        assert_eq!(
+            MotifSpec::triangular().expansions(&g, cable),
+            vec![(funi, 2)]
+        );
     }
 
     /// A category chain c_q → mid → c_x: the categories of the linked
@@ -704,8 +724,15 @@ mod tests {
             weight: WeightRule::Counted,
         };
         assert_eq!(cousin.expansions(&g, q), vec![(x, 1)]);
-        assert_eq!(cousin.expansions(&g, x), vec![(q, 1)], "cousin scope is symmetric");
-        assert!(MotifSpec::square().expansions(&g, q).is_empty(), "not adjacent");
+        assert_eq!(
+            cousin.expansions(&g, x),
+            vec![(q, 1)],
+            "cousin scope is symmetric"
+        );
+        assert!(
+            MotifSpec::square().expansions(&g, q).is_empty(),
+            "not adjacent"
+        );
     }
 
     #[test]
@@ -725,7 +752,10 @@ mod tests {
             category: CategoryScope::Cousin,
             weight: WeightRule::Counted,
         };
-        assert!(cousin.expansions(&g, q).is_empty(), "distance-1 pairs are squares");
+        assert!(
+            cousin.expansions(&g, q).is_empty(),
+            "distance-1 pairs are squares"
+        );
     }
 
     #[test]
@@ -737,7 +767,12 @@ mod tests {
         for (i, spec) in all.iter().enumerate() {
             assert_eq!(spec.index(), i, "enumeration order is the index order");
             assert_eq!(MotifSpec::from_index(i), Some(*spec));
-            assert_eq!(MotifSpec::from_name(&spec.name()), Some(*spec), "{}", spec.name());
+            assert_eq!(
+                MotifSpec::from_name(&spec.name()),
+                Some(*spec),
+                "{}",
+                spec.name()
+            );
         }
         assert_eq!(MotifSpec::from_index(all.len()), None);
         let names: std::collections::HashSet<String> = all.iter().map(|s| s.name()).collect();
@@ -773,7 +808,12 @@ mod tests {
         let s = MotifSet::square();
         let ts = MotifSet::t_and_s();
         let none = MotifSet::empty();
-        let prints = [t.fingerprint(), s.fingerprint(), ts.fingerprint(), none.fingerprint()];
+        let prints = [
+            t.fingerprint(),
+            s.fingerprint(),
+            ts.fingerprint(),
+            none.fingerprint(),
+        ];
         let distinct: std::collections::HashSet<_> = prints.iter().collect();
         assert_eq!(distinct.len(), 4);
         for set in [t, s, ts, none] {
@@ -787,7 +827,10 @@ mod tests {
     fn set_names_are_stable() {
         assert_eq!(MotifSet::empty().name(), "none");
         assert_eq!(MotifSet::triangular().name(), "mutual+superset");
-        assert_eq!(MotifSet::t_and_s().name(), "mutual+superset&mutual+adjacent");
+        assert_eq!(
+            MotifSet::t_and_s().name(),
+            "mutual+superset&mutual+adjacent"
+        );
     }
 
     #[test]
@@ -818,7 +861,10 @@ mod tests {
         let ladder = MotifLadder::default_sqe();
         assert_eq!(ladder.len(), 3);
         assert_eq!(ladder.names(), vec!["full", "triangular", "unexpanded"]);
-        assert_eq!(ladder.rung(0).and_then(MotifRung::motifs), Some(&MotifSet::t_and_s()));
+        assert_eq!(
+            ladder.rung(0).and_then(MotifRung::motifs),
+            Some(&MotifSet::t_and_s())
+        );
         assert_eq!(
             ladder.rung(1).and_then(MotifRung::motifs),
             Some(&MotifSet::triangular())

@@ -86,7 +86,12 @@ impl Dictionary {
                     commonness,
                 });
                 bucket.sort_by(|a, b| {
-                    scorecmp::by_score_desc_then_id(a.commonness, b.commonness, a.article, b.article)
+                    scorecmp::by_score_desc_then_id(
+                        a.commonness,
+                        b.commonness,
+                        a.article,
+                        b.article,
+                    )
                 });
             }
         }
@@ -101,7 +106,12 @@ impl Dictionary {
             if let Some(s) = senses.iter_mut().find(|s| s.article == article) {
                 s.commonness = commonness;
                 senses.sort_by(|a, b| {
-                    scorecmp::by_score_desc_then_id(a.commonness, b.commonness, a.article, b.article)
+                    scorecmp::by_score_desc_then_id(
+                        a.commonness,
+                        b.commonness,
+                        a.article,
+                        b.article,
+                    )
                 });
             }
         }
@@ -236,9 +246,7 @@ mod tests {
         d.add("jaguar", ArticleId::new(2), 0.7);
         d.add("jaguar", ArticleId::new(1), 0.3);
         d.add("san francisco cable car", ArticleId::new(1), 1.0);
-        let rebuilt = Dictionary::from_entries(
-            d.iter_entries().map(|(k, v)| (k, v.to_vec())),
-        );
+        let rebuilt = Dictionary::from_entries(d.iter_entries().map(|(k, v)| (k, v.to_vec())));
         assert_eq!(rebuilt.len(), d.len());
         assert_eq!(rebuilt.max_tokens(), d.max_tokens());
         let pairs: Vec<_> = d.iter_entries().collect();

@@ -139,9 +139,7 @@ pub fn perturb_query(text: &str, variant: u64, model: &PerturbationModel) -> Str
     // Mix the variant index into the text-derived seed so each variant
     // has its own independent stream.
     let _ = seed_rng.next_f64();
-    let mut rng = NoiseRng::new(
-        seed_rng.state ^ variant.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-    );
+    let mut rng = NoiseRng::new(seed_rng.state ^ variant.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let tokens: Vec<&str> = text.split_whitespace().collect();
     let mut kept: Vec<String> = Vec::with_capacity(tokens.len());
     for tok in &tokens {
@@ -240,7 +238,10 @@ mod tests {
     #[test]
     fn variant_zero_is_identity() {
         let model = PerturbationModel::light();
-        assert_eq!(perturb_query("historic cable car photos", 0, &model), "historic cable car photos");
+        assert_eq!(
+            perturb_query("historic cable car photos", 0, &model),
+            "historic cable car photos"
+        );
         assert_eq!(
             perturb_query("anything at all", 3, &PerturbationModel::none()),
             "anything at all"

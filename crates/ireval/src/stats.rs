@@ -153,7 +153,8 @@ pub fn ln_gamma(x: f64) -> f64 {
     ];
     if x < 0.5 {
         // Reflection formula.
-        return std::f64::consts::PI.ln() - (std::f64::consts::PI * x).sin().ln()
+        return std::f64::consts::PI.ln()
+            - (std::f64::consts::PI * x).sin().ln()
             - ln_gamma(1.0 - x);
     }
     let x = x - 1.0;

@@ -467,7 +467,11 @@ mod tests {
     }
 
     /// Rebuilds the toy graph with one part substituted.
-    fn rebuild(g: &KbGraph, patch: impl FnOnce(&mut [Csr; 6]), titles: Option<Vec<String>>) -> KbGraph {
+    fn rebuild(
+        g: &KbGraph,
+        patch: impl FnOnce(&mut [Csr; 6]),
+        titles: Option<Vec<String>>,
+    ) -> KbGraph {
         let mut parts = [
             g.article_links().clone(),
             g.article_links_rev().clone(),
@@ -509,10 +513,13 @@ mod tests {
             None,
         );
         let audit = GraphAudit::run(&bad);
-        assert!(audit
-            .violations()
-            .iter()
-            .any(|v| matches!(v, GraphViolation::OffsetsNotMonotonic { csr: CsrKind::ArticleLinks, .. })));
+        assert!(audit.violations().iter().any(|v| matches!(
+            v,
+            GraphViolation::OffsetsNotMonotonic {
+                csr: CsrKind::ArticleLinks,
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -547,29 +554,28 @@ mod tests {
             None,
         );
         let audit = GraphAudit::run(&bad);
-        assert!(audit
-            .violations()
-            .iter()
-            .any(|v| matches!(v, GraphViolation::TargetOutOfBounds { csr: CsrKind::Memberships, .. })));
+        assert!(audit.violations().iter().any(|v| matches!(
+            v,
+            GraphViolation::TargetOutOfBounds {
+                csr: CsrKind::Memberships,
+                ..
+            }
+        )));
     }
 
     #[test]
     fn dropped_reciprocal_edge_detected() {
         let g = toy();
         // Remove every reverse link: forward edges lose their mirrors.
-        let bad = rebuild(
-            &g,
-            |p| p[1] = Csr::from_edges(3, &[]),
-            None,
-        );
+        let bad = rebuild(&g, |p| p[1] = Csr::from_edges(3, &[]), None);
         let audit = GraphAudit::run(&bad);
-        assert!(audit
-            .violations()
-            .iter()
-            .any(|v| matches!(
-                v,
-                GraphViolation::MissingReciprocal { forward: CsrKind::ArticleLinks, .. }
-            )));
+        assert!(audit.violations().iter().any(|v| matches!(
+            v,
+            GraphViolation::MissingReciprocal {
+                forward: CsrKind::ArticleLinks,
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -604,10 +610,13 @@ mod tests {
             None,
         );
         let audit = GraphAudit::run(&bad);
-        assert!(audit
-            .violations()
-            .iter()
-            .any(|v| matches!(v, GraphViolation::RowNotStrictlySorted { csr: CsrKind::ArticleLinks, src: 0 })));
+        assert!(audit.violations().iter().any(|v| matches!(
+            v,
+            GraphViolation::RowNotStrictlySorted {
+                csr: CsrKind::ArticleLinks,
+                src: 0
+            }
+        )));
     }
 
     #[test]

@@ -66,7 +66,11 @@ pub fn to_dot(graph: &KbGraph, nodes: &[(Node, NodeRole)], name: &str) -> String
             if mult == 0 {
                 continue;
             }
-            let attrs = if mult == 2 { " [dir=both]" } else { " [dir=none]" };
+            let attrs = if mult == 2 {
+                " [dir=both]"
+            } else {
+                " [dir=none]"
+            };
             let _ = writeln!(s, "  \"{}\" -> \"{}\"{attrs};", id_of(x), id_of(y));
         }
     }

@@ -153,10 +153,7 @@ mod tests {
         let a = b.add_article("a");
         let lone = b.add_article("lone");
         let g = b.build();
-        assert_eq!(
-            distance(&g, Node::Article(a), Node::Article(lone), 4),
-            None
-        );
+        assert_eq!(distance(&g, Node::Article(a), Node::Article(lone), 4), None);
         let _ = ArticleId::new(0);
     }
 

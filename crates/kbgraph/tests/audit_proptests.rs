@@ -31,7 +31,9 @@ fn build(
 ) -> KbGraph {
     let mut b = GraphBuilder::new();
     let a: Vec<ArticleId> = (0..arts).map(|i| b.add_article(&format!("a{i}"))).collect();
-    let c: Vec<CategoryId> = (0..cats).map(|i| b.add_category(&format!("c{i}"))).collect();
+    let c: Vec<CategoryId> = (0..cats)
+        .map(|i| b.add_category(&format!("c{i}")))
+        .collect();
     for &(s, d) in links {
         if s != d {
             b.add_article_link(a[s as usize], a[d as usize]);

@@ -204,7 +204,9 @@ impl fmt::Display for IndexViolation {
                 "term {term}: parallel postings arrays disagree \
                  (docs={docs}, tfs={tfs}, pos_offsets={pos_offsets})"
             ),
-            IndexViolation::ZeroTf { term, doc } => write!(f, "term {term}: zero tf recorded for doc {doc}"),
+            IndexViolation::ZeroTf { term, doc } => {
+                write!(f, "term {term}: zero tf recorded for doc {doc}")
+            }
             IndexViolation::PosOffsetsMalformed { term } => {
                 write!(f, "term {term}: pos_offsets not monotonic over positions")
             }
@@ -240,10 +242,9 @@ impl fmt::Display for IndexViolation {
                 f,
                 "term {term}: stored collection tf {stored} != derived {derived}"
             ),
-            IndexViolation::CollectionLenMismatch { stored, derived } => write!(
-                f,
-                "collection_len {stored} != sum of doc lengths {derived}"
-            ),
+            IndexViolation::CollectionLenMismatch { stored, derived } => {
+                write!(f, "collection_len {stored} != sum of doc lengths {derived}")
+            }
             IndexViolation::DocLensLenMismatch { docs, doc_lens } => {
                 write!(f, "doc_lens has {doc_lens} entries for {docs} docs")
             }

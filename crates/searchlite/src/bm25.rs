@@ -52,8 +52,7 @@ fn resolve(searcher: &Searcher, query: &Query) -> Vec<Bm25Feature> {
         let postings: Option<Vec<(DocId, u32)>> = match &wf.feature {
             Feature::Term(tok) => searcher.term_id(tok).map(|t| searcher.term_postings(t)),
             Feature::Phrase(tokens) => {
-                let ids: Option<Vec<TermId>> =
-                    tokens.iter().map(|t| searcher.term_id(t)).collect();
+                let ids: Option<Vec<TermId>> = tokens.iter().map(|t| searcher.term_id(t)).collect();
                 ids.map(|ids| {
                     let mut postings = Vec::new();
                     searcher.phrase_postings_with(&ids, &mut pos, &mut postings);
@@ -105,7 +104,10 @@ pub fn rank(
     if features.is_empty() {
         return Vec::new();
     }
-    let mut candidates: Vec<u32> = features.iter().flat_map(|f| f.tfs.keys().copied()).collect();
+    let mut candidates: Vec<u32> = features
+        .iter()
+        .flat_map(|f| f.tfs.keys().copied())
+        .collect();
     candidates.sort_unstable();
     candidates.dedup();
     let mut top = TopK::new(k);
@@ -164,8 +166,15 @@ mod tests {
         let idf_cable = (1.0f64 + (3.0 - 2.0 + 0.5) / (2.0 + 0.5)).ln();
         let norm1 = 1.2 * (1.0 - 0.75 + 0.75 * 4.0 / avgdl);
         let expected1 = idf_cable * 2.0 * 2.2 / (2.0 + norm1);
-        let top = hits.iter().find(|h| idx.external_id(h.doc) == "d1").unwrap();
-        assert!((top.score - expected1).abs() < 1e-12, "{} vs {expected1}", top.score);
+        let top = hits
+            .iter()
+            .find(|h| idx.external_id(h.doc) == "d1")
+            .unwrap();
+        assert!(
+            (top.score - expected1).abs() < 1e-12,
+            "{} vs {expected1}",
+            top.score
+        );
     }
 
     #[test]

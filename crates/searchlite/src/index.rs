@@ -289,18 +289,21 @@ impl IndexBuilder {
             let positions = &doc_terms[&tid];
             let p = &mut self.postings[tid as usize];
             p.docs.push(doc);
-            p.tfs
-                .push(u32::try_from(positions.len()).expect("invariant: term frequency fits in u32"));
+            p.tfs.push(
+                u32::try_from(positions.len()).expect("invariant: term frequency fits in u32"),
+            );
             p.positions.extend_from_slice(positions);
             p.pos_offsets.push(
                 u32::try_from(p.positions.len()).expect("invariant: positions length fits in u32"),
             );
             self.fwd_terms.push(tid);
-            self.fwd_tfs
-                .push(u32::try_from(positions.len()).expect("invariant: term frequency fits in u32"));
+            self.fwd_tfs.push(
+                u32::try_from(positions.len()).expect("invariant: term frequency fits in u32"),
+            );
         }
         self.fwd_offsets.push(
-            u32::try_from(self.fwd_terms.len()).expect("invariant: forward index length fits in u32"),
+            u32::try_from(self.fwd_terms.len())
+                .expect("invariant: forward index length fits in u32"),
         );
         self.doc_terms = doc_terms;
         self.token_buf = tokens;
@@ -405,7 +408,10 @@ impl std::fmt::Display for IndexShapeError {
                 section,
                 len,
                 expected,
-            } => write!(f, "index section `{section}` has length {len}, expected {expected}"),
+            } => write!(
+                f,
+                "index section `{section}` has length {len}, expected {expected}"
+            ),
             IndexShapeError::DuplicateTerm { term } => {
                 write!(f, "term {term} duplicates an earlier dictionary entry")
             }
@@ -419,7 +425,10 @@ impl std::fmt::Display for IndexShapeError {
                 "term {term} postings misaligned: docs={docs}, tfs={tfs}, pos_offsets={pos_offsets}"
             ),
             IndexShapeError::PosOffsetsMalformed { term } => {
-                write!(f, "term {term} position offsets are not a prefix-sum of its positions")
+                write!(
+                    f,
+                    "term {term} position offsets are not a prefix-sum of its positions"
+                )
             }
             IndexShapeError::DocOutOfBounds {
                 term,
@@ -1162,7 +1171,10 @@ impl Index {
             for d in 0..num_docs {
                 let lo = self.fwd_offsets[d] as usize;
                 let hi = self.fwd_offsets[d + 1] as usize;
-                for (&t, &f) in self.fwd_terms[lo..hi].iter().zip(self.fwd_tfs[lo..hi].iter()) {
+                for (&t, &f) in self.fwd_terms[lo..hi]
+                    .iter()
+                    .zip(self.fwd_tfs[lo..hi].iter())
+                {
                     match self.postings.get(t as usize) {
                         None => v.push(V::FwdTermOutOfBounds {
                             doc: d as u32,
@@ -1322,10 +1334,7 @@ mod tests {
             .doc_terms(DocId(1))
             .map(|(t, f)| (idx.term(t).to_owned(), f))
             .collect();
-        assert_eq!(
-            terms,
-            vec![("cable".to_owned(), 2), ("car".to_owned(), 2)]
-        );
+        assert_eq!(terms, vec![("cable".to_owned(), 2), ("car".to_owned(), 2)]);
         // Forward tf must agree with inverted tf for every (doc, term).
         for d in 0..idx.num_docs() as u32 {
             for (t, f) in idx.doc_terms(DocId(d)) {
@@ -1343,8 +1352,18 @@ mod tests {
         assert_eq!(restored.num_docs(), idx.num_docs());
         assert_eq!(restored.collection_len(), idx.collection_len());
         let q = Query::parse_text("cable car", &Analyzer::plain());
-        let h1 = ql::rank(&crate::Searcher::from_index(idx), &q, QlParams { mu: 10.0 }, 5);
-        let h2 = ql::rank(&crate::Searcher::from_index(restored), &q, QlParams { mu: 10.0 }, 5);
+        let h1 = ql::rank(
+            &crate::Searcher::from_index(idx),
+            &q,
+            QlParams { mu: 10.0 },
+            5,
+        );
+        let h2 = ql::rank(
+            &crate::Searcher::from_index(restored),
+            &q,
+            QlParams { mu: 10.0 },
+            5,
+        );
         assert_eq!(h1, h2, "retrieval must be identical after reload");
     }
 
@@ -1367,7 +1386,13 @@ mod tests {
         )
         .unwrap_err();
         assert!(
-            matches!(err, IndexShapeError::SectionLenMismatch { section: "doc_lens", .. }),
+            matches!(
+                err,
+                IndexShapeError::SectionLenMismatch {
+                    section: "doc_lens",
+                    ..
+                }
+            ),
             "{err}"
         );
         // The same inconsistency smuggled through JSON is caught at decode.

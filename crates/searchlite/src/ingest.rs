@@ -42,7 +42,10 @@ impl std::fmt::Display for IngestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IngestError::DuplicateExternalId { external_id } => {
-                write!(f, "external id `{external_id}` already exists in the segmented index")
+                write!(
+                    f,
+                    "external id `{external_id}` already exists in the segmented index"
+                )
             }
         }
     }
@@ -179,7 +182,9 @@ impl MergeTask {
     /// zero (no same-tier run existed); installing a zero-merge outcome
     /// is a no-op.
     pub fn run_policy(mut self) -> MergeOutcome {
-        let merges = self.policy.apply(&mut self.segments, &mut self.next_segment_id);
+        let merges = self
+            .policy
+            .apply(&mut self.segments, &mut self.next_segment_id);
         MergeOutcome {
             segments: self.segments,
             next_segment_id: self.next_segment_id,
@@ -548,10 +553,8 @@ mod tests {
     #[test]
     fn force_merge_compacts_to_monolithic() {
         // Large merge factor => no auto merges; then force.
-        let mut s = SegmentedIndex::with_policy(
-            Analyzer::plain(),
-            TieredMergePolicy { merge_factor: 64 },
-        );
+        let mut s =
+            SegmentedIndex::with_policy(Analyzer::plain(), TieredMergePolicy { merge_factor: 64 });
         let all = docs(5);
         for (id, text) in &all {
             s.add_document(id, text).expect("fresh");
@@ -589,10 +592,8 @@ mod tests {
 
     #[test]
     fn stale_merge_outcome_is_discarded() {
-        let mut s = SegmentedIndex::with_policy(
-            Analyzer::plain(),
-            TieredMergePolicy { merge_factor: 64 },
-        );
+        let mut s =
+            SegmentedIndex::with_policy(Analyzer::plain(), TieredMergePolicy { merge_factor: 64 });
         for (id, text) in &docs(3) {
             s.add_document(id, text).expect("fresh");
             s.seal().expect("seals");

@@ -124,7 +124,12 @@ pub fn expand_query(index: &Searcher, query: &Query, params: PrfParams) -> Query
 
 /// Full PRF retrieval: expand with the relevance model, then rank with the
 /// reformulated query.
-pub fn rank_with_prf(index: &Searcher, query: &Query, params: PrfParams, k: usize) -> Vec<SearchHit> {
+pub fn rank_with_prf(
+    index: &Searcher,
+    query: &Query,
+    params: PrfParams,
+    k: usize,
+) -> Vec<SearchHit> {
     let expanded = expand_query(index, query, params);
     ql::rank(index, &expanded, params.ql, k)
 }

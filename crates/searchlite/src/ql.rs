@@ -277,7 +277,12 @@ impl<'a> Cursor<'a> {
 fn recycle<'b>(mut v: Vec<Cursor<'_>>) -> Vec<Cursor<'b>> {
     v.clear();
     v.into_iter()
-        .map(|_| Cursor::new(Postings::Term { docs: &[], tfs: &[] }))
+        .map(|_| {
+            Cursor::new(Postings::Term {
+                docs: &[],
+                tfs: &[],
+            })
+        })
         .collect()
 }
 
@@ -882,7 +887,10 @@ mod tests {
             let q = Query::parse_text(text, &Analyzer::plain());
             let a = rank(&mono, &q, QlParams { mu: 10.0 }, 10);
             let b = rank(&segd, &q, QlParams { mu: 10.0 }, 10);
-            assert_eq!(a, b, "query {text:?}: scores and order must be bit-identical");
+            assert_eq!(
+                a, b,
+                "query {text:?}: scores and order must be bit-identical"
+            );
         }
         let mut q = Query::new();
         q.push_phrase_tokens(vec!["cable".into(), "car".into()], 1.0);

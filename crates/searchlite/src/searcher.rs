@@ -83,8 +83,7 @@ impl Searcher {
             let idx = seg.index();
             let mut globals = Vec::with_capacity(idx.num_terms());
             for (local, token) in idx.terms().iter().enumerate() {
-                let local32 =
-                    u32::try_from(local).expect("invariant: term count fits in u32 ids");
+                let local32 = u32::try_from(local).expect("invariant: term count fits in u32 ids");
                 let g = *dict.entry(token.clone()).or_insert_with(|| {
                     let g = u32::try_from(locators.len())
                         .expect("invariant: merged term count fits in u32 ids");
@@ -349,7 +348,11 @@ mod tests {
     fn segmented(splits: &[usize]) -> Searcher {
         let mut segs = Vec::new();
         let mut start = 0;
-        for (i, &end) in splits.iter().chain(std::iter::once(&DOCS.len())).enumerate() {
+        for (i, &end) in splits
+            .iter()
+            .chain(std::iter::once(&DOCS.len()))
+            .enumerate()
+        {
             let mut b = IndexBuilder::new(Analyzer::plain());
             for (id, text) in &DOCS[start..end] {
                 b.add_document(id, text).expect("unique test ids");
@@ -414,7 +417,10 @@ mod tests {
         }
         assert_eq!(docs, mono.postings(cable).docs());
         let spaceship = TermId(u32::try_from(s.num_terms()).expect("small test corpus"));
-        assert!(s.segment_postings(0, spaceship).is_none(), "unknown term ids have no postings");
+        assert!(
+            s.segment_postings(0, spaceship).is_none(),
+            "unknown term ids have no postings"
+        );
     }
 
     #[test]
@@ -429,7 +435,11 @@ mod tests {
             let mut got = vec![(DocId(7), 1)];
             s.phrase_postings_with(&[cable, car], &mut scratch, &mut got);
             assert_eq!(got.remove(0), (DocId(7), 1));
-            assert_eq!(got, mono.phrase_postings(&[cable, car]), "splits {splits:?}");
+            assert_eq!(
+                got,
+                mono.phrase_postings(&[cable, car]),
+                "splits {splits:?}"
+            );
         }
     }
 

@@ -215,8 +215,11 @@ mod tests {
             )
             .expect("merge succeeds");
             let m = merged.index();
-            assert_eq!(m.to_json().expect("json"), mono.to_json().expect("json"),
-                "split at {split} must reproduce the monolithic index exactly");
+            assert_eq!(
+                m.to_json().expect("json"),
+                mono.to_json().expect("json"),
+                "split at {split} must reproduce the monolithic index exactly"
+            );
         }
     }
 
@@ -250,11 +253,8 @@ mod tests {
 
     #[test]
     fn merged_segment_passes_audit() {
-        let merged = Segment::merge(
-            2,
-            &[segment_of(0, &DOCS[..3]), segment_of(1, &DOCS[3..])],
-        )
-        .expect("merge succeeds");
+        let merged = Segment::merge(2, &[segment_of(0, &DOCS[..3]), segment_of(1, &DOCS[3..])])
+            .expect("merge succeeds");
         assert!(crate::audit::IndexAudit::run(merged.index()).is_clean());
     }
 }

@@ -289,7 +289,12 @@ mod tests {
         (searchers, ordinals)
     }
 
-    fn sharded_ql(router: &ShardRouter, query: &Query, params: QlParams, k: usize) -> Vec<SearchHit> {
+    fn sharded_ql(
+        router: &ShardRouter,
+        query: &Query,
+        params: QlParams,
+        k: usize,
+    ) -> Vec<SearchHit> {
         let (searchers, ordinals) = sharded(router);
         let staged = StagedQuery::single(query);
         let mut scratch = QlScratch::new();

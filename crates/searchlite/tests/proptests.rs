@@ -12,8 +12,11 @@ fn corpus() -> impl Strategy<Value = Vec<Vec<String>>> {
     let word = prop::sample::select(vec![
         "alpha", "beta", "gamma", "delta", "omega", "cable", "car", "wall",
     ]);
-    prop::collection::vec(prop::collection::vec(word, 1..12), 1..12)
-        .prop_map(|docs| docs.into_iter().map(|d| d.into_iter().map(str::to_owned).collect()).collect())
+    prop::collection::vec(prop::collection::vec(word, 1..12), 1..12).prop_map(|docs| {
+        docs.into_iter()
+            .map(|d| d.into_iter().map(str::to_owned).collect())
+            .collect()
+    })
 }
 
 fn build_index(docs: &[Vec<String>]) -> searchlite::Index {

@@ -188,10 +188,12 @@ impl<'a> Cursor<'a> {
     /// must back `elem_size`-byte elements.
     fn get_len(&mut self, elem_size: usize, what: &'static str) -> Result<usize, StoreError> {
         let len = self.get_u32(what)? as usize;
-        let needed = len.checked_mul(elem_size).ok_or_else(|| StoreError::Malformed {
-            section: self.section,
-            detail: format!("{what}: length {len} overflows"),
-        })?;
+        let needed = len
+            .checked_mul(elem_size)
+            .ok_or_else(|| StoreError::Malformed {
+                section: self.section,
+                detail: format!("{what}: length {len} overflows"),
+            })?;
         if needed > self.remaining() {
             return Err(too_short(self.section, what, needed, self.remaining()));
         }

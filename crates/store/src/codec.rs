@@ -53,7 +53,10 @@ fn put_csr(b: &mut SectionBuf, csr: &Csr) -> Result<(), StoreError> {
     b.put_u32_slice(csr.targets())
 }
 
-fn get_csr_parts(c: &mut Cursor<'_>, what: &'static str) -> Result<(Vec<u32>, Vec<u32>), StoreError> {
+fn get_csr_parts(
+    c: &mut Cursor<'_>,
+    what: &'static str,
+) -> Result<(Vec<u32>, Vec<u32>), StoreError> {
     let offsets = c.get_u32_vec(what)?;
     let targets = c.get_u32_vec(what)?;
     Ok((offsets, targets))
@@ -180,7 +183,12 @@ pub fn decode_index(payload: &[u8], section: u32, name: &str) -> Result<Index, S
         let tfs = c.get_u32_vec("index.postings.tfs")?;
         let pos_offsets = c.get_u32_vec("index.postings.pos_offsets")?;
         let positions = c.get_u32_vec("index.postings.positions")?;
-        postings.push(TermPostings::from_raw_parts(docs, tfs, pos_offsets, positions));
+        postings.push(TermPostings::from_raw_parts(
+            docs,
+            tfs,
+            pos_offsets,
+            positions,
+        ));
     }
     c.finish()?;
     // Single-pass validation: `from_raw_parts_audited` runs the full
@@ -317,14 +325,25 @@ mod tests {
         let mut b = IndexBuilder::new(Analyzer::english());
         b.add_document("d0", "a cable car climbing the hillside")
             .expect("unique test ids");
-        b.add_document("d1", "street art on the walls").expect("unique test ids");
+        b.add_document("d1", "street art on the walls")
+            .expect("unique test ids");
         let idx = b.build();
         let bytes = encode_index(&idx).unwrap();
         let restored = decode_index(&bytes, 0x100, "c0").unwrap();
         let q = Query::parse_text("cable car", &Analyzer::english());
         assert_eq!(
-            ql::rank(&searchlite::Searcher::from_index(idx), &q, QlParams::default(), 10),
-            ql::rank(&searchlite::Searcher::from_index(restored), &q, QlParams::default(), 10)
+            ql::rank(
+                &searchlite::Searcher::from_index(idx),
+                &q,
+                QlParams::default(),
+                10
+            ),
+            ql::rank(
+                &searchlite::Searcher::from_index(restored),
+                &q,
+                QlParams::default(),
+                10
+            )
         );
     }
 

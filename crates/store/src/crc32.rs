@@ -103,7 +103,9 @@ mod tests {
         // Lengths 0..64 cover every remainder class several times over,
         // so prefix handling, the 8-byte loop and the tail all agree
         // with the reference implementation.
-        let data: Vec<u8> = (0..64u32).map(|i| (i.wrapping_mul(37) ^ 0xA5) as u8).collect();
+        let data: Vec<u8> = (0..64u32)
+            .map(|i| (i.wrapping_mul(37) ^ 0xA5) as u8)
+            .collect();
         for len in 0..=data.len() {
             assert_eq!(
                 crc32(&data[..len]),

@@ -86,7 +86,9 @@ pub fn segment_section_id(collection: usize, segment: usize) -> Result<u32, Stor
         .ok()
         .and_then(|c| c.checked_add(1))
         .and_then(|c| c.checked_mul(SEC_INDEX_BASE));
-    let s = u32::try_from(segment).ok().filter(|&s| s < MAX_SEGMENTS_PER_COLLECTION);
+    let s = u32::try_from(segment)
+        .ok()
+        .filter(|&s| s < MAX_SEGMENTS_PER_COLLECTION);
     match (c, s) {
         (Some(c), Some(s)) => Ok(c + s),
         _ => Err(StoreError::SectionTable {
@@ -352,9 +354,11 @@ pub fn decode_header(bytes: &[u8]) -> Result<Vec<SectionEntry>, StoreError> {
                 ),
             });
         }
-        let end = offset.checked_add(len).ok_or_else(|| StoreError::SectionTable {
-            detail: format!("section {i} extent overflows"),
-        })?;
+        let end = offset
+            .checked_add(len)
+            .ok_or_else(|| StoreError::SectionTable {
+                detail: format!("section {i} extent overflows"),
+            })?;
         if end > bytes.len() {
             return Err(StoreError::Truncated {
                 needed: end,
@@ -496,9 +500,11 @@ pub fn decode_footer(bytes: &[u8]) -> Result<Vec<SectionEntry>, StoreError> {
                 ),
             });
         }
-        let payload_end = offset.checked_add(len).ok_or_else(|| StoreError::SectionTable {
-            detail: format!("section {i} extent overflows"),
-        })?;
+        let payload_end = offset
+            .checked_add(len)
+            .ok_or_else(|| StoreError::SectionTable {
+                detail: format!("section {i} extent overflows"),
+            })?;
         if payload_end > footer_start {
             return Err(StoreError::SectionTable {
                 detail: format!(
@@ -508,7 +514,9 @@ pub fn decode_footer(bytes: &[u8]) -> Result<Vec<SectionEntry>, StoreError> {
             });
         }
         let padded_end = align8(payload_end);
-        let pad = bytes.get(payload_end..padded_end.min(footer_start)).unwrap_or(&[]);
+        let pad = bytes
+            .get(payload_end..padded_end.min(footer_start))
+            .unwrap_or(&[]);
         if pad.iter().any(|&b| b != 0) {
             return Err(StoreError::SectionTable {
                 detail: format!("nonzero padding after section {i} (id {:#x})", e.id),
@@ -638,7 +646,10 @@ mod tests {
         assert_eq!(segment_section_id(0, 5).unwrap(), 0x105);
         assert_eq!(segment_section_id(1, 0).unwrap(), 0x200);
         assert_eq!(segment_section_id(2, 0xFF).unwrap(), 0x3FF);
-        assert!(segment_section_id(0, 0x100).is_err(), "segment ordinal overflow");
+        assert!(
+            segment_section_id(0, 0x100).is_err(),
+            "segment ordinal overflow"
+        );
     }
 
     #[test]

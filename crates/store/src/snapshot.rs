@@ -19,10 +19,10 @@ use crate::codec::{
 use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::format::{
-    align8, decode_footer, decode_header, encode_footer, encode_header,
-    encode_prefix_v2, find_section, footer_span, header_span, section_payload,
-    segment_section_id, verify_section_crc, SectionEntry, MAX_SEGMENTS_PER_COLLECTION, SEC_DICT,
-    SEC_GRAPH, SEC_INDEX_BASE, SEC_META, VERSION, VERSION_V1,
+    align8, decode_footer, decode_header, encode_footer, encode_header, encode_prefix_v2,
+    find_section, footer_span, header_span, section_payload, segment_section_id,
+    verify_section_crc, SectionEntry, MAX_SEGMENTS_PER_COLLECTION, SEC_DICT, SEC_GRAPH,
+    SEC_INDEX_BASE, SEC_META, VERSION, VERSION_V1,
 };
 
 /// Identification string embedded in the META section.
@@ -599,7 +599,10 @@ mod tests {
 
     fn toy_bytes() -> Vec<u8> {
         let (graph, dict) = toy_graph_dict();
-        let index = toy_index(&[("d0", "the cable car climbs"), ("d1", "a funicular railway")]);
+        let index = toy_index(&[
+            ("d0", "the cable car climbs"),
+            ("d1", "a funicular railway"),
+        ]);
         let segments = [&index];
         let collections = [("toy", &segments[..])];
         encode_snapshot(&SnapshotContents {
@@ -627,7 +630,10 @@ mod tests {
     fn segmented_roundtrip() {
         let (graph, dict) = toy_graph_dict();
         let a = toy_index(&[("d0", "the cable car climbs")]);
-        let b = toy_index(&[("d1", "a funicular railway"), ("d2", "rail transport history")]);
+        let b = toy_index(&[
+            ("d1", "a funicular railway"),
+            ("d2", "rail transport history"),
+        ]);
         let segments = [&a, &b];
         let collections = [("toy", &segments[..])];
         let bytes = encode_snapshot(&SnapshotContents {
@@ -683,7 +689,10 @@ mod tests {
     #[test]
     fn v1_encode_still_decodes() {
         let (graph, dict) = toy_graph_dict();
-        let index = toy_index(&[("d0", "the cable car climbs"), ("d1", "a funicular railway")]);
+        let index = toy_index(&[
+            ("d0", "the cable car climbs"),
+            ("d1", "a funicular railway"),
+        ]);
         let segments = [&index];
         let collections = [("toy", &segments[..])];
         let contents = SnapshotContents {
@@ -731,7 +740,10 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("world.snap");
         let (graph, dict) = toy_graph_dict();
-        let index = toy_index(&[("d0", "the cable car climbs"), ("d1", "a funicular railway")]);
+        let index = toy_index(&[
+            ("d0", "the cable car climbs"),
+            ("d1", "a funicular railway"),
+        ]);
         let segments = [&index];
         let collections = [("toy", &segments[..])];
         let contents = SnapshotContents {
@@ -741,7 +753,11 @@ mod tests {
         };
         let written = write_snapshot(&path, &contents).unwrap();
         assert_eq!(written, fs::metadata(&path).unwrap().len());
-        assert_eq!(temp_files(&dir, "world.snap"), 0, "temp file must not linger");
+        assert_eq!(
+            temp_files(&dir, "world.snap"),
+            0,
+            "temp file must not linger"
+        );
         let snap = Snapshot::load(&path).unwrap();
         assert_eq!(snap.graph().num_articles(), 2);
         fs::remove_file(&path).unwrap();
@@ -794,9 +810,16 @@ mod tests {
             }
         });
         let on_disk = fs::read(&path).unwrap();
-        assert!(on_disk == first || on_disk == second, "the file is one whole image");
+        assert!(
+            on_disk == first || on_disk == second,
+            "the file is one whole image"
+        );
         Snapshot::load(&path).unwrap();
-        assert_eq!(temp_files(&dir, "world.snap"), 0, "no temp file left behind");
+        assert_eq!(
+            temp_files(&dir, "world.snap"),
+            0,
+            "no temp file left behind"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -36,11 +36,14 @@ fn toy_parts() -> (kbgraph::KbGraph, Vec<Index>, Dictionary) {
     let graph = b.build();
 
     let mut ib = IndexBuilder::new(Analyzer::english());
-    ib.add_document("d0", "the cable car climbs the hill").expect("unique ids");
-    ib.add_document("d1", "a funicular railway in the alps").expect("unique ids");
+    ib.add_document("d0", "the cable car climbs the hill")
+        .expect("unique ids");
+    ib.add_document("d1", "a funicular railway in the alps")
+        .expect("unique ids");
     let idx_a = ib.build();
     let mut ib = IndexBuilder::new(Analyzer::english());
-    ib.add_document("e0", "history of rail transport").expect("unique ids");
+    ib.add_document("e0", "history of rail transport")
+        .expect("unique ids");
     let idx_b = ib.build();
 
     let mut dict = Dictionary::new();
@@ -260,7 +263,10 @@ proptest! {
 fn empty_and_tiny_inputs_are_rejected_not_panics() {
     for len in 0..64usize {
         let zeros = vec![0u8; len];
-        assert!(Snapshot::from_bytes(&zeros).is_err(), "{len} zero bytes accepted");
+        assert!(
+            Snapshot::from_bytes(&zeros).is_err(),
+            "{len} zero bytes accepted"
+        );
     }
     assert!(Snapshot::from_bytes(b"SQESNAP\0").is_err());
 }

@@ -45,8 +45,10 @@ fn toy_world() -> (KbGraph, Index, Dictionary) {
     b.add_membership(funi, rail);
     let graph = b.build();
     let mut ib = IndexBuilder::new(Analyzer::english());
-    ib.add_document("d0", "the cable car climbs").expect("unique test ids");
-    ib.add_document("d1", "a funicular railway").expect("unique test ids");
+    ib.add_document("d0", "the cable car climbs")
+        .expect("unique test ids");
+    ib.add_document("d1", "a funicular railway")
+        .expect("unique test ids");
     let index = ib.build();
     let mut dict = Dictionary::new();
     dict.add("cable car", cable, 1.0);
@@ -67,7 +69,8 @@ fn testbed_snapshot_bytes_are_stable_and_canonical() {
         .map(|coll| {
             let mut b = IndexBuilder::new(Analyzer::english());
             for d in &coll.docs {
-                b.add_document(&d.id, &d.text).expect("test bed ids are unique");
+                b.add_document(&d.id, &d.text)
+                    .expect("test bed ids are unique");
             }
             b.build()
         })
@@ -84,7 +87,10 @@ fn testbed_snapshot_bytes_are_stable_and_canonical() {
 
     let first = encode(&bed.kb.graph, &named, &dict);
     let second = encode(&bed.kb.graph, &named, &dict);
-    assert_eq!(first, second, "encoding the same world twice must be byte-identical");
+    assert_eq!(
+        first, second,
+        "encoding the same world twice must be byte-identical"
+    );
 
     // Decode, then re-encode the decoded structures: still the same
     // bytes, so decode is lossless and encode is canonical (independent
@@ -92,8 +98,10 @@ fn testbed_snapshot_bytes_are_stable_and_canonical() {
     let (graph, owned, dict2) = Snapshot::from_bytes(&first)
         .expect("snapshot decodes")
         .into_parts();
-    let reslices: Vec<Vec<&Index>> =
-        owned.iter().map(|(_, segs)| segs.iter().collect()).collect();
+    let reslices: Vec<Vec<&Index>> = owned
+        .iter()
+        .map(|(_, segs)| segs.iter().collect())
+        .collect();
     let renamed: Vec<(&str, &[&Index])> = owned
         .iter()
         .map(|(n, _)| n.as_str())
@@ -167,7 +175,10 @@ fn committed_v1_fixture_still_loads_and_verifies() {
         dict: &dict,
     })
     .expect("v1 encodes");
-    assert_eq!(bytes, fresh, "fixture bytes must match the frozen v1 encoder");
+    assert_eq!(
+        bytes, fresh,
+        "fixture bytes must match the frozen v1 encoder"
+    );
 }
 
 /// Regenerates the committed fixture. Run explicitly with

@@ -309,7 +309,8 @@ impl ConceptSpace {
             // always relevant, always mutual.
             let mut sub_offsets: Vec<i64> = Vec::new();
             let mut k = 1i64;
-            while sub_offsets.len() < cfg.mutual_same_subtopic * 2 && (k * subs as i64) < size as i64
+            while sub_offsets.len() < cfg.mutual_same_subtopic * 2
+                && (k * subs as i64) < size as i64
             {
                 if (k * subs as i64) % 2 == 1 {
                     sub_offsets.push(k * subs as i64);
@@ -468,14 +469,8 @@ mod tests {
         let s = ConceptSpace::generate(&cfg);
         assert_eq!(s.domains.len(), cfg.domains);
         assert_eq!(s.topics.len(), cfg.domains * cfg.topics_per_domain);
-        assert_eq!(
-            s.entities.len(),
-            s.topics.len() * cfg.entities_per_topic
-        );
-        assert_eq!(
-            s.subtopics.len(),
-            s.topics.len() * cfg.subtopics_per_topic
-        );
+        assert_eq!(s.entities.len(), s.topics.len() * cfg.entities_per_topic);
+        assert_eq!(s.subtopics.len(), s.topics.len() * cfg.subtopics_per_topic);
     }
 
     #[test]

@@ -201,8 +201,7 @@ pub fn stream_documents_with_means(
                     } else {
                         &[]
                     };
-                    let text =
-                        entity_document_with_aspect(space, cfg, e, aspect_words, &mut rng);
+                    let text = entity_document_with_aspect(space, cfg, e, aspect_words, &mut rng);
                     em.push(text, Some(e), false);
                 }
             }
@@ -273,11 +272,15 @@ fn entity_document_with_aspect(
     }
     let n_topic = rng.gen_range(2..=3);
     for _ in 0..n_topic {
-        segments.push(vec![topic.words[rng.gen_range(0..topic.words.len())].clone()]);
+        segments.push(vec![
+            topic.words[rng.gen_range(0..topic.words.len())].clone()
+        ]);
     }
     let n_domain = rng.gen_range(1..=2);
     for _ in 0..n_domain {
-        segments.push(vec![domain.words[rng.gen_range(0..domain.words.len())].clone()]);
+        segments.push(vec![
+            domain.words[rng.gen_range(0..domain.words.len())].clone()
+        ]);
     }
     for a in aspect_words {
         // Vocabulary mismatch even on-aspect: captions usually express the
@@ -387,7 +390,9 @@ fn boilerplate_document(
                 .caption_pool
                 .get(rng.gen_range(0..space.caption_pool.len()))
         } else {
-            space.global_pool.get(rng.gen_range(0..space.global_pool.len()))
+            space
+                .global_pool
+                .get(rng.gen_range(0..space.global_pool.len()))
         };
         words.push(w);
     }
@@ -401,7 +406,11 @@ fn noise_document(space: &ConceptSpace, cfg: &CollectionConfig, rng: &mut SmallR
     let (lo, hi) = cfg.doc_len;
     let len = rng.gen_range(lo..=hi);
     let mut words: Vec<String> = (0..len)
-        .map(|_| space.global_pool.get(rng.gen_range(0..space.global_pool.len())))
+        .map(|_| {
+            space
+                .global_pool
+                .get(rng.gen_range(0..space.global_pool.len()))
+        })
         .collect();
     let w = space
         .caption_pool
@@ -464,8 +473,7 @@ mod tests {
             let n = docs
                 .iter()
                 .filter(|d| {
-                    d.judged_relevant
-                        && d.about.is_some_and(|e| q.relevant_entities.contains(&e))
+                    d.judged_relevant && d.about.is_some_and(|e| q.relevant_entities.contains(&e))
                 })
                 .count();
             assert!(n > 0, "non-zero-relevant query must have relevant docs");
@@ -530,7 +538,9 @@ mod tests {
         let (_, _, docs) = setup();
         let boiler: Vec<&Document> = docs
             .iter()
-            .filter(|d| d.about.is_none() && d.text.split(' ').count() >= cfg.imageclef.boilerplate_len)
+            .filter(|d| {
+                d.about.is_none() && d.text.split(' ').count() >= cfg.imageclef.boilerplate_len
+            })
             .collect();
         assert!(!boiler.is_empty());
         // Broad coverage: plenty of distinct words per record.

@@ -66,8 +66,7 @@ impl GroundTruth {
     pub fn derive(kb: &SynthKb, space: &ConceptSpace, queries: &[QuerySpec]) -> GroundTruth {
         let mut graphs = BTreeMap::new();
         for q in queries {
-            let query_nodes: Vec<ArticleId> =
-                q.targets.iter().map(|&e| kb.article_of[e]).collect();
+            let query_nodes: Vec<ArticleId> = q.targets.iter().map(|&e| kb.article_of[e]).collect();
             let target_subtopics: Vec<usize> = q
                 .targets
                 .iter()

@@ -112,7 +112,9 @@ impl SynthKb {
         // mostly one-way links.
         let mut entity_of: Vec<Option<usize>> = (0..space.entities.len()).map(Some).collect();
         for n in 0..cfg.noise_articles {
-            let w1 = space.global_pool.get(rng.gen_range(0..space.global_pool.len()));
+            let w1 = space
+                .global_pool
+                .get(rng.gen_range(0..space.global_pool.len()));
             let a = b.add_article(&format!("{w1} list {n}"));
             // Re-adding an article dedups by title; the counter in the
             // title makes noise articles unique, so `a` is always fresh.

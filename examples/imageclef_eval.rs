@@ -8,9 +8,9 @@
 //! cargo run --example imageclef_eval -- --small           # seconds
 //! ```
 
+use ireval::precision::per_query_precision;
 use ireval::precision::{mean_precision, PrecisionTable, TREC_CUTOFFS};
 use ireval::{paired_t_test, Qrels, Run};
-use ireval::precision::per_query_precision;
 use searchlite::{Analyzer, IndexBuilder, QlParams};
 use sqe::{ExpandConfig, MotifSet, SqeConfig, SqePipeline};
 use synthwiki::{TestBed, TestBedConfig};

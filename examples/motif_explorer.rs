@@ -22,7 +22,11 @@ fn main() {
     }
 
     println!("article: \"{}\"", graph.article_title(article));
-    println!("out-links: {}   in-links: {}", graph.out_links(article).len(), graph.in_links(article).len());
+    println!(
+        "out-links: {}   in-links: {}",
+        graph.out_links(article).len(),
+        graph.in_links(article).len()
+    );
     let mutual = graph.mutual_links(article);
     println!("doubly linked with {} articles:", mutual.len());
     for &m in mutual.iter().take(10) {
@@ -34,7 +38,10 @@ fn main() {
     }
 
     for (name, expansions) in [
-        ("triangular", MotifSpec::triangular().expansions(graph, article)),
+        (
+            "triangular",
+            MotifSpec::triangular().expansions(graph, article),
+        ),
         ("square", MotifSpec::square().expansions(graph, article)),
     ] {
         println!("\n{name} motif expansions ({}):", expansions.len());
@@ -66,5 +73,8 @@ fn main() {
 
     // Figure-3-style drawing of the query graph (pipe into `dot -Tsvg`).
     let qg = sqe::QueryGraphBuilder::from_set(graph, &MotifSet::t_and_s()).build(&[article]);
-    println!("\nGraphviz DOT of the query graph:\n{}", qg.to_dot(graph, "query graph"));
+    println!(
+        "\nGraphviz DOT of the query graph:\n{}",
+        qg.to_dot(graph, "query graph")
+    );
 }

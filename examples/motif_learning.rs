@@ -32,7 +32,10 @@ fn main() {
             "{:<20}{:>10}{:>10}{:>8}{:>12}",
             "pattern", "precision", "recall", "F1", "avg feats"
         );
-        for m in learn_motifs(&bed.kb.graph, &examples, objective).iter().take(5) {
+        for m in learn_motifs(&bed.kb.graph, &examples, objective)
+            .iter()
+            .take(5)
+        {
             println!(
                 "{:<20}{:>10.3}{:>10.3}{:>8.3}{:>12.2}",
                 m.pattern.name(),

@@ -42,12 +42,24 @@ fn main() {
         .find(|q| !dataset.relevant[&q.id].is_empty())
         .expect("dataset has non-empty queries");
     let relevant: FxHashSet<String> = dataset.relevant[&query.id].iter().cloned().collect();
-    let nodes: Vec<_> = query.targets.iter().map(|&e| bed.kb.article_of[e]).collect();
-    println!("query {}: \"{}\" ({} relevant docs)", query.id, query.text, relevant.len());
+    let nodes: Vec<_> = query
+        .targets
+        .iter()
+        .map(|&e| bed.kb.article_of[e])
+        .collect();
+    println!(
+        "query {}: \"{}\" ({} relevant docs)",
+        query.id,
+        query.text,
+        relevant.len()
+    );
 
     let show = |name: &str, ids: Vec<String>| {
         let p10 = precision_at(&ids, &relevant, 10);
-        println!("{name:<18} P@10 = {p10:.2}   top: {:?}", &ids[..ids.len().min(3)]);
+        println!(
+            "{name:<18} P@10 = {p10:.2}   top: {:?}",
+            &ids[..ids.len().min(3)]
+        );
     };
 
     // 1. Unexpanded.

@@ -18,7 +18,11 @@ fn main() {
     let pipeline = SqePipeline::from_index(&world.graph, &world.index, SqeConfig::default());
 
     for (query, nodes, label) in [
-        ("cable cars", vec![world.cable_car], "Figure 4a (triangular)"),
+        (
+            "cable cars",
+            vec![world.cable_car],
+            "Figure 4a (triangular)",
+        ),
         (
             "graffiti street art on walls",
             vec![world.graffiti],
@@ -29,20 +33,13 @@ fn main() {
         let expanded = pipeline.expand(query, &nodes, &MotifSet::t_and_s());
         println!("query graph expansions:");
         for &(article, m) in &expanded.query_graph.expansions {
-            println!(
-                "  {} (|m_a| = {m})",
-                world.graph.article_title(article)
-            );
+            println!("  {} (|m_a| = {m})", world.graph.article_title(article));
         }
         println!("expanded query: {}", expanded.query.render());
         let (hits, _) = pipeline.rank_sqe(query, &nodes, &MotifSet::t_and_s());
         println!("top results:");
         for hit in hits.iter().take(5) {
-            println!(
-                "  {:>8.3}  {}",
-                hit.score,
-                world.index.external_id(hit.doc)
-            );
+            println!("  {:>8.3}  {}", hit.score, world.index.external_id(hit.doc));
         }
         println!();
     }

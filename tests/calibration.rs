@@ -24,7 +24,10 @@ fn chic_collection_is_shared_between_query_sets() {
         b.dataset("chic2013").collection,
         "the paper's CHiC 2012 and 2013 share one collection"
     );
-    assert_ne!(b.dataset("imageclef").collection, b.dataset("chic2012").collection);
+    assert_ne!(
+        b.dataset("imageclef").collection,
+        b.dataset("chic2012").collection
+    );
 }
 
 #[test]

@@ -15,7 +15,8 @@ fn build_world() -> (TestBed, Vec<Index>) {
         .map(|coll| {
             let mut b = IndexBuilder::new(Analyzer::english());
             for d in &coll.docs {
-                b.add_document(&d.id, &d.text).expect("generated ids are unique");
+                b.add_document(&d.id, &d.text)
+                    .expect("generated ids are unique");
             }
             b.build()
         })
@@ -150,7 +151,11 @@ fn zero_relevant_queries_never_score() {
         let scores = per_query_precision(&sqe, &qrels, 1000);
         // The zero-relevant query contributes exactly zero precision.
         let idx = qrels.queries().iter().position(|id| *id == q.id).unwrap();
-        assert_eq!(scores[idx], 0.0, "query {} should have no relevant docs", q.id);
+        assert_eq!(
+            scores[idx], 0.0,
+            "query {} should have no relevant docs",
+            q.id
+        );
     }
 }
 

@@ -62,7 +62,9 @@ fn linking_failures_come_from_alias_ambiguity() {
                     })
                     .collect();
                 let explained = links.iter().any(|l| {
-                    target_surfaces.iter().any(|w| l.surface.contains(w.as_str()))
+                    target_surfaces
+                        .iter()
+                        .any(|w| l.surface.contains(w.as_str()))
                         || q.text.contains(&l.surface)
                 });
                 assert!(explained, "unexplainable mislink for {}", q.id);
@@ -106,8 +108,7 @@ fn noise_channel_monotonically_degrades_precision() {
             .iter()
             .filter(|q| {
                 let links = linker.link(&q.text);
-                let targets: Vec<_> =
-                    q.targets.iter().map(|&e| bed.kb.article_of[e]).collect();
+                let targets: Vec<_> = q.targets.iter().map(|&e| bed.kb.article_of[e]).collect();
                 links.iter().any(|l| targets.contains(&l.article))
             })
             .count();

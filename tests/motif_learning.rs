@@ -54,10 +54,15 @@ fn balanced_objective_recovers_square_like_condition() {
         "a square-like category condition must top F1: got {}",
         best.pattern.name()
     );
-    assert!(best.recall > ranked.iter()
-        .find(|m| m.pattern.category == CategoryCondition::Superset)
-        .unwrap()
-        .recall, "square-like patterns out-recall triangular ones");
+    assert!(
+        best.recall
+            > ranked
+                .iter()
+                .find(|m| m.pattern.category == CategoryCondition::Superset)
+                .unwrap()
+                .recall,
+        "square-like patterns out-recall triangular ones"
+    );
 }
 
 #[test]

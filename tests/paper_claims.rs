@@ -22,7 +22,8 @@ impl World {
             .map(|coll| {
                 let mut b = IndexBuilder::new(Analyzer::english());
                 for d in &coll.docs {
-                    b.add_document(&d.id, &d.text).expect("generated ids are unique");
+                    b.add_document(&d.id, &d.text)
+                        .expect("generated ids are unique");
                 }
                 b.build()
             })
@@ -56,7 +57,11 @@ impl World {
         let p = self.pipeline(dataset);
         let mut run = Run::new(name);
         for q in &dataset.queries {
-            let nodes: Vec<_> = q.targets.iter().map(|&e| self.bed.kb.article_of[e]).collect();
+            let nodes: Vec<_> = q
+                .targets
+                .iter()
+                .map(|&e| self.bed.kb.article_of[e])
+                .collect();
             let (hits, _) = p.rank_sqe(&q.text, &nodes, motifs);
             run.set_ranking(&q.id, p.external_ids(&hits));
         }
@@ -92,8 +97,12 @@ fn triangular_features_are_scarce() {
     let (mut t_total, mut s_total) = (0usize, 0usize);
     for q in &ds.queries {
         let nodes: Vec<_> = q.targets.iter().map(|&e| w.bed.kb.article_of[e]).collect();
-        t_total += p.build_query_graph(&nodes, &MotifSet::triangular()).num_expansions();
-        s_total += p.build_query_graph(&nodes, &MotifSet::square()).num_expansions();
+        t_total += p
+            .build_query_graph(&nodes, &MotifSet::triangular())
+            .num_expansions();
+        s_total += p
+            .build_query_graph(&nodes, &MotifSet::square())
+            .num_expansions();
     }
     assert!(
         s_total >= t_total * 3,
@@ -118,7 +127,12 @@ fn manual_selection_bounds_automatic() {
     let mut auto = Run::new("A");
     for q in &ds.queries {
         let m_nodes: Vec<_> = q.targets.iter().map(|&e| w.bed.kb.article_of[e]).collect();
-        let a_nodes: Vec<_> = linker.link(&q.text).into_iter().take(3).map(|l| l.article).collect();
+        let a_nodes: Vec<_> = linker
+            .link(&q.text)
+            .into_iter()
+            .take(3)
+            .map(|l| l.article)
+            .collect();
         manual.set_ranking(&q.id, p.rank_sqe_c(&q.text, &m_nodes));
         auto.set_ranking(&q.id, p.rank_sqe_c(&q.text, &a_nodes));
     }
@@ -165,8 +179,12 @@ fn union_config_does_more_work() {
     let p = w.pipeline(ds);
     for q in ds.queries.iter().take(6) {
         let nodes: Vec<_> = q.targets.iter().map(|&e| w.bed.kb.article_of[e]).collect();
-        let t = p.build_query_graph(&nodes, &MotifSet::triangular()).num_expansions();
-        let ts = p.build_query_graph(&nodes, &MotifSet::t_and_s()).num_expansions();
+        let t = p
+            .build_query_graph(&nodes, &MotifSet::triangular())
+            .num_expansions();
+        let ts = p
+            .build_query_graph(&nodes, &MotifSet::t_and_s())
+            .num_expansions();
         assert!(ts >= t);
     }
 }

@@ -52,7 +52,8 @@ fn index_persistence_preserves_full_retrieval() {
     let coll = &bed.collections[0];
     let mut b = IndexBuilder::new(Analyzer::english());
     for d in coll.docs.iter().take(800) {
-        b.add_document(&d.id, &d.text).expect("generated ids are unique");
+        b.add_document(&d.id, &d.text)
+            .expect("generated ids are unique");
     }
     let index = b.build();
     let restored = Index::from_json(&index.to_json().unwrap()).unwrap();
@@ -174,7 +175,8 @@ fn per_shard_snapshots_restore_an_identical_sharded_service() {
         .collect();
     let mut b = IndexBuilder::new(Analyzer::english());
     for d in &coll.docs {
-        b.add_document(&d.id, &d.text).expect("generated ids are unique");
+        b.add_document(&d.id, &d.text)
+            .expect("generated ids are unique");
     }
     let index = b.build();
     let pipeline = SqePipeline::from_index(&bed.kb.graph, &index, cfg);
@@ -211,7 +213,8 @@ fn snapshot_loaded_pipeline_reproduces_fresh_run_files() {
         .map(|coll| {
             let mut b = IndexBuilder::new(Analyzer::english());
             for d in &coll.docs {
-                b.add_document(&d.id, &d.text).expect("generated ids are unique");
+                b.add_document(&d.id, &d.text)
+                    .expect("generated ids are unique");
             }
             b.build()
         })

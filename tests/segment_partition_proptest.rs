@@ -88,7 +88,8 @@ fn world() -> &'static World {
             .map(|coll| {
                 let mut b = IndexBuilder::new(Analyzer::english());
                 for d in &coll.docs {
-                    b.add_document(&d.id, &d.text).expect("generated ids are unique");
+                    b.add_document(&d.id, &d.text)
+                        .expect("generated ids are unique");
                 }
                 b.build()
             })
@@ -100,8 +101,7 @@ fn world() -> &'static World {
                     .queries
                     .iter()
                     .map(|q| {
-                        let nodes =
-                            q.targets.iter().map(|&e| bed.kb.article_of[e]).collect();
+                        let nodes = q.targets.iter().map(|&e| bed.kb.article_of[e]).collect();
                         (q.text.clone(), nodes)
                     })
                     .collect()
@@ -112,11 +112,8 @@ fn world() -> &'static World {
             .enumerate()
             .map(|(ds_idx, name)| {
                 let dataset = bed.dataset(name);
-                let pipeline = SqePipeline::from_index(
-                    &bed.kb.graph,
-                    &indexes[dataset.collection],
-                    config(),
-                );
+                let pipeline =
+                    SqePipeline::from_index(&bed.kb.graph, &indexes[dataset.collection], config());
                 (0..NUM_CONFIGS)
                     .map(|cfg_idx| {
                         let ids = rank_ids(&pipeline, &batches[ds_idx], cfg_idx);
@@ -155,7 +152,8 @@ fn partitioned_searcher(w: &World, ds_idx: usize, raw_cuts: &[usize]) -> Searche
         }
         let mut b = IndexBuilder::new(analyzer.clone());
         for d in &coll.docs[start..end] {
-            b.add_document(&d.id, &d.text).expect("generated ids are unique");
+            b.add_document(&d.id, &d.text)
+                .expect("generated ids are unique");
         }
         segments.push(std::sync::Arc::new(Segment::new(seg_id as u64, b.build())));
     }
@@ -164,7 +162,12 @@ fn partitioned_searcher(w: &World, ds_idx: usize, raw_cuts: &[usize]) -> Searche
 
 /// Builds the dataset's collection as a sharded service under the given
 /// routing (shard count + salt), sealing every shard once at the end.
-fn sharded_service<'a>(w: &'a World, ds_idx: usize, shards: usize, salt: u64) -> ShardedService<'a> {
+fn sharded_service<'a>(
+    w: &'a World,
+    ds_idx: usize,
+    shards: usize,
+    salt: u64,
+) -> ShardedService<'a> {
     let dataset = w.bed.dataset(DATASETS[ds_idx]);
     let coll = w.bed.collection_of(dataset);
     let analyzer = w.indexes[dataset.collection].analyzer().clone();

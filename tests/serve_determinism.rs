@@ -31,7 +31,8 @@ fn build_world() -> (TestBed, Vec<Index>) {
         .map(|coll| {
             let mut b = IndexBuilder::new(Analyzer::english());
             for d in &coll.docs {
-                b.add_document(&d.id, &d.text).expect("generated ids are unique");
+                b.add_document(&d.id, &d.text)
+                    .expect("generated ids are unique");
             }
             b.build()
         })
@@ -94,8 +95,7 @@ fn service_run_files_are_byte_identical_for_every_motif_config() {
                     workers,
                     ..ServeConfig::default()
                 };
-                let service =
-                    QueryService::new(&bed.kb.graph, index, config(), serve_cfg);
+                let service = QueryService::new(&bed.kb.graph, index, config(), serve_cfg);
                 for replay in ["cold", "warm"] {
                     let served: Vec<Vec<String>> = service
                         .run_batch(&batch, &motifs)
@@ -165,7 +165,8 @@ fn service_sqe_c_run_files_are_byte_identical() {
 fn segmented_index_of(coll: &Collection, seal_every: usize) -> SegmentedIndex {
     let mut seg = SegmentedIndex::new(Analyzer::english());
     for (i, d) in coll.docs.iter().enumerate() {
-        seg.add_document(&d.id, &d.text).expect("generated ids are unique");
+        seg.add_document(&d.id, &d.text)
+            .expect("generated ids are unique");
         if (i + 1) % seal_every == 0 {
             seg.seal();
         }
@@ -213,7 +214,8 @@ fn segmented_service_is_byte_identical_pre_and_post_merge() {
         );
         let pre = run_file("SQE_C", dataset, &service.run_batch_sqe_c(&batch));
         assert_eq!(
-            pre, want,
+            pre,
+            want,
             "{ds_name}: a {}-segment service must be byte-identical to the monolithic pipeline",
             service.num_segments()
         );
@@ -221,10 +223,7 @@ fn segmented_service_is_byte_identical_pre_and_post_merge() {
         assert!(service.force_merge(), "{ds_name}: compaction must happen");
         assert_eq!(service.num_segments(), 1);
         let post = run_file("SQE_C", dataset, &service.run_batch_sqe_c(&batch));
-        assert_eq!(
-            post, want,
-            "{ds_name}: force_merge changed run-file bytes"
-        );
+        assert_eq!(post, want, "{ds_name}: force_merge changed run-file bytes");
     }
 }
 
@@ -255,7 +254,10 @@ fn mid_run_seal_invalidates_cache_exactly_once_with_observable_epoch() {
     assert_eq!(snap0.invalidations, 0);
 
     service
-        .add_document("mid-run-doc", "a late-breaking caption about nothing relevant")
+        .add_document(
+            "mid-run-doc",
+            "a late-breaking caption about nothing relevant",
+        )
         .expect("fresh external id");
     let report = service.seal().expect("non-empty buffer seals");
     assert_eq!(report.epoch, 1);
@@ -263,7 +265,10 @@ fn mid_run_seal_invalidates_cache_exactly_once_with_observable_epoch() {
     assert!(service.seal().is_none());
 
     let snap1 = service.metrics_snapshot();
-    assert_eq!(snap1.epoch, 1, "the seal's epoch must be observable in metrics");
+    assert_eq!(
+        snap1.epoch, 1,
+        "the seal's epoch must be observable in metrics"
+    );
     assert_eq!(
         snap1.invalidations, 1,
         "one seal must invalidate the expansion cache exactly once"
@@ -277,8 +282,11 @@ fn mid_run_seal_invalidates_cache_exactly_once_with_observable_epoch() {
         &bed.kb.graph,
         {
             let mut seg = SegmentedIndex::from_index(index.clone());
-            seg.add_document("mid-run-doc", "a late-breaking caption about nothing relevant")
-                .expect("fresh external id");
+            seg.add_document(
+                "mid-run-doc",
+                "a late-breaking caption about nothing relevant",
+            )
+            .expect("fresh external id");
             seg.seal();
             seg
         },
@@ -384,7 +392,9 @@ fn mid_run_shard_seal_bumps_one_epoch_entry_and_invalidates_once() {
     service
         .add_document(late_id, "a late-breaking caption about nothing relevant")
         .expect("fresh external id");
-    let report = service.seal_shard(target).expect("non-empty shard buffer seals");
+    let report = service
+        .seal_shard(target)
+        .expect("non-empty shard buffer seals");
     assert_eq!(report.epoch, epochs0[target] + 1);
     // Sealing the same (now empty) shard again is a no-op.
     assert!(service.seal_shard(target).is_none());
@@ -392,9 +402,16 @@ fn mid_run_shard_seal_bumps_one_epoch_entry_and_invalidates_once() {
     let epochs1 = service.epoch_vector();
     for (s, (&before, &after)) in epochs0.iter().zip(&epochs1).enumerate() {
         if s == target {
-            assert_eq!(after, before + 1, "sealed shard must advance its epoch entry");
+            assert_eq!(
+                after,
+                before + 1,
+                "sealed shard must advance its epoch entry"
+            );
         } else {
-            assert_eq!(after, before, "shard {s} was not sealed; its epoch must hold");
+            assert_eq!(
+                after, before,
+                "shard {s} was not sealed; its epoch must hold"
+            );
         }
     }
     let snap = service.metrics_snapshot();
@@ -421,7 +438,10 @@ fn mid_run_shard_seal_bumps_one_epoch_entry_and_invalidates_once() {
     );
     let got = run_file("SQE_C", dataset, &replay);
     let want = run_file("SQE_C", dataset, &fresh.run_batch_sqe_c(&batch));
-    assert_eq!(got, want, "post-seal sharded replay diverged from a fresh service");
+    assert_eq!(
+        got, want,
+        "post-seal sharded replay diverged from a fresh service"
+    );
     assert_eq!(
         service.metrics_snapshot().invalidations,
         inv0 + 1,
@@ -645,7 +665,10 @@ fn duplicate_external_ids_are_rejected_across_shards() {
         .add_document(&first.id, "a second body under an already-ingested id")
         .expect_err("re-adding an ingested id must fail on every shard");
     let msg = format!("{err:?}");
-    assert!(msg.contains(&first.id), "error must carry the offending id: {msg}");
+    assert!(
+        msg.contains(&first.id),
+        "error must carry the offending id: {msg}"
+    );
 }
 
 #[test]
