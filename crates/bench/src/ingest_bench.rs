@@ -8,8 +8,8 @@
 //!   writes: the pre-refactor baseline throughput;
 //! * **ingest** — queries replayed *while* documents stream in and the
 //!   buffer seals every `seal_every` additions: queries-per-second under
-//!   write load, plus add/seal/merge latency histograms from the
-//!   service's [`sqe::IngestHistograms`];
+//!   write load, plus add/build/commit/publish/merge latency histograms
+//!   from the service's [`sqe::IngestHistograms`];
 //! * **merged** — after a final [`QueryService::force_merge`] compacts
 //!   every segment into one: throughput once the corpus is monolithic
 //!   again.
@@ -97,7 +97,7 @@ pub struct IngestPhaseReport {
     pub seals: u64,
     /// Merge operations performed in this phase.
     pub merges: u64,
-    /// add/seal/merge latency statistics for this phase.
+    /// add/build/commit/publish/merge latency statistics for this phase.
     pub ingest_stages: Vec<StageStats>,
 }
 
@@ -272,7 +272,7 @@ pub fn format_report(report: &IngestBenchReport) -> String {
         "segs",
         "epoch",
         "seals",
-        "seal p95 ms",
+        "build p95 ms",
         "add p95 ms"
     );
     for cell in &report.cells {
@@ -292,7 +292,7 @@ pub fn format_report(report: &IngestBenchReport) -> String {
                 phase.segments,
                 phase.epoch,
                 phase.seals,
-                p95("seal"),
+                p95("build"),
                 p95("add")
             ));
         }
@@ -593,8 +593,10 @@ mod tests {
                     .expect("ingest stage present")
             };
             assert_eq!(by_name("add").count as usize, opts.ingest_docs);
-            assert_eq!(by_name("seal").count, ing.seals);
-            assert!(by_name("seal").mean_ms > 0.0);
+            for stage in ["build", "commit", "publish"] {
+                assert_eq!(by_name(stage).count, ing.seals, "{stage}");
+            }
+            assert!(by_name("build").mean_ms > 0.0);
             // Merged: one segment again, queries still flowing.
             assert_eq!(merged.segments, 1);
             assert!(merged.queries > 0);

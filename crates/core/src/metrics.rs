@@ -348,27 +348,37 @@ impl LadderMetrics {
     }
 }
 
-/// The ingestion stages the serving layer times separately.
-pub const INGEST_STAGE_NAMES: [&str; 3] = ["add", "seal", "merge"];
+/// The ingestion stages the serving layer times separately. A seal is
+/// three of them: `build`, `commit` and `publish`.
+pub const INGEST_STAGE_NAMES: [&str; 5] = ["add", "build", "commit", "publish", "merge"];
 
 /// Per-stage latency histograms for the live-ingestion path.
 #[derive(Debug, Default)]
 pub struct IngestHistograms {
-    /// Buffer insertion (duplicate check + tokenize + postings append).
+    /// Buffer insertion (duplicate check, memoized analysis, forward-list
+    /// append), under the `live` lock.
     pub add: LatencyHistogram,
-    /// Buffer freeze into a new segment, including policy-driven merges
-    /// and the publish of the refreshed searcher view.
-    pub seal: LatencyHistogram,
+    /// Seal, first phase: detaching the buffer and inverting it into a
+    /// segment (the expensive part, run off the `live` lock).
+    pub build: LatencyHistogram,
+    /// Seal, second phase: appending the segment and running the
+    /// policy-driven merges it triggers.
+    pub commit: LatencyHistogram,
+    /// Seal, last phase: building and installing the refreshed searcher
+    /// view.
+    pub publish: LatencyHistogram,
     /// Explicit full compaction (`force_merge`).
     pub merge: LatencyHistogram,
 }
 
 impl IngestHistograms {
     /// Snapshots every stage, ordered as [`INGEST_STAGE_NAMES`].
-    pub fn snapshot(&self) -> [HistogramSnapshot; 3] {
+    pub fn snapshot(&self) -> [HistogramSnapshot; 5] {
         [
             self.add.snapshot(),
-            self.seal.snapshot(),
+            self.build.snapshot(),
+            self.commit.snapshot(),
+            self.publish.snapshot(),
             self.merge.snapshot(),
         ]
     }
@@ -376,7 +386,9 @@ impl IngestHistograms {
     /// Zeroes every ingest histogram.
     pub fn reset(&self) {
         self.add.reset();
-        self.seal.reset();
+        self.build.reset();
+        self.commit.reset();
+        self.publish.reset();
         self.merge.reset();
     }
 }
@@ -574,7 +586,7 @@ pub struct MetricsSnapshot {
     /// Per-stage histograms, ordered as [`STAGE_NAMES`].
     pub stages: [HistogramSnapshot; 4],
     /// Ingest histograms, ordered as [`INGEST_STAGE_NAMES`].
-    pub ingest: [HistogramSnapshot; 3],
+    pub ingest: [HistogramSnapshot; 5],
     /// Completions per degraded-mode rung, in ladder order.
     pub ladder_served: Vec<u64>,
     /// Cost histograms per degraded-mode rung, in ladder order.

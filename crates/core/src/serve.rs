@@ -806,6 +806,7 @@ impl<'a> QueryService<'a> {
         let pending = self.live_lock().shards.get_mut(shard)?.begin_seal()?;
         // lint:allow(must-audit-after-mutation) — IndexAudit runs inside PendingSeal::build
         let built = PendingSeal::build(pending);
+        let t1 = self.clock.now_nanos();
         let (mut report, task) = {
             let mut live = self.live_lock();
             let s = live
@@ -816,7 +817,7 @@ impl<'a> QueryService<'a> {
             (report, s.merge_task())
         };
         let outcome = task.run_policy();
-        let (view, locations) = {
+        let (view, locations, t2) = {
             let mut live = self.live_lock();
             if let Some(merges) = live
                 .shards
@@ -825,15 +826,20 @@ impl<'a> QueryService<'a> {
             {
                 report.merges = merges;
             }
-            live.shard_view(shard)
+            let t2 = self.clock.now_nanos();
+            let (view, locations) = live.shard_view(shard);
+            (view, locations, t2)
         };
         self.publish_shard(shard, view, locations);
         self.metrics.seals.inc();
         self.metrics
             .merges
             .add(u64::try_from(report.merges).expect("invariant: merge count fits in u64"));
-        let t1 = self.clock.now_nanos();
-        self.metrics.ingest.seal.record(t1.saturating_sub(t0));
+        let t3 = self.clock.now_nanos();
+        let ingest = &self.metrics.ingest;
+        ingest.build.record(t1.saturating_sub(t0));
+        ingest.commit.record(t2.saturating_sub(t1));
+        ingest.publish.record(t3.saturating_sub(t2));
         Some(report)
     }
 
@@ -1507,7 +1513,7 @@ fn locations(hits: &[Hit]) -> Vec<DocLoc> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ManualClock;
+    use crate::metrics::{ManualClock, INGEST_STAGE_NAMES};
     use crate::pipeline::SqePipeline;
     use kbgraph::GraphBuilder;
     use searchlite::ql::QlParams;
@@ -1907,7 +1913,9 @@ mod tests {
         assert_eq!(snap.seals, 1);
         assert_eq!(snap.invalidations, 1, "exactly one invalidation per seal");
         assert_eq!(snap.ingest[0].count, 1, "one add recorded");
-        assert_eq!(snap.ingest[1].count, 1, "one seal recorded");
+        for (stage, h) in INGEST_STAGE_NAMES.iter().zip(&snap.ingest).take(4).skip(1) {
+            assert_eq!(h.count, 1, "one seal recorded in {stage}");
+        }
 
         // The post-seal query sees the new doc and recomputes expansions.
         let after = service.rank_sqe("funicular", &[cable], &MotifSet::triangular());
@@ -1925,6 +1933,50 @@ mod tests {
         // Duplicate ids are rejected against the sealed corpus.
         assert!(service.add_document("d-funi-2", "again").is_err());
         assert_eq!(service.metrics_snapshot().docs_ingested, 1);
+    }
+
+    #[test]
+    fn manual_clock_splits_seal_into_build_commit_publish() {
+        let (graph, index, _) = world();
+        // The n-th clock read returns 10^n, so every interval between
+        // two consecutive reads has its own size.
+        struct Decades(ManualClock);
+        impl Clock for Decades {
+            fn now_nanos(&self) -> u64 {
+                let now = self.0.now_nanos().max(1);
+                self.0.set(now * 10);
+                now
+            }
+        }
+        let service = QueryService::with_clock(
+            &graph,
+            &index,
+            SqeConfig::default(),
+            ServeConfig::default(),
+            Arc::new(Decades(ManualClock::new())),
+        );
+        service
+            .add_document("d-split", "a funicular carriage")
+            .expect("fresh external id");
+        service.seal().expect("non-empty buffer seals");
+        let snap = service.metrics_snapshot();
+        let sums: Vec<(&str, u64, u64)> = INGEST_STAGE_NAMES
+            .iter()
+            .zip(&snap.ingest)
+            .map(|(&name, h)| (name, h.count, h.sum_nanos))
+            .collect();
+        // add reads 1 and 10; the seal reads 100 (start), 1,000 (built),
+        // 10,000 (committed) and 100,000 (published).
+        assert_eq!(
+            sums,
+            [
+                ("add", 1, 9),
+                ("build", 1, 900),
+                ("commit", 1, 9_000),
+                ("publish", 1, 90_000),
+                ("merge", 0, 0),
+            ]
+        );
     }
 
     #[test]
@@ -1952,7 +2004,7 @@ mod tests {
         assert_eq!(before, after, "merge must not change scores or order");
         let snap = service.metrics_snapshot();
         assert_eq!(snap.merges, 1);
-        assert_eq!(snap.ingest[2].count, 1, "one merge recorded");
+        assert_eq!(snap.ingest[4].count, 1, "one merge recorded");
         assert!(!service.force_merge(), "single segment: no-op");
         assert_eq!(snap.epoch, service.epoch(), "no-op merge keeps the epoch");
     }

@@ -180,21 +180,61 @@ impl Analyzer {
     /// workhorse-buffer pattern avoids reallocation in indexing loops.
     pub fn analyze_into(&self, text: &str, out: &mut Vec<String>) {
         out.clear();
+        let mut scratch = TokenScratch::default();
         for raw in tokenize(text) {
-            let lower = raw.to_lowercase();
-            if self.stopwords && is_stopword(&lower) {
-                continue;
-            }
-            let token = if self.stemming {
-                porter_stem(&lower)
-            } else {
-                lower
-            };
-            if !token.is_empty() {
-                out.push(token);
+            if let Some(token) = self.analyze_token(raw, &mut scratch) {
+                out.push(token.to_owned());
             }
         }
     }
+
+    /// Analyzes one raw token — a maximal alphanumeric run, as
+    /// [`tokenize`] yields it — into its indexed form, or `None` when the
+    /// pipeline drops it (a stopword, or a stem that comes out empty).
+    ///
+    /// This is the one analysis routine: [`Analyzer::analyze_into`] runs
+    /// it per token for queries, linker surfaces and KB titles, and
+    /// [`crate::IndexBuilder`] runs it once per distinct raw token. It
+    /// allocates nothing once `scratch` has grown to the longest token:
+    /// ASCII is lowercased in place, non-ASCII goes through
+    /// [`str::to_lowercase`] (which applies the final-sigma rule, so it
+    /// needs the whole token), and the Porter steps run in place on a
+    /// reused byte buffer.
+    pub fn analyze_token<'s>(&self, raw: &str, scratch: &'s mut TokenScratch) -> Option<&'s str> {
+        let TokenScratch { lower, stem } = scratch;
+        lower.clear();
+        if raw.is_ascii() {
+            lower.push_str(raw);
+            lower.make_ascii_lowercase();
+        } else {
+            lower.push_str(&raw.to_lowercase());
+        }
+        if self.stopwords && is_stopword(lower) {
+            return None;
+        }
+        // Porter's convention: words of 2 bytes or fewer and non-ASCII
+        // words pass through unchanged.
+        let token: &str = if self.stemming && lower.len() > 2 && lower.is_ascii() {
+            stem.clear();
+            stem.extend_from_slice(lower.as_bytes());
+            stem_ascii(stem);
+            std::str::from_utf8(stem)
+                .expect("invariant: stemmer input is ascii, so output stays valid utf-8")
+        } else {
+            lower
+        };
+        (!token.is_empty()).then_some(token)
+    }
+}
+
+/// Reusable buffers of [`Analyzer::analyze_token`]: the lowercased token
+/// and the stemmer's working copy. One scratch serves any number of
+/// sequential calls.
+#[derive(Debug, Default, Clone)]
+// lint:allow(persist-types-derive-serde) — transient scratch, never persisted
+pub struct TokenScratch {
+    lower: String,
+    stem: Vec<u8>,
 }
 
 /// Splits text into maximal alphanumeric runs.
@@ -214,16 +254,22 @@ pub fn porter_stem(word: &str) -> String {
     if word.len() <= 2 || !word.is_ascii() {
         return word.to_owned();
     }
-    let mut w: Vec<u8> = word.bytes().collect();
-    step1a(&mut w);
-    step1b(&mut w);
-    step1c(&mut w);
-    step2(&mut w);
-    step3(&mut w);
-    step4(&mut w);
-    step5a(&mut w);
-    step5b(&mut w);
+    let mut w = word.as_bytes().to_vec();
+    stem_ascii(&mut w);
     String::from_utf8(w).expect("invariant: stemmer input is ascii, so output stays valid utf-8")
+}
+
+/// Runs the Porter steps in place on a lowercase ASCII word longer than
+/// 2 bytes.
+fn stem_ascii(w: &mut Vec<u8>) {
+    step1a(w);
+    step1b(w);
+    step1c(w);
+    step2(w);
+    step3(w);
+    step4(w);
+    step5a(w);
+    step5b(w);
 }
 
 /// True if `w[i]` acts as a consonant.

@@ -9,7 +9,7 @@
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
-use crate::analysis::Analyzer;
+use crate::analysis::{tokenize, Analyzer, TokenScratch};
 
 /// Dense identifier of an indexed term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -198,22 +198,39 @@ impl std::fmt::Display for IndexBuildError {
 impl std::error::Error for IndexBuildError {}
 
 /// Builds an [`Index`] incrementally, one document at a time.
+///
+/// Adding a document allocates nothing per token or per term once the
+/// buffers have grown: each distinct raw token is analyzed once per
+/// builder (the memo), and the document's (term, position) pairs are
+/// sorted in a reused buffer and appended to a forward index and a flat
+/// positions arena. [`IndexBuilder::build`] inverts that forward index
+/// into per-term postings of exact size (DESIGN.md, "Ingest path").
 #[derive(Debug)]
 // lint:allow(persist-types-derive-serde) — builder state is never persisted
 pub struct IndexBuilder {
     analyzer: Analyzer,
+    /// Raw token → its term id, or `None` when analysis drops it.
+    /// Analysis is a pure function of the raw token, so the memo is
+    /// bounded by the distinct raw tokens added to this builder.
+    memo: FxHashMap<Box<str>, Option<u32>>,
+    /// Raw tokens analyzed so far (memo misses).
+    analyzed: usize,
+    token: TokenScratch,
     dict: FxHashMap<String, u32>,
     terms: Vec<String>,
-    postings: Vec<TermPostings>,
-    external_ids: Vec<String>,
-    seen_ids: rustc_hash::FxHashSet<String>,
+    /// External id → dense doc id; [`IndexBuilder::build`] moves the ids
+    /// into doc order, so each id is copied once.
+    ids: FxHashMap<String, u32>,
     doc_lens: Vec<u32>,
     collection_len: u64,
-    token_buf: Vec<String>,
-    doc_terms: FxHashMap<u32, Vec<u32>>,
+    /// The (term, position) pairs of the document being added.
+    pairs: Vec<(u32, u32)>,
     fwd_offsets: Vec<u32>,
     fwd_terms: Vec<u32>,
     fwd_tfs: Vec<u32>,
+    /// Every forward entry's positions, in forward-index order: entry
+    /// `i` owns the `fwd_tfs[i]` values after those of entry `i - 1`.
+    fwd_positions: Vec<u32>,
 }
 
 impl IndexBuilder {
@@ -221,33 +238,44 @@ impl IndexBuilder {
     pub fn new(analyzer: Analyzer) -> Self {
         IndexBuilder {
             analyzer,
+            memo: FxHashMap::default(),
+            analyzed: 0,
+            token: TokenScratch::default(),
             dict: FxHashMap::default(),
             terms: Vec::new(),
-            postings: Vec::new(),
-            external_ids: Vec::new(),
-            seen_ids: rustc_hash::FxHashSet::default(),
+            ids: FxHashMap::default(),
             doc_lens: Vec::new(),
             collection_len: 0,
-            token_buf: Vec::new(),
-            doc_terms: FxHashMap::default(),
+            pairs: Vec::new(),
             fwd_offsets: vec![0],
             fwd_terms: Vec::new(),
             fwd_tfs: Vec::new(),
+            fwd_positions: Vec::new(),
         }
     }
 
-    fn term_id(&mut self, token: &str) -> u32 {
-        if let Some(&id) = self.dict.get(token) {
-            return id;
+    /// The term id of one raw token, or `None` when analysis drops it.
+    /// Term ids are assigned in first-occurrence order.
+    fn term_of(&mut self, raw: &str) -> Option<u32> {
+        if let Some(&term) = self.memo.get(raw) {
+            return term;
         }
-        let id = u32::try_from(self.terms.len()).expect("invariant: term count fits in u32 ids");
-        self.terms.push(token.to_owned());
-        self.dict.insert(token.to_owned(), id);
-        self.postings.push(TermPostings {
-            pos_offsets: vec![0],
-            ..TermPostings::default()
-        });
-        id
+        self.analyzed += 1;
+        let term = self
+            .analyzer
+            .analyze_token(raw, &mut self.token)
+            .map(|token| match self.dict.get(token) {
+                Some(&id) => id,
+                None => {
+                    let id = u32::try_from(self.terms.len())
+                        .expect("invariant: term count fits in u32 ids");
+                    self.terms.push(token.to_owned());
+                    self.dict.insert(token.to_owned(), id);
+                    id
+                }
+            });
+        self.memo.insert(raw.into(), term);
+        term
     }
 
     /// Adds a document with an external (string) identifier; returns its
@@ -259,81 +287,139 @@ impl IndexBuilder {
         external_id: &str,
         text: &str,
     ) -> Result<DocId, IndexBuildError> {
-        if !self.seen_ids.insert(external_id.to_owned()) {
+        if self.ids.contains_key(external_id) {
             return Err(IndexBuildError::DuplicateExternalId {
                 external_id: external_id.to_owned(),
             });
         }
-        let doc =
-            u32::try_from(self.external_ids.len()).expect("invariant: doc count fits in u32 ids");
-        self.external_ids.push(external_id.to_owned());
-        let mut tokens = std::mem::take(&mut self.token_buf);
-        self.analyzer.analyze_into(text, &mut tokens);
-        self.doc_lens
-            .push(u32::try_from(tokens.len()).expect("invariant: document length fits in u32"));
-        self.collection_len += tokens.len() as u64;
-        // Gather positions per term for this document.
-        let mut doc_terms = std::mem::take(&mut self.doc_terms);
-        doc_terms.clear();
-        for (pos, tok) in tokens.iter().enumerate() {
-            let tid = self.term_id(tok);
-            doc_terms
-                .entry(tid)
-                .or_default()
-                .push(u32::try_from(pos).expect("invariant: token position fits in u32"));
+        let doc = u32::try_from(self.doc_lens.len()).expect("invariant: doc count fits in u32 ids");
+        self.ids.insert(external_id.to_owned(), doc);
+        self.pairs.clear();
+        for raw in tokenize(text) {
+            if let Some(term) = self.term_of(raw) {
+                let pos =
+                    u32::try_from(self.pairs.len()).expect("invariant: token position fits in u32");
+                self.pairs.push((term, pos));
+            }
         }
-        // Flush in sorted term order for determinism.
-        let mut tids: Vec<u32> = doc_terms.keys().copied().collect();
-        tids.sort_unstable();
-        for tid in tids {
-            let positions = &doc_terms[&tid];
-            let p = &mut self.postings[tid as usize];
-            p.docs.push(doc);
-            p.tfs.push(
-                u32::try_from(positions.len()).expect("invariant: term frequency fits in u32"),
-            );
-            p.positions.extend_from_slice(positions);
-            p.pos_offsets.push(
-                u32::try_from(p.positions.len()).expect("invariant: positions length fits in u32"),
-            );
-            self.fwd_terms.push(tid);
-            self.fwd_tfs.push(
-                u32::try_from(positions.len()).expect("invariant: term frequency fits in u32"),
-            );
+        let len = u32::try_from(self.pairs.len()).expect("invariant: document length fits in u32");
+        self.doc_lens.push(len);
+        self.collection_len += u64::from(len);
+        // Term order within the document, positions ascending per term.
+        self.pairs.sort_unstable();
+        for run in self.pairs.chunk_by(|a, b| a.0 == b.0) {
+            let (term, _) = run
+                .first()
+                .expect("invariant: chunk_by yields non-empty runs");
+            self.fwd_terms.push(*term);
+            self.fwd_tfs
+                .push(u32::try_from(run.len()).expect("invariant: term frequency fits in u32"));
+            self.fwd_positions.extend(run.iter().map(|&(_, pos)| pos));
         }
         self.fwd_offsets.push(
             u32::try_from(self.fwd_terms.len())
                 .expect("invariant: forward index length fits in u32"),
         );
-        self.doc_terms = doc_terms;
-        self.token_buf = tokens;
         Ok(DocId(doc))
     }
 
     /// Number of documents added so far.
     pub fn num_docs(&self) -> usize {
-        self.external_ids.len()
+        self.doc_lens.len()
     }
 
-    /// Finalizes the index.
+    /// Raw tokens this builder has analyzed: one per distinct raw token
+    /// added, however often it occurs.
+    pub fn raw_tokens_analyzed(&self) -> usize {
+        self.analyzed
+    }
+
+    /// Finalizes the index: inverts the forward index into per-term
+    /// postings. Each term's df and cf are counted first, so its four
+    /// arrays are allocated at their exact size and filled in one pass
+    /// over the documents in id order.
     pub fn build(self) -> Index {
-        let coll_tf = self
-            .postings
+        let IndexBuilder {
+            analyzer,
+            memo,
+            dict,
+            terms,
+            ids,
+            doc_lens,
+            collection_len,
+            fwd_offsets,
+            fwd_terms,
+            fwd_tfs,
+            fwd_positions,
+            ..
+        } = self;
+        drop(memo);
+        let mut counts = vec![(0usize, 0u64); terms.len()];
+        for (&t, &tf) in fwd_terms.iter().zip(&fwd_tfs) {
+            let (df, cf) = counts
+                .get_mut(t as usize)
+                .expect("invariant: forward entries name dictionary terms");
+            *df += 1;
+            *cf += u64::from(tf);
+        }
+        let mut postings: Vec<TermPostings> = counts
             .iter()
-            .map(|p| p.tfs.iter().map(|&t| t as u64).sum())
+            .map(|&(df, cf)| {
+                let cf = usize::try_from(cf).expect("invariant: positions fit in memory");
+                let mut pos_offsets = Vec::with_capacity(df + 1);
+                pos_offsets.push(0);
+                TermPostings {
+                    docs: Vec::with_capacity(df),
+                    tfs: Vec::with_capacity(df),
+                    pos_offsets,
+                    positions: Vec::with_capacity(cf),
+                }
+            })
             .collect();
+        let coll_tf = counts.into_iter().map(|(_, cf)| cf).collect();
+        let mut entries = fwd_terms.iter().zip(&fwd_tfs);
+        let mut arena = fwd_positions.as_slice();
+        for (doc, (&lo, &hi)) in fwd_offsets
+            .iter()
+            .zip(fwd_offsets.iter().skip(1))
+            .enumerate()
+        {
+            let doc = u32::try_from(doc).expect("invariant: doc count fits in u32 ids");
+            for (&t, &tf) in entries.by_ref().take((hi - lo) as usize) {
+                let p = postings
+                    .get_mut(t as usize)
+                    .expect("invariant: forward entries name dictionary terms");
+                let (positions, rest) = arena.split_at(tf as usize);
+                arena = rest;
+                p.docs.push(doc);
+                p.tfs.push(tf);
+                p.positions.extend_from_slice(positions);
+                p.pos_offsets.push(
+                    u32::try_from(p.positions.len())
+                        .expect("invariant: positions length fits in u32"),
+                );
+            }
+        }
+        drop(fwd_positions);
+        let mut external_ids = vec![String::new(); doc_lens.len()];
+        // Order-free: every id lands at its own doc slot.
+        for (id, doc) in ids {
+            *external_ids
+                .get_mut(doc as usize)
+                .expect("invariant: doc ids are dense") = id;
+        }
         Index {
-            analyzer: self.analyzer,
-            dict: self.dict,
-            terms: self.terms,
-            postings: self.postings,
-            external_ids: self.external_ids,
-            doc_lens: self.doc_lens,
-            collection_len: self.collection_len,
+            analyzer,
+            dict,
+            terms,
+            postings,
+            external_ids,
+            doc_lens,
+            collection_len,
             coll_tf,
-            fwd_offsets: self.fwd_offsets,
-            fwd_terms: self.fwd_terms,
-            fwd_tfs: self.fwd_tfs,
+            fwd_offsets,
+            fwd_terms,
+            fwd_tfs,
         }
     }
 }
@@ -1213,6 +1299,32 @@ impl Index {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_distinct_raw_token_is_analyzed_once_per_builder() {
+        let mut b = IndexBuilder::new(Analyzer::english());
+        b.add_document("d0", "The cable cars; the CABLE cars")
+            .expect("unique external ids");
+        // The, cable, cars, the, CABLE: 5 distinct raw tokens.
+        assert_eq!(b.raw_tokens_analyzed(), 5);
+        b.add_document("d1", "cable cars of the cable")
+            .expect("unique external ids");
+        assert_eq!(b.raw_tokens_analyzed(), 6, "only `of` is new");
+        assert!(b.add_document("d1", "funicular").is_err());
+        assert_eq!(
+            b.raw_tokens_analyzed(),
+            6,
+            "a rejected document is not analyzed"
+        );
+        let index = b.build();
+        assert_eq!(index.terms(), ["cabl", "car"]);
+        assert_eq!(index.doc_lens(), [4, 3]);
+        // A fresh builder starts with an empty memo.
+        let mut b = IndexBuilder::new(Analyzer::english());
+        b.add_document("d0", "cable cable")
+            .expect("unique external ids");
+        assert_eq!(b.raw_tokens_analyzed(), 1);
+    }
 
     fn tiny() -> Index {
         let mut b = IndexBuilder::new(Analyzer::plain());

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use rustc_hash::FxHashMap;
 
-use crate::index::{DocId, Index, IndexShapeError, TermId, TermPostings};
+use crate::index::{DocId, Index, IndexShapeError, TermPostings};
 
 /// One immutable, individually auditable slice of the corpus.
 #[derive(Debug)]
@@ -86,28 +86,57 @@ impl Segment {
             }
             remaps.push(remap);
         }
+        // Size every merged array from the inputs: a merged term's df and
+        // cf are the sums of its inputs' df and cf.
+        let num_terms = terms.len();
+        let mut sizes = vec![(0usize, 0usize); num_terms];
+        for (seg, remap) in segments.iter().zip(&remaps) {
+            for (p, &g) in seg.index.all_postings().iter().zip(remap) {
+                let (df, cf) = sizes
+                    .get_mut(g as usize)
+                    .expect("invariant: remap targets merged term ids");
+                *df += p.doc_freq();
+                *cf += p.positions_flat().len();
+            }
+        }
+        let num_docs: usize = segments.iter().map(|s| s.num_docs()).sum();
+        let num_fwd: usize = segments.iter().map(|s| s.index.fwd_terms().len()).sum();
         // Pass 2: concatenate every per-document structure with rebased
         // doc ids, and every per-term structure through the remap.
-        let num_terms = terms.len();
-        let mut docs: Vec<Vec<u32>> = vec![Vec::new(); num_terms];
-        let mut tfs: Vec<Vec<u32>> = vec![Vec::new(); num_terms];
-        let mut positions: Vec<Vec<u32>> = vec![Vec::new(); num_terms];
-        let mut pos_offsets: Vec<Vec<u32>> = vec![vec![0]; num_terms];
+        let mut docs: Vec<Vec<u32>> = sizes
+            .iter()
+            .map(|&(df, _)| Vec::with_capacity(df))
+            .collect();
+        let mut tfs: Vec<Vec<u32>> = sizes
+            .iter()
+            .map(|&(df, _)| Vec::with_capacity(df))
+            .collect();
+        let mut positions: Vec<Vec<u32>> = sizes
+            .iter()
+            .map(|&(_, cf)| Vec::with_capacity(cf))
+            .collect();
+        let mut pos_offsets: Vec<Vec<u32>> = sizes
+            .iter()
+            .map(|&(df, _)| {
+                let mut offsets = Vec::with_capacity(df + 1);
+                offsets.push(0);
+                offsets
+            })
+            .collect();
         let mut coll_tf = vec![0u64; num_terms];
-        let mut external_ids: Vec<String> = Vec::new();
-        let mut doc_lens: Vec<u32> = Vec::new();
+        let mut external_ids: Vec<String> = Vec::with_capacity(num_docs);
+        let mut doc_lens: Vec<u32> = Vec::with_capacity(num_docs);
         let mut collection_len = 0u64;
-        let mut fwd_offsets: Vec<u32> = vec![0];
-        let mut fwd_terms: Vec<u32> = Vec::new();
-        let mut fwd_tfs: Vec<u32> = Vec::new();
+        let mut fwd_offsets: Vec<u32> = Vec::with_capacity(num_docs + 1);
+        fwd_offsets.push(0);
+        let mut fwd_terms: Vec<u32> = Vec::with_capacity(num_fwd);
+        let mut fwd_tfs: Vec<u32> = Vec::with_capacity(num_fwd);
         let mut fwd_doc: Vec<(u32, u32)> = Vec::new();
         let mut base = 0u32;
         for (seg, remap) in segments.iter().zip(&remaps) {
             let idx = &seg.index;
-            for (local, &g) in remap.iter().enumerate() {
-                let p = idx.postings(TermId(
-                    u32::try_from(local).expect("invariant: term count fits in u32 ids"),
-                ));
+            let per_term = idx.all_postings().iter().zip(idx.coll_tfs());
+            for ((p, &tf), &g) in per_term.zip(remap) {
                 let g = g as usize;
                 docs[g].extend(p.docs().iter().map(|&d| d + base));
                 tfs[g].extend_from_slice(p.tfs());
@@ -117,9 +146,7 @@ impl Segment {
                     .copied()
                     .expect("invariant: pos_offsets starts with a 0 sentinel");
                 pos_offsets[g].extend(p.pos_offsets().iter().skip(1).map(|&o| o + rebase));
-                coll_tf[g] += idx.collection_tf(TermId(
-                    u32::try_from(local).expect("invariant: term count fits in u32 ids"),
-                ));
+                coll_tf[g] += tf;
             }
             external_ids.extend(idx.external_ids().iter().cloned());
             doc_lens.extend_from_slice(idx.doc_lens());
