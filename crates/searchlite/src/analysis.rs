@@ -180,9 +180,9 @@ impl Analyzer {
     /// workhorse-buffer pattern avoids reallocation in indexing loops.
     pub fn analyze_into(&self, text: &str, out: &mut Vec<String>) {
         out.clear();
-        let mut scratch = TokenScratch::default();
+        let mut buf = Vec::new();
         for raw in tokenize(text) {
-            if let Some(token) = self.analyze_token(raw, &mut scratch) {
+            if let Some(token) = self.analyze_token(raw, &mut buf) {
                 out.push(token.to_owned());
             }
         }
@@ -191,50 +191,36 @@ impl Analyzer {
     /// Analyzes one raw token — a maximal alphanumeric run, as
     /// [`tokenize`] yields it — into its indexed form, or `None` when the
     /// pipeline drops it (a stopword, or a stem that comes out empty).
+    /// The token is built in `buf`, which the returned form borrows.
     ///
     /// This is the one analysis routine: [`Analyzer::analyze_into`] runs
     /// it per token for queries, linker surfaces and KB titles, and
     /// [`crate::IndexBuilder`] runs it once per distinct raw token. It
-    /// allocates nothing once `scratch` has grown to the longest token:
-    /// ASCII is lowercased in place, non-ASCII goes through
+    /// allocates nothing once `buf` has grown to the longest token:
+    /// ASCII is lowercased byte by byte, non-ASCII goes through
     /// [`str::to_lowercase`] (which applies the final-sigma rule, so it
-    /// needs the whole token), and the Porter steps run in place on a
-    /// reused byte buffer.
-    pub fn analyze_token<'s>(&self, raw: &str, scratch: &'s mut TokenScratch) -> Option<&'s str> {
-        let TokenScratch { lower, stem } = scratch;
-        lower.clear();
+    /// needs the whole token), and the Porter steps run in place.
+    pub fn analyze_token<'b>(&self, raw: &str, buf: &'b mut Vec<u8>) -> Option<&'b str> {
+        buf.clear();
         if raw.is_ascii() {
-            lower.push_str(raw);
-            lower.make_ascii_lowercase();
+            buf.extend(raw.bytes().map(|b| b.to_ascii_lowercase()));
         } else {
-            lower.push_str(&raw.to_lowercase());
+            buf.extend_from_slice(raw.to_lowercase().as_bytes());
         }
-        if self.stopwords && is_stopword(lower) {
+        if self.stopwords
+            && is_stopword(std::str::from_utf8(buf).expect("invariant: lowercasing keeps utf-8"))
+        {
             return None;
         }
         // Porter's convention: words of 2 bytes or fewer and non-ASCII
         // words pass through unchanged.
-        let token: &str = if self.stemming && lower.len() > 2 && lower.is_ascii() {
-            stem.clear();
-            stem.extend_from_slice(lower.as_bytes());
-            stem_ascii(stem);
-            std::str::from_utf8(stem)
-                .expect("invariant: stemmer input is ascii, so output stays valid utf-8")
-        } else {
-            lower
-        };
+        if self.stemming && buf.len() > 2 && buf.is_ascii() {
+            stem_ascii(buf);
+        }
+        let token =
+            std::str::from_utf8(buf).expect("invariant: the Porter steps only touch ascii words");
         (!token.is_empty()).then_some(token)
     }
-}
-
-/// Reusable buffers of [`Analyzer::analyze_token`]: the lowercased token
-/// and the stemmer's working copy. One scratch serves any number of
-/// sequential calls.
-#[derive(Debug, Default, Clone)]
-// lint:allow(persist-types-derive-serde) — transient scratch, never persisted
-pub struct TokenScratch {
-    lower: String,
-    stem: Vec<u8>,
 }
 
 /// Splits text into maximal alphanumeric runs.

@@ -9,7 +9,7 @@
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
-use crate::analysis::{tokenize, Analyzer, TokenScratch};
+use crate::analysis::{tokenize, Analyzer};
 
 /// Dense identifier of an indexed term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -106,6 +106,41 @@ impl TermPostings {
     #[inline]
     pub fn positions_flat(&self) -> &[u32] {
         &self.positions
+    }
+
+    /// Empty postings with room for `df` documents and `cf` positions.
+    pub(crate) fn with_capacity(df: usize, cf: usize) -> TermPostings {
+        let mut pos_offsets = Vec::with_capacity(df + 1);
+        pos_offsets.push(0);
+        TermPostings {
+            docs: Vec::with_capacity(df),
+            tfs: Vec::with_capacity(df),
+            pos_offsets,
+            positions: Vec::with_capacity(cf),
+        }
+    }
+
+    /// Appends `doc` with the term's sorted positions in it.
+    fn push(&mut self, doc: u32, positions: &[u32]) {
+        self.docs.push(doc);
+        self.tfs
+            .push(u32::try_from(positions.len()).expect("invariant: term frequency fits in u32"));
+        self.positions.extend_from_slice(positions);
+        self.pos_offsets.push(
+            u32::try_from(self.positions.len()).expect("invariant: positions length fits in u32"),
+        );
+    }
+
+    /// Appends every posting of `other` with its doc ids shifted by
+    /// `base` (the merge of adjacent segments).
+    pub(crate) fn append(&mut self, other: &TermPostings, base: u32) {
+        let rebase =
+            u32::try_from(self.positions.len()).expect("invariant: positions length fits in u32");
+        self.docs.extend(other.docs.iter().map(|&d| d + base));
+        self.tfs.extend_from_slice(&other.tfs);
+        self.positions.extend_from_slice(&other.positions);
+        self.pos_offsets
+            .extend(other.pos_offsets.iter().skip(1).map(|&o| o + rebase));
     }
 
     /// Reassembles postings from raw arrays. Shape is NOT validated here;
@@ -215,7 +250,8 @@ pub struct IndexBuilder {
     memo: FxHashMap<Box<str>, Option<u32>>,
     /// Raw tokens analyzed so far (memo misses).
     analyzed: usize,
-    token: TokenScratch,
+    /// The analysis routine's token buffer.
+    token: Vec<u8>,
     dict: FxHashMap<String, u32>,
     terms: Vec<String>,
     /// External id → dense doc id; [`IndexBuilder::build`] moves the ids
@@ -240,7 +276,7 @@ impl IndexBuilder {
             analyzer,
             memo: FxHashMap::default(),
             analyzed: 0,
-            token: TokenScratch::default(),
+            token: Vec::new(),
             dict: FxHashMap::default(),
             terms: Vec::new(),
             ids: FxHashMap::default(),
@@ -366,14 +402,7 @@ impl IndexBuilder {
             .iter()
             .map(|&(df, cf)| {
                 let cf = usize::try_from(cf).expect("invariant: positions fit in memory");
-                let mut pos_offsets = Vec::with_capacity(df + 1);
-                pos_offsets.push(0);
-                TermPostings {
-                    docs: Vec::with_capacity(df),
-                    tfs: Vec::with_capacity(df),
-                    pos_offsets,
-                    positions: Vec::with_capacity(cf),
-                }
+                TermPostings::with_capacity(df, cf)
             })
             .collect();
         let coll_tf = counts.into_iter().map(|(_, cf)| cf).collect();
@@ -386,18 +415,12 @@ impl IndexBuilder {
         {
             let doc = u32::try_from(doc).expect("invariant: doc count fits in u32 ids");
             for (&t, &tf) in entries.by_ref().take((hi - lo) as usize) {
-                let p = postings
-                    .get_mut(t as usize)
-                    .expect("invariant: forward entries name dictionary terms");
                 let (positions, rest) = arena.split_at(tf as usize);
                 arena = rest;
-                p.docs.push(doc);
-                p.tfs.push(tf);
-                p.positions.extend_from_slice(positions);
-                p.pos_offsets.push(
-                    u32::try_from(p.positions.len())
-                        .expect("invariant: positions length fits in u32"),
-                );
+                postings
+                    .get_mut(t as usize)
+                    .expect("invariant: forward entries name dictionary terms")
+                    .push(doc, positions);
             }
         }
         drop(fwd_positions);

@@ -86,44 +86,29 @@ impl Segment {
             }
             remaps.push(remap);
         }
-        // Size every merged array from the inputs: a merged term's df and
-        // cf are the sums of its inputs' df and cf.
-        let num_terms = terms.len();
-        let mut sizes = vec![(0usize, 0usize); num_terms];
+        // Size every merged term from its inputs: its df, positions and
+        // collection frequency are the sums of theirs.
+        let mut sizes = vec![(0usize, 0usize, 0u64); terms.len()];
         for (seg, remap) in segments.iter().zip(&remaps) {
-            for (p, &g) in seg.index.all_postings().iter().zip(remap) {
-                let (df, cf) = sizes
+            let per_term = seg.index.all_postings().iter().zip(seg.index.coll_tfs());
+            for ((p, &tf), &g) in per_term.zip(remap) {
+                let (df, cf, coll_tf) = sizes
                     .get_mut(g as usize)
                     .expect("invariant: remap targets merged term ids");
                 *df += p.doc_freq();
                 *cf += p.positions_flat().len();
+                *coll_tf += tf;
             }
         }
         let num_docs: usize = segments.iter().map(|s| s.num_docs()).sum();
         let num_fwd: usize = segments.iter().map(|s| s.index.fwd_terms().len()).sum();
         // Pass 2: concatenate every per-document structure with rebased
         // doc ids, and every per-term structure through the remap.
-        let mut docs: Vec<Vec<u32>> = sizes
+        let mut postings: Vec<TermPostings> = sizes
             .iter()
-            .map(|&(df, _)| Vec::with_capacity(df))
+            .map(|&(df, cf, _)| TermPostings::with_capacity(df, cf))
             .collect();
-        let mut tfs: Vec<Vec<u32>> = sizes
-            .iter()
-            .map(|&(df, _)| Vec::with_capacity(df))
-            .collect();
-        let mut positions: Vec<Vec<u32>> = sizes
-            .iter()
-            .map(|&(_, cf)| Vec::with_capacity(cf))
-            .collect();
-        let mut pos_offsets: Vec<Vec<u32>> = sizes
-            .iter()
-            .map(|&(df, _)| {
-                let mut offsets = Vec::with_capacity(df + 1);
-                offsets.push(0);
-                offsets
-            })
-            .collect();
-        let mut coll_tf = vec![0u64; num_terms];
+        let coll_tf = sizes.into_iter().map(|(_, _, tf)| tf).collect();
         let mut external_ids: Vec<String> = Vec::with_capacity(num_docs);
         let mut doc_lens: Vec<u32> = Vec::with_capacity(num_docs);
         let mut collection_len = 0u64;
@@ -135,18 +120,11 @@ impl Segment {
         let mut base = 0u32;
         for (seg, remap) in segments.iter().zip(&remaps) {
             let idx = &seg.index;
-            let per_term = idx.all_postings().iter().zip(idx.coll_tfs());
-            for ((p, &tf), &g) in per_term.zip(remap) {
-                let g = g as usize;
-                docs[g].extend(p.docs().iter().map(|&d| d + base));
-                tfs[g].extend_from_slice(p.tfs());
-                positions[g].extend_from_slice(p.positions_flat());
-                let rebase = pos_offsets[g]
-                    .last()
-                    .copied()
-                    .expect("invariant: pos_offsets starts with a 0 sentinel");
-                pos_offsets[g].extend(p.pos_offsets().iter().skip(1).map(|&o| o + rebase));
-                coll_tf[g] += tf;
+            for (p, &g) in idx.all_postings().iter().zip(remap) {
+                postings
+                    .get_mut(g as usize)
+                    .expect("invariant: remap targets merged term ids")
+                    .append(p, base);
             }
             external_ids.extend(idx.external_ids().iter().cloned());
             doc_lens.extend_from_slice(idx.doc_lens());
@@ -171,13 +149,6 @@ impl Segment {
             }
             base += u32::try_from(idx.num_docs()).expect("invariant: doc count fits in u32 ids");
         }
-        let postings: Vec<TermPostings> = docs
-            .into_iter()
-            .zip(tfs)
-            .zip(pos_offsets)
-            .zip(positions)
-            .map(|(((d, t), o), p)| TermPostings::from_raw_parts(d, t, o, p))
-            .collect();
         let index = Index::from_raw_parts(
             analyzer,
             terms,
