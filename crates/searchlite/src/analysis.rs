@@ -180,10 +180,12 @@ impl Analyzer {
     /// workhorse-buffer pattern avoids reallocation in indexing loops.
     pub fn analyze_into(&self, text: &str, out: &mut Vec<String>) {
         out.clear();
-        let mut buf = Vec::new();
+        let mut scratch = TokenScratch::default();
         for raw in tokenize(text) {
-            if let Some(token) = self.analyze_token(raw, &mut buf) {
-                out.push(token.to_owned());
+            if self.analyze_token(raw, &mut scratch).is_some() {
+                // The kept token's buffer becomes its `String`: one
+                // allocation per kept token, none per dropped one.
+                out.push(std::mem::take(&mut scratch.token));
             }
         }
     }
@@ -191,36 +193,51 @@ impl Analyzer {
     /// Analyzes one raw token — a maximal alphanumeric run, as
     /// [`tokenize`] yields it — into its indexed form, or `None` when the
     /// pipeline drops it (a stopword, or a stem that comes out empty).
-    /// The token is built in `buf`, which the returned form borrows.
     ///
     /// This is the one analysis routine: [`Analyzer::analyze_into`] runs
     /// it per token for queries, linker surfaces and KB titles, and
     /// [`crate::IndexBuilder`] runs it once per distinct raw token. It
-    /// allocates nothing once `buf` has grown to the longest token:
-    /// ASCII is lowercased byte by byte, non-ASCII goes through
+    /// allocates nothing once `scratch` has grown to the longest token:
+    /// ASCII is lowercased in place, non-ASCII goes through
     /// [`str::to_lowercase`] (which applies the final-sigma rule, so it
-    /// needs the whole token), and the Porter steps run in place.
-    pub fn analyze_token<'b>(&self, raw: &str, buf: &'b mut Vec<u8>) -> Option<&'b str> {
-        buf.clear();
+    /// needs the whole token), and the Porter steps run in place on the
+    /// scratch's byte buffer.
+    pub fn analyze_token<'s>(&self, raw: &str, scratch: &'s mut TokenScratch) -> Option<&'s str> {
+        let TokenScratch { token, stem } = scratch;
+        token.clear();
         if raw.is_ascii() {
-            buf.extend(raw.bytes().map(|b| b.to_ascii_lowercase()));
+            token.push_str(raw);
+            token.make_ascii_lowercase();
         } else {
-            buf.extend_from_slice(raw.to_lowercase().as_bytes());
+            token.push_str(&raw.to_lowercase());
         }
-        if self.stopwords
-            && is_stopword(std::str::from_utf8(buf).expect("invariant: lowercasing keeps utf-8"))
-        {
+        if self.stopwords && is_stopword(token) {
             return None;
         }
         // Porter's convention: words of 2 bytes or fewer and non-ASCII
         // words pass through unchanged.
-        if self.stemming && buf.len() > 2 && buf.is_ascii() {
-            stem_ascii(buf);
+        if self.stemming && token.len() > 2 && token.is_ascii() {
+            stem.clear();
+            stem.extend_from_slice(token.as_bytes());
+            stem_ascii(stem);
+            token.clear();
+            token.push_str(
+                std::str::from_utf8(stem)
+                    .expect("invariant: the Porter steps only touch ascii words"),
+            );
         }
-        let token =
-            std::str::from_utf8(buf).expect("invariant: the Porter steps only touch ascii words");
-        (!token.is_empty()).then_some(token)
+        (!token.is_empty()).then_some(token.as_str())
     }
+}
+
+/// Reusable buffers of [`Analyzer::analyze_token`]: the analyzed token
+/// and the stemmer's working bytes. One scratch serves any number of
+/// sequential calls.
+#[derive(Debug, Default)]
+// lint:allow(persist-types-derive-serde) — transient scratch, never persisted
+pub struct TokenScratch {
+    token: String,
+    stem: Vec<u8>,
 }
 
 /// Splits text into maximal alphanumeric runs.

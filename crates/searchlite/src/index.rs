@@ -9,7 +9,7 @@
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
-use crate::analysis::{tokenize, Analyzer};
+use crate::analysis::{tokenize, Analyzer, TokenScratch};
 
 /// Dense identifier of an indexed term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -250,8 +250,7 @@ pub struct IndexBuilder {
     memo: FxHashMap<Box<str>, Option<u32>>,
     /// Raw tokens analyzed so far (memo misses).
     analyzed: usize,
-    /// The analysis routine's token buffer.
-    token: Vec<u8>,
+    token: TokenScratch,
     dict: FxHashMap<String, u32>,
     terms: Vec<String>,
     /// External id → dense doc id; [`IndexBuilder::build`] moves the ids
@@ -276,7 +275,7 @@ impl IndexBuilder {
             analyzer,
             memo: FxHashMap::default(),
             analyzed: 0,
-            token: Vec::new(),
+            token: TokenScratch::default(),
             dict: FxHashMap::default(),
             terms: Vec::new(),
             ids: FxHashMap::default(),

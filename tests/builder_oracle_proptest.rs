@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use proptest::prelude::*;
-use searchlite::analysis;
+use searchlite::analysis::{self, TokenScratch};
 use searchlite::{Analyzer, DocId, Index, IndexBuildError, IndexBuilder, TermId};
 
 /// Fragments that exercise the analysis rules: mixed case, capitalized
@@ -220,9 +220,9 @@ proptest! {
     #[test]
     fn token_routine_matches_frozen_analyze_into(text in text(24), analyzer in analyzer()) {
         let want = frozen_analyze(&analyzer, &text);
-        let mut buf = Vec::new();
+        let mut scratch = TokenScratch::default();
         let per_token: Vec<String> = analysis::tokenize(&text)
-            .filter_map(|raw| analyzer.analyze_token(raw, &mut buf).map(str::to_owned))
+            .filter_map(|raw| analyzer.analyze_token(raw, &mut scratch).map(str::to_owned))
             .collect();
         prop_assert_eq!(&per_token, &want);
         prop_assert_eq!(&analyzer.analyze(&text), &want);
