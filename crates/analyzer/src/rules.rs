@@ -451,7 +451,6 @@ const HOT_FILES: &[&str] = &[
     "crates/admission/src/deadline.rs",
     "crates/admission/src/ladder.rs",
     "crates/admission/src/outcome.rs",
-    "crates/bench/src/load_bench.rs",
     "crates/store/src/buf.rs",
     "crates/store/src/codec.rs",
     "crates/store/src/crc32.rs",
@@ -541,9 +540,10 @@ impl Rule for PanickingHotPath {
 }
 
 /// `persist-types-derive-serde`: types in persisted-state files (the CSR
-/// graph and the inverted index, both serialized via `to_json`/`from_json`)
-/// must derive `Serialize` and `Deserialize` so persistence cannot
-/// silently lose fields. Transient helpers opt out with
+/// graph and the inverted index) must derive `Serialize` and
+/// `Deserialize` so persistence cannot silently lose fields. No
+/// persistence path reads the derives: `sqe-store` encodes these types
+/// section by section. Transient helpers opt out with
 /// `// lint:allow(persist-types-derive-serde)`.
 pub struct PersistTypesDeriveSerde;
 
@@ -665,7 +665,6 @@ const ENTRY_FILES: &[&str] = &[
     "crates/admission/src/deadline.rs",
     "crates/admission/src/ladder.rs",
     "crates/admission/src/outcome.rs",
-    "crates/bench/src/load_bench.rs",
     "crates/store/src/buf.rs",
     "crates/store/src/codec.rs",
     "crates/store/src/crc32.rs",

@@ -1,22 +1,14 @@
-//! Regenerates every table and figure of the paper, and load-tests the
-//! concurrent query service.
+//! Regenerates every table and figure of the paper, searches the motif
+//! space, and writes and checks binary snapshots.
 //!
 //! ```text
 //! experiments [--small] [fig2|table1|fig5|table2|fig6|table3|table4|ablation|sensitivity|stats|export|query <text>|all]
-//! experiments serve-bench [--smoke] [--threads=1,2,8] [--shards=N] [--out=BENCH_serve.json]
-//! experiments load-bench [--smoke] [--rate=R1,R2] [--threads=N] [--shards=N] [--out=BENCH_load.json]
 //! experiments motif-search [--smoke] [--out=BENCH_motif.json]
-//! experiments ingest-bench [--smoke] [--out=BENCH_ingest.json]
-//! experiments ingest-bench --articles=N [--shards=M] [--smoke] [--out=BENCH_ingest.json]
 //! experiments snapshot write|verify|info [--small] [--file=world.snap]
-//! experiments store-bench [--smoke] [--out=BENCH_store.json]
 //! ```
 
 use sqe::MotifSet;
-use sqe_bench::{
-    figures, ingest_bench, load_bench, motif_search, serve_bench, store_bench, tables, timing,
-    ExperimentContext,
-};
+use sqe_bench::{figures, motif_search, tables, timing, ExperimentContext};
 
 fn print_stats(ctx: &ExperimentContext) {
     let stats = ctx.bed.kb.graph.stats();
@@ -126,46 +118,6 @@ fn written(out: &str, result: std::io::Result<()>) -> CliResult {
     }
 }
 
-/// Runs the serve-bench load generator and writes `BENCH_serve.json`.
-fn run_serve_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[String]) -> CliResult {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut opts = if smoke {
-        serve_bench::ServeBenchOptions::smoke()
-    } else {
-        serve_bench::ServeBenchOptions::default()
-    };
-    if let Some(list) = args.iter().find_map(|a| a.strip_prefix("--threads=")) {
-        let counts: Vec<usize> = list
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .collect();
-        if counts.is_empty() {
-            eprintln!("--threads: expected a comma-separated list of worker counts, got '{list}'");
-            return Err(2);
-        }
-        opts.thread_counts = counts;
-    }
-    if let Some(n) = args.iter().find_map(|a| a.strip_prefix("--shards=")) {
-        match n.trim().parse::<usize>() {
-            Ok(shards) if shards >= 1 => opts.shards = shards,
-            _ => {
-                eprintln!("--shards: expected a positive integer, got '{n}'");
-                return Err(2);
-            }
-        }
-    }
-    let out = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--out="))
-        .unwrap_or("BENCH_serve.json");
-    let report = serve_bench::run_serve_bench(ctx, context_name, &opts);
-    print!("{}", serve_bench::format_report(&report));
-    written(
-        out,
-        serve_bench::write_report(&report, std::path::Path::new(out)),
-    )
-}
-
 /// Enumerates the generalized motif space against the planted optimal
 /// query graphs and writes `BENCH_motif.json`.
 fn run_motif_search_cli(ctx: &ExperimentContext, context_name: &str, args: &[String]) -> CliResult {
@@ -184,122 +136,6 @@ fn run_motif_search_cli(ctx: &ExperimentContext, context_name: &str, args: &[Str
     written(
         out,
         motif_search::write_report(&report, std::path::Path::new(out)),
-    )
-}
-
-/// Runs the open-loop admission/deadline load generator and writes
-/// `BENCH_load.json`.
-fn run_load_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[String]) -> CliResult {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut opts = if smoke {
-        load_bench::LoadBenchOptions::smoke()
-    } else {
-        load_bench::LoadBenchOptions::default()
-    };
-    if let Some(list) = args.iter().find_map(|a| a.strip_prefix("--rate=")) {
-        let rates: Vec<f64> = list
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .filter(|&r: &f64| r > 0.0)
-            .collect();
-        if rates.is_empty() {
-            eprintln!(
-                "--rate: expected a comma-separated list of positive qps values, got '{list}'"
-            );
-            return Err(2);
-        }
-        opts.explicit_rates = rates;
-    }
-    if let Some(n) = args.iter().find_map(|a| a.strip_prefix("--threads=")) {
-        match n.trim().parse::<usize>() {
-            Ok(workers) if workers >= 1 => opts.workers = workers,
-            _ => {
-                eprintln!("--threads: expected a positive integer, got '{n}'");
-                return Err(2);
-            }
-        }
-    }
-    if let Some(n) = args.iter().find_map(|a| a.strip_prefix("--shards=")) {
-        match n.trim().parse::<usize>() {
-            Ok(shards) if shards >= 1 => opts.shards = shards,
-            _ => {
-                eprintln!("--shards: expected a positive integer, got '{n}'");
-                return Err(2);
-            }
-        }
-    }
-    let out = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--out="))
-        .unwrap_or("BENCH_load.json");
-    let report = load_bench::run_load_bench(ctx, context_name, &opts);
-    print!("{}", load_bench::format_report(&report));
-    written(
-        out,
-        load_bench::write_report(&report, std::path::Path::new(out)),
-    )
-}
-
-/// Runs the live-ingestion benchmark and writes `BENCH_ingest.json`.
-fn run_ingest_bench_cli(ctx: &ExperimentContext, context_name: &str, args: &[String]) -> CliResult {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let opts = if smoke {
-        ingest_bench::IngestBenchOptions::smoke()
-    } else {
-        ingest_bench::IngestBenchOptions::default()
-    };
-    let out = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--out="))
-        .unwrap_or("BENCH_ingest.json");
-    let report = ingest_bench::run_ingest_bench(ctx, context_name, &opts);
-    print!("{}", ingest_bench::format_report(&report));
-    written(
-        out,
-        ingest_bench::write_report(&report, std::path::Path::new(out)),
-    )
-}
-
-/// `experiments ingest-bench --articles=N [--shards=M]`: streams an
-/// N-article bed straight into sharded services with bounded memory
-/// (no in-memory corpus) and reports build time + post-build QPS.
-fn run_streaming_ingest_cli(args: &[String]) -> CliResult {
-    let Some(articles) = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--articles="))
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 10)
-    else {
-        eprintln!("--articles: expected an integer >= 10");
-        return Err(2);
-    };
-    let shards = match args.iter().find_map(|a| a.strip_prefix("--shards=")) {
-        None => 4,
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(s) if s >= 1 => s,
-            _ => {
-                eprintln!("--shards: expected a positive integer, got '{v}'");
-                return Err(2);
-            }
-        },
-    };
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let opts = if smoke {
-        ingest_bench::StreamingIngestOptions::smoke(articles, shards)
-    } else {
-        ingest_bench::StreamingIngestOptions::new(articles, shards)
-    };
-    let cfg = synthwiki::TestBedConfig::streaming(articles);
-    let out = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--out="))
-        .unwrap_or("BENCH_ingest.json");
-    eprintln!("streaming {articles} articles into {shards} shard(s) per collection...");
-    let report = ingest_bench::run_streaming_ingest_bench(&cfg, &opts);
-    print!("{}", ingest_bench::format_streaming_report(&report));
-    written(
-        out,
-        ingest_bench::write_streaming_report(&report, std::path::Path::new(out)),
     )
 }
 
@@ -397,32 +233,6 @@ fn run_snapshot_cli(args: &[String], small: bool, verb: Option<&str>) -> CliResu
     }
 }
 
-/// `experiments store-bench [--smoke] [--out=BENCH_store.json]`: measures
-/// the cold-start paths (regenerating internally — no shared context).
-fn run_store_bench_cli(args: &[String], small: bool) -> CliResult {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let opts = if smoke {
-        store_bench::StoreBenchOptions::smoke()
-    } else {
-        store_bench::StoreBenchOptions::default()
-    };
-    let cfg = if small {
-        synthwiki::TestBedConfig::small()
-    } else {
-        synthwiki::TestBedConfig::full()
-    };
-    let out = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--out="))
-        .unwrap_or("BENCH_store.json");
-    let report = store_bench::run_store_bench(&cfg, if small { "small" } else { "full" }, &opts);
-    print!("{}", store_bench::format_report(&report));
-    written(
-        out,
-        store_bench::write_report(&report, std::path::Path::new(out)),
-    )
-}
-
 fn main() -> std::process::ExitCode {
     match run(std::env::args().skip(1).collect()) {
         Ok(()) => std::process::ExitCode::SUCCESS,
@@ -431,7 +241,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run(args: Vec<String>) -> CliResult {
-    // serve-bench --smoke implies the small test bed.
+    // --smoke implies the small test bed.
     let small = args.iter().any(|a| a == "--small" || a == "--smoke");
     let what: Vec<&str> = args
         .iter()
@@ -449,18 +259,10 @@ fn run(args: Vec<String>) -> CliResult {
         adhoc_query(&ctx, &text);
         return Ok(());
     }
-    // `snapshot` and `store-bench` manage their own contexts: verify/info
-    // must not pay for a test-bed build, and store-bench times the build.
+    // `snapshot` manages its own context: verify/info must not pay for a
+    // test-bed build.
     if what.first() == Some(&"snapshot") {
         return run_snapshot_cli(&args, small, what.get(1).copied());
-    }
-    if what.first() == Some(&"store-bench") {
-        return run_store_bench_cli(&args, small);
-    }
-    // `ingest-bench --articles=N` is the streaming sharded build: the
-    // corpus never exists in memory, so it must not build a context.
-    if what.first() == Some(&"ingest-bench") && args.iter().any(|a| a.starts_with("--articles=")) {
-        return run_streaming_ingest_cli(&args);
     }
     let what = if what.is_empty() { vec!["all"] } else { what };
 
@@ -496,15 +298,8 @@ fn run(args: Vec<String>) -> CliResult {
             "fig6" => print!("{}", figures::figure6_all(&ctx)),
             "table3" => print!("{}", tables::table3_all(&ctx)),
             "table4" => print!("{}", timing::table4(&ctx)),
-            "serve-bench" => {
-                run_serve_bench_cli(&ctx, if small { "small" } else { "full" }, &args)?
-            }
-            "load-bench" => run_load_bench_cli(&ctx, if small { "small" } else { "full" }, &args)?,
             "motif-search" => {
                 run_motif_search_cli(&ctx, if small { "small" } else { "full" }, &args)?
-            }
-            "ingest-bench" => {
-                run_ingest_bench_cli(&ctx, if small { "small" } else { "full" }, &args)?
             }
             "ablation" => print!("{}", tables::ablation(&ctx)),
             "sensitivity" => {
@@ -533,15 +328,10 @@ fn run(args: Vec<String>) -> CliResult {
             other => {
                 eprintln!("unknown experiment '{other}'");
                 eprintln!("usage: experiments [--small] [fig2|table1|fig5|table2|fig6|table3|table4|ablation|sensitivity|stats|export|query <text>|all]");
-                eprintln!("       experiments serve-bench [--smoke] [--threads=1,2,8] [--shards=N] [--out=BENCH_serve.json]");
-                eprintln!("       experiments load-bench [--smoke] [--rate=R1,R2] [--threads=N] [--shards=N] [--out=BENCH_load.json]");
                 eprintln!("       experiments motif-search [--smoke] [--out=BENCH_motif.json]");
-                eprintln!("       experiments ingest-bench [--smoke] [--out=BENCH_ingest.json]");
-                eprintln!("       experiments ingest-bench --articles=N [--shards=M] [--smoke] [--out=BENCH_ingest.json]");
                 eprintln!(
                     "       experiments snapshot write|verify|info [--small] [--file=world.snap]"
                 );
-                eprintln!("       experiments store-bench [--smoke] [--out=BENCH_store.json]");
                 return Err(2);
             }
         }

@@ -10,29 +10,19 @@
 //! | Table 3a–c (PRF and SQE_C/PRF) | [`tables::table3`] |
 //! | Table 4 (query-graph construction times) | [`timing::table4`] |
 //!
-//! Beyond the paper's artifacts, [`serve_bench`] load-tests the
-//! concurrent [`sqe::QueryService`] (`experiments serve-bench`, written
-//! to `BENCH_serve.json`), [`load_bench`] drives the admission-controlled
-//! serving path with open-loop load, deadlines and degraded modes
-//! (`experiments load-bench`, written to `BENCH_load.json`),
-//! [`ingest_bench`] measures throughput under
-//! live ingestion across the static/ingest/merged regimes (`experiments
-//! ingest-bench`, written to `BENCH_ingest.json`), and [`store_bench`]
-//! measures the cold-start paths — regenerate vs JSON vs binary snapshot
-//! (`experiments store-bench`, written to `BENCH_store.json`;
-//! `experiments snapshot write|verify|info` manages the snapshot file
-//! itself). The `experiments` binary drives everything; Criterion
-//! benches live under `benches/`.
+//! Beyond the paper's artifacts, [`motif_search`] scores the generalized
+//! motif space against the planted optimal query graphs (`experiments
+//! motif-search`, written to `BENCH_motif.json`), and `experiments
+//! snapshot write|verify|info` manages the binary snapshot file. The
+//! `experiments` binary drives everything; Criterion benches live under
+//! `benches/`. Serving, ingest and cold-start speed are measured by the
+//! separate `perfbench/` package.
 
 pub mod context;
 pub mod export;
-pub mod ingest_bench;
-pub mod load_bench;
 pub mod motif_search;
 pub mod report;
 pub mod runs;
-pub mod serve_bench;
-pub mod store_bench;
 pub mod tables;
 pub mod timing;
 

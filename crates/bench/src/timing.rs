@@ -63,8 +63,8 @@ fn median_ms(samples: &mut [f64]) -> f64 {
 }
 
 /// Runs `work` under the protocol and returns the median per-execution
-/// milliseconds (shared with `store_bench`).
-pub(crate) fn measure_ms(protocol: TimingProtocol, mut work: impl FnMut()) -> f64 {
+/// milliseconds.
+fn measure_ms(protocol: TimingProtocol, mut work: impl FnMut()) -> f64 {
     for _ in 0..protocol.warmup {
         work();
     }

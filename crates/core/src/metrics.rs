@@ -5,7 +5,7 @@
 //! query hot path costs a handful of relaxed stores. No library code path
 //! reads a wall clock: durations come from an injected [`Clock`], so tests
 //! drive a [`ManualClock`] and get bit-exact, timing-independent metrics,
-//! while the bench harness injects a [`MonotonicClock`].
+//! while a deployment that wants latencies injects a [`MonotonicClock`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -113,11 +113,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// Zeroes the counter.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -229,17 +224,6 @@ impl LatencyHistogram {
         self.quantile_upper_nanos(0.999)
     }
 
-    /// Zeroes every bucket and the running count/sum. Not atomic with
-    /// respect to concurrent `record` calls — reset between measurement
-    /// phases, not during one.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
-
     /// Immutable copy of the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -336,16 +320,6 @@ impl LadderMetrics {
     pub fn cost_snapshot(&self) -> Vec<HistogramSnapshot> {
         self.cost.iter().map(LatencyHistogram::snapshot).collect()
     }
-
-    /// Zeroes every rung's counter and histogram.
-    pub fn reset(&self) {
-        for c in &self.served {
-            c.reset();
-        }
-        for h in &self.cost {
-            h.reset();
-        }
-    }
 }
 
 /// The ingestion stages the serving layer times separately. A seal is
@@ -382,15 +356,6 @@ impl IngestHistograms {
             self.merge.snapshot(),
         ]
     }
-
-    /// Zeroes every ingest histogram.
-    pub fn reset(&self) {
-        self.add.reset();
-        self.build.reset();
-        self.commit.reset();
-        self.publish.reset();
-        self.merge.reset();
-    }
 }
 
 /// Per-stage latency histograms for the serving pipeline.
@@ -415,14 +380,6 @@ impl StageHistograms {
             self.combine.snapshot(),
             self.total.snapshot(),
         ]
-    }
-
-    /// Zeroes every stage histogram.
-    pub fn reset(&self) {
-        self.expand.reset();
-        self.rank.reset();
-        self.combine.reset();
-        self.total.reset();
     }
 }
 
@@ -496,27 +453,6 @@ impl ServeMetrics {
         } else {
             hits as f64 / total as f64
         }
-    }
-
-    /// Zeroes every counter and histogram, starting a fresh measurement
-    /// phase (cache contents are untouched — that is the point: the warm
-    /// phase of a benchmark keeps the cache and drops the cold numbers).
-    pub fn reset(&self) {
-        self.queries.reset();
-        self.cache_hits.reset();
-        self.cache_misses.reset();
-        self.invalidations.reset();
-        self.docs_ingested.reset();
-        self.seals.reset();
-        self.merges.reset();
-        self.sheds.reset();
-        self.deadline_exceeded.reset();
-        self.ql_features_resolved.reset();
-        self.ql_candidates_scored.reset();
-        self.titles_analyzed.reset();
-        self.stages.reset();
-        self.ingest.reset();
-        self.ladder.reset();
     }
 
     /// Point-in-time copy of every metric (evictions are tracked by the
@@ -677,21 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_counters_and_histograms() {
-        let m = ServeMetrics::new(3);
-        m.queries.add(7);
-        m.cache_hits.inc();
-        m.stages.rank.record(1000);
-        m.reset();
-        let s = m.snapshot(0, 0);
-        assert_eq!(s.queries, 0);
-        assert_eq!(s.cache_hits, 0);
-        assert_eq!(s.stages[1].count, 0);
-        assert_eq!(s.stages[1].sum_nanos, 0);
-        assert_eq!(s.stages[1].p99_nanos, 0);
-    }
-
-    #[test]
     fn single_record_drives_every_quantile() {
         let h = LatencyHistogram::new();
         h.record(500);
@@ -739,9 +660,6 @@ mod tests {
         assert!(est[0] > est[1] && est[1] > est[2]);
         l.served[1].inc();
         assert_eq!(l.served_snapshot(), [0, 1, 0]);
-        l.reset();
-        assert_eq!(l.served_snapshot(), [0, 0, 0]);
-        assert_eq!(l.cost_estimates(), [0, 0, 0]);
     }
 
     #[test]
@@ -756,9 +674,5 @@ mod tests {
         assert_eq!(s.deadline_exceeded, 1);
         assert_eq!(s.ladder_served, [5, 0, 0]);
         assert_eq!(s.ladder_cost[0].count, 1);
-        m.reset();
-        let s = m.snapshot(0, 0);
-        assert_eq!(s.sheds, 0);
-        assert_eq!(s.ladder_served, [0, 0, 0]);
     }
 }

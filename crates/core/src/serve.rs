@@ -375,7 +375,7 @@ impl<'a> QueryService<'a> {
     }
 
     /// [`QueryService::new`] with an injected clock — a `MonotonicClock`
-    /// in the bench harness, a `ManualClock` in tests.
+    /// to record real latencies, a `ManualClock` in tests.
     pub fn with_clock(
         graph: &'a KbGraph,
         index: &Index,
@@ -720,13 +720,6 @@ impl<'a> QueryService<'a> {
     /// [`QueryService::epoch`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot(self.cache.evictions(), self.epoch())
-    }
-
-    /// Zeroes counters and histograms without touching the cache: the
-    /// bench harness resets between its cold and warm phases so the warm
-    /// numbers are not polluted by cold-phase latencies.
-    pub fn reset_metrics(&self) {
-        self.metrics.reset();
     }
 
     // ------------------------------------------------------- ingestion --
@@ -1266,9 +1259,9 @@ impl<'a> QueryService<'a> {
         }
     }
 
-    /// Serves a request that already holds an admission ticket (the
-    /// open-loop bench admits at arrival time on its dispatcher thread,
-    /// then starts work on a pool thread).
+    /// Serves a request that already holds an admission ticket (an
+    /// open-loop caller admits at arrival time, then starts the work,
+    /// possibly on another thread).
     pub fn serve_admitted(
         &self,
         ticket: Ticket,
@@ -1435,8 +1428,7 @@ impl Live {
 /// A [`QueryService`] made by the sharded constructors: empty shards
 /// to ingest into, or one snapshot per shard. Every method is the one
 /// service's (through `Deref`); this type keeps only its constructors,
-/// because the benchmark package (`perfbench/`) and the bench harnesses
-/// name it.
+/// because the benchmark package (`perfbench/`) and the tests name it.
 pub struct ShardedService<'a>(QueryService<'a>);
 
 impl<'a> ShardedService<'a> {
@@ -1449,24 +1441,16 @@ impl<'a> ShardedService<'a> {
         cfg: SqeConfig,
         serve_cfg: ServeConfig,
     ) -> Self {
-        ShardedService::with_clock(graph, analyzer, router, cfg, serve_cfg, Arc::new(NullClock))
-    }
-
-    /// [`ShardedService::new`] with an injected clock.
-    pub fn with_clock(
-        graph: &'a KbGraph,
-        analyzer: Analyzer,
-        router: ShardRouter,
-        cfg: SqeConfig,
-        serve_cfg: ServeConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
         let shards = (0..router.shards())
             .map(|_| SegmentedIndex::new(analyzer.clone()))
             .collect();
-        let ordinals = Vec::new();
-        ShardedService(QueryService::from_shards_with_clock(
-            graph, router, shards, ordinals, cfg, serve_cfg, clock,
+        ShardedService(QueryService::from_shards(
+            graph,
+            router,
+            shards,
+            Vec::new(),
+            cfg,
+            serve_cfg,
         ))
     }
 

@@ -5,7 +5,7 @@
 //! slicing needs monotonic offsets, motif traversal needs the forward and
 //! reverse CSRs to describe the same edge set, and cycle enumeration over
 //! the category hierarchy assumes child→parent edges form a DAG. A graph
-//! deserialized from JSON (or assembled through [`Csr::from_raw_parts`])
+//! decoded from a snapshot (or assembled through [`Csr::from_raw_parts`])
 //! can silently violate any of these. [`GraphAudit`] re-derives each
 //! invariant from the raw arrays and reports every violation as a typed
 //! [`GraphViolation`], so corruption is caught at load time instead of as

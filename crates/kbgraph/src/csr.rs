@@ -10,7 +10,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 /// A structural defect found while shape-checking a CSR assembled from
-/// untrusted bytes (JSON or a binary snapshot). Shape errors cover the
+/// untrusted bytes (a binary snapshot). Shape errors cover the
 /// cheap always-on length/offset/bounds invariants; the deeper semantic
 /// invariants (sorted rows, forward/reverse agreement, DAG-ness) remain
 /// the `validate`-feature auditor's job.

@@ -8,11 +8,11 @@ use crate::csr::{Csr, CsrShapeError};
 use crate::ids::{ArticleId, CategoryId, Node};
 use crate::stats::GraphStats;
 
-/// A structural inconsistency found while shape-checking a deserialized
+/// A structural inconsistency found while shape-checking a decoded
 /// graph: one of the six adjacencies disagrees with the title arrays
-/// about the id spaces. Checked on every decode (JSON and binary), so a
-/// corrupted persisted graph is rejected with a typed error instead of
-/// deferring to the debug-only auditor.
+/// about the id spaces. Checked on every snapshot decode, so a corrupted
+/// persisted graph is rejected with a typed error instead of deferring
+/// to the debug-only auditor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 // lint:allow(persist-types-derive-serde) — decode error, never persisted
 pub struct GraphShapeError {
@@ -29,33 +29,6 @@ impl fmt::Display for GraphShapeError {
 }
 
 impl std::error::Error for GraphShapeError {}
-
-/// Why [`KbGraph::from_json`] rejected a payload.
-#[derive(Debug)]
-// lint:allow(persist-types-derive-serde) — decode error, never persisted
-pub enum GraphDecodeError {
-    /// The payload is not valid JSON for the graph schema.
-    Json(serde_json::Error),
-    /// The payload parsed but its sections are structurally inconsistent.
-    Shape(GraphShapeError),
-}
-
-impl fmt::Display for GraphDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GraphDecodeError::Json(e) => write!(f, "graph JSON parse: {e}"),
-            GraphDecodeError::Shape(e) => write!(f, "graph shape: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for GraphDecodeError {}
-
-impl From<GraphShapeError> for GraphDecodeError {
-    fn from(e: GraphShapeError) -> Self {
-        GraphDecodeError::Shape(e)
-    }
-}
 
 /// An immutable knowledge-base graph in CSR form.
 ///
@@ -401,24 +374,6 @@ impl KbGraph {
         GraphStats::compute(self)
     }
 
-    /// Serializes the graph to JSON (persistence / interchange).
-    /// Serialization failures are propagated — persistence must never
-    /// panic the serving process.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Restores a graph from [`KbGraph::to_json`] output. The decoded
-    /// structure is shape-checked before it is returned, so a payload
-    /// whose sections are inconsistent (truncated arrays, out-of-range
-    /// targets, disagreeing counts) yields a typed error here instead of
-    /// panics or wrong answers downstream.
-    pub fn from_json(json: &str) -> Result<KbGraph, GraphDecodeError> {
-        let graph: KbGraph = serde_json::from_str(json).map_err(GraphDecodeError::Json)?;
-        graph.validate_shape()?;
-        Ok(graph)
-    }
-
     /// Finds an article by exact title (linear scan; intended for tests and
     /// small examples — production lookup goes through the entity linker's
     /// dictionary).
@@ -547,19 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_structure() {
-        let (g, cable, funi, tram, rail) = toy();
-        let restored = KbGraph::from_json(&g.to_json().unwrap()).unwrap();
-        assert_eq!(restored.num_articles(), g.num_articles());
-        assert_eq!(restored.num_categories(), g.num_categories());
-        assert!(restored.doubly_linked(cable, funi));
-        assert!(!restored.doubly_linked(tram, cable));
-        assert!(restored.belongs_to(cable, rail));
-        assert_eq!(restored.stats(), g.stats());
-    }
-
-    #[test]
-    fn from_json_rejects_inconsistent_sections() {
+    fn shape_validation_rejects_inconsistent_sections() {
         let (g, ..) = toy();
         // Rebuild with a membership CSR whose terminal offset lies about
         // the edge count: structurally inconsistent, semantically silent.
@@ -583,14 +526,9 @@ mod tests {
             g.subcategories().clone(),
             g.subcats_rev().clone(),
         );
-        assert!(bad.validate_shape().is_err());
-        let err = KbGraph::from_json(&bad.to_json().unwrap()).unwrap_err();
-        assert!(matches!(err, GraphDecodeError::Shape(_)), "{err}");
-        // Non-JSON input is the other typed failure mode.
-        assert!(matches!(
-            KbGraph::from_json("not json").unwrap_err(),
-            GraphDecodeError::Json(_)
-        ));
+        let err = bad.validate_shape().unwrap_err();
+        assert_eq!(err.csr, "memberships", "{err}");
+        assert!(g.validate_shape().is_ok());
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod stats;
 pub use builder::GraphBuilder;
 pub use csr::{Csr, CsrShapeError};
 pub use cycles::{Cycle, CycleFinder, CycleLimits};
-pub use graph::{GraphDecodeError, GraphShapeError, KbGraph};
+pub use graph::{GraphShapeError, KbGraph};
 pub use ids::{ArticleId, CategoryId, Node};
 pub use paths::{bfs_distances, distance, distance_histogram};
 pub use stats::GraphStats;

@@ -5,8 +5,8 @@
 //! Dirichlet smoothing needs `collection_len`, `coll_tf` and `doc_lens` to
 //! agree with the postings they summarize, and relevance-model feedback
 //! needs the forward index to mirror the inverted one exactly. An index
-//! deserialized from JSON can violate any of these silently — scores come
-//! out plausible but wrong. [`IndexAudit`] re-derives every derived
+//! decoded from bytes can violate any of these silently — scores come out
+//! plausible but wrong. [`IndexAudit`] re-derives every derived
 //! statistic from the postings and cross-checks all parallel structures,
 //! reporting each mismatch as a typed [`IndexViolation`].
 

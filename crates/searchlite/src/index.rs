@@ -39,7 +39,7 @@ impl TermId {
 
 /// Postings of one term: parallel arrays of documents, frequencies and
 /// flat position lists.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TermPostings {
     docs: Vec<u32>,
     tfs: Vec<u32>,
@@ -560,47 +560,12 @@ impl std::fmt::Display for IndexShapeError {
 
 impl std::error::Error for IndexShapeError {}
 
-/// Failure to restore an [`Index`] from its JSON persistence form: either
-/// the payload is not valid JSON for the schema, or it decodes to
-/// structurally inconsistent sections.
-#[derive(Debug)]
-// lint:allow(persist-types-derive-serde) — decode error, never persisted
-pub enum IndexDecodeError {
-    /// The payload failed JSON deserialization.
-    Json(serde_json::Error),
-    /// The payload decoded but its sections are inconsistent.
-    Shape(IndexShapeError),
-}
-
-impl std::fmt::Display for IndexDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IndexDecodeError::Json(e) => write!(f, "index JSON decode failed: {e}"),
-            IndexDecodeError::Shape(e) => write!(f, "index payload is inconsistent: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for IndexDecodeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            IndexDecodeError::Json(e) => Some(e),
-            IndexDecodeError::Shape(e) => Some(e),
-        }
-    }
-}
-
-impl From<IndexShapeError> for IndexDecodeError {
-    fn from(e: IndexShapeError) -> Self {
-        IndexDecodeError::Shape(e)
-    }
-}
-
 /// An immutable positional inverted index over a document collection.
-/// Serializable for persistence; see [`Index::to_json`] / [`Index::from_json`].
-/// `Clone` is cheap relative to a rebuild and lets callers wrap an existing
-/// monolithic index as the first segment of a [`crate::SegmentedIndex`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Persisted by `sqe-store` through [`Index::from_raw_parts`] and the
+/// section accessors. `Clone` is cheap relative to a rebuild and lets
+/// callers wrap an existing monolithic index as the first segment of a
+/// [`crate::SegmentedIndex`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Index {
     analyzer: Analyzer,
     dict: FxHashMap<String, u32>,
@@ -773,22 +738,6 @@ impl Index {
             .iter()
             .zip(self.fwd_tfs[lo..hi].iter())
             .map(|(&t, &f)| (TermId(t), f))
-    }
-
-    /// Serializes the index to JSON (human-diffable persistence; binary
-    /// persistence lives in `sqe-store`).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Restores an index from [`Index::to_json`] output. The decoded
-    /// sections are shape-validated before the index is returned, so a
-    /// structurally inconsistent payload is a typed error here rather
-    /// than a latent fault for the debug-only audit to catch.
-    pub fn from_json(json: &str) -> Result<Index, IndexDecodeError> {
-        let index: Index = serde_json::from_str(json).map_err(IndexDecodeError::Json)?;
-        index.validate_shape()?;
-        Ok(index)
     }
 
     /// Dictionary terms in id order; read-only access for binary
@@ -1478,34 +1427,10 @@ mod tests {
     }
 
     #[test]
-    fn index_json_roundtrip_preserves_retrieval() {
-        use crate::ql::{self, QlParams};
-        use crate::structured::Query;
+    fn shape_validation_rejects_inconsistent_sections() {
         let idx = tiny();
-        let restored = Index::from_json(&idx.to_json().unwrap()).unwrap();
-        assert_eq!(restored.num_docs(), idx.num_docs());
-        assert_eq!(restored.collection_len(), idx.collection_len());
-        let q = Query::parse_text("cable car", &Analyzer::plain());
-        let h1 = ql::rank(
-            &crate::Searcher::from_index(idx),
-            &q,
-            QlParams { mu: 10.0 },
-            5,
-        );
-        let h2 = ql::rank(
-            &crate::Searcher::from_index(restored),
-            &q,
-            QlParams { mu: 10.0 },
-            5,
-        );
-        assert_eq!(h1, h2, "retrieval must be identical after reload");
-    }
-
-    #[test]
-    fn from_json_rejects_inconsistent_sections() {
-        let idx = tiny();
-        // Reassemble with a truncated doc_lens section: valid JSON for the
-        // schema, structurally inconsistent as an index.
+        // Reassemble with a truncated doc_lens section: every section is
+        // well-formed on its own, the index is structurally inconsistent.
         let err = Index::from_raw_parts(
             idx.analyzer().clone(),
             idx.terms().to_vec(),
@@ -1529,7 +1454,8 @@ mod tests {
             ),
             "{err}"
         );
-        // The same inconsistency smuggled through JSON is caught at decode.
+        // The same inconsistency assembled without `from_raw_parts` is
+        // caught by `validate_shape`.
         let bad = Index {
             analyzer: idx.analyzer().clone(),
             dict: idx.dict.clone(),
@@ -1543,12 +1469,17 @@ mod tests {
             fwd_terms: idx.fwd_terms().to_vec(),
             fwd_tfs: idx.fwd_tfs().to_vec(),
         };
-        let err = Index::from_json(&bad.to_json().unwrap()).unwrap_err();
-        assert!(matches!(err, IndexDecodeError::Shape(_)), "{err}");
-        assert!(matches!(
-            Index::from_json("not json").unwrap_err(),
-            IndexDecodeError::Json(_)
-        ));
+        let err = bad.validate_shape().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                IndexShapeError::SectionLenMismatch {
+                    section: "doc_lens",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub mod topk;
 
 pub use analysis::Analyzer;
 pub use index::{
-    DocId, Index, IndexBuildError, IndexBuilder, IndexDecodeError, IndexShapeError,
-    PositionalScratch, TermId, TermPostings,
+    DocId, Index, IndexBuildError, IndexBuilder, IndexShapeError, PositionalScratch, TermId,
+    TermPostings,
 };
 pub use ingest::{
     BuiltSegment, IngestError, MergeOutcome, MergeTask, PendingSeal, SealReport, SegmentedIndex,

@@ -214,8 +214,7 @@ mod tests {
             .expect("merge succeeds");
             let m = merged.index();
             assert_eq!(
-                m.to_json().expect("json"),
-                mono.to_json().expect("json"),
+                m, &mono,
                 "split at {split} must reproduce the monolithic index exactly"
             );
         }
@@ -233,20 +232,14 @@ mod tests {
             ],
         )
         .expect("merge succeeds");
-        assert_eq!(
-            merged.index().to_json().expect("json"),
-            mono.to_json().expect("json")
-        );
+        assert_eq!(merged.index(), &mono);
         assert_eq!(merged.id(), 3);
     }
 
     #[test]
     fn merge_single_segment_is_identity() {
         let merged = Segment::merge(1, &[segment_of(0, &DOCS)]).expect("merge succeeds");
-        assert_eq!(
-            merged.index().to_json().expect("json"),
-            monolithic().to_json().expect("json")
-        );
+        assert_eq!(merged.index(), &monolithic());
     }
 
     #[test]

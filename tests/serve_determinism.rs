@@ -586,10 +586,13 @@ fn deadline_and_degraded_outcomes_are_byte_identical_across_workers_and_shards()
     }
     for shards in [1usize, 2, 4] {
         let clock = Arc::new(ManualClock::new());
-        let service = ShardedService::with_clock(
+        let service = QueryService::from_shards_with_clock(
             &bed.kb.graph,
-            Analyzer::english(),
             ShardRouter::new(shards),
+            (0..shards)
+                .map(|_| SegmentedIndex::new(Analyzer::english()))
+                .collect(),
+            Vec::new(),
             config(),
             ServeConfig {
                 workers: 2,
