@@ -9,8 +9,8 @@
 //! 2. **Name fallback**: unqualified calls and method calls (`x.rank(..)`)
 //!    link to *every* workspace function with that name — except that
 //!    `self.method(..)` prefers same-impl candidates when they exist.
-//!    This is deliberately conservative: trait-object dispatch (e.g.
-//!    `Motif::expansions`) cannot be resolved statically here, and
+//!    This is deliberately conservative: trait-object dispatch cannot be
+//!    resolved statically here, and
 //!    over-approximating keeps panic-reachability sound.
 //!
 //! Calls that match no workspace function (std, vendored deps) produce no

@@ -443,7 +443,6 @@ const HOT_FILES: &[&str] = &[
     "crates/searchlite/src/searcher.rs",
     "crates/searchlite/src/segment.rs",
     "crates/searchlite/src/shard.rs",
-    "crates/core/src/motif.rs",
     "crates/core/src/spec.rs",
     "crates/core/src/cache.rs",
     "crates/core/src/serve.rs",
@@ -643,9 +642,9 @@ impl Rule for PersistTypesDeriveSerde {
 
 /// `panic-reachability`: no panic source may be transitively reachable
 /// from a hot-path entry point. Entries are every non-test function in the
-/// query-scoring and serving files (`topk.rs`, `ql.rs`, `bm25.rs`,
-/// `motif.rs`, `cache.rs`, `serve.rs`) plus
-/// `Csr::neighbors`. Panic sources are `.unwrap()`, `.expect(..)` whose
+/// query-scoring, motif-traversal and serving files (`topk.rs`, `ql.rs`,
+/// `bm25.rs`, `spec.rs`, `cache.rs`, `serve.rs`, and the others in
+/// `ENTRY_FILES`) plus `Csr::neighbors`. Panic sources are `.unwrap()`, `.expect(..)` whose
 /// message does not name an invariant, the panicking macros, and (one
 /// severity step lower) bare indexing with no covering assert.
 pub struct PanicReachability;
@@ -657,7 +656,6 @@ const ENTRY_FILES: &[&str] = &[
     "crates/searchlite/src/bm25.rs",
     "crates/searchlite/src/searcher.rs",
     "crates/searchlite/src/shard.rs",
-    "crates/core/src/motif.rs",
     "crates/core/src/spec.rs",
     "crates/core/src/cache.rs",
     "crates/core/src/serve.rs",
@@ -680,7 +678,7 @@ impl AstRule for PanicReachability {
     }
 
     fn description(&self) -> &'static str {
-        "no unwrap/expect/panic!/unguarded indexing reachable from hot-path entries (topk, ql, bm25, motif, Csr::neighbors)"
+        "no unwrap/expect/panic!/unguarded indexing reachable from hot-path entries (topk, ql, bm25, spec, Csr::neighbors)"
     }
 
     fn default_severity(&self) -> Severity {

@@ -1,58 +1,15 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out: the
-//! |m_a| weighting, the reciprocal-link requirement, the category
-//! conditions, and parallel query-graph construction. These measure
+//! Ablation benchmarks for two design choices DESIGN.md calls out — the
+//! |m_a| weighting and the reciprocal-link requirement of the square —
+//! and for parallel query-graph construction. The ablations measure
 //! *quality* deltas (mean P@10) per iteration so Criterion's timing also
 //! doubles as a cost comparison of the variants.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ireval::precision::mean_precision;
 use ireval::{Qrels, Run};
-use kbgraph::{ArticleId, KbGraph};
-use sqe::{Motif, MotifKind, MotifSet, MotifSpec, QueryGraphBuilder};
+use kbgraph::ArticleId;
+use sqe::{CategoryScope, LinkCondition, MotifSet, MotifSpec, QueryGraphBuilder, WeightRule};
 use sqe_bench::ExperimentContext;
-
-/// Square motif variant without the reciprocal-link requirement
-/// (ablation: is "doubly linked" load-bearing?).
-struct OneWaySquare;
-
-impl Motif for OneWaySquare {
-    fn kind(&self) -> MotifKind {
-        MotifKind::Square
-    }
-
-    fn expansions_into(
-        &self,
-        graph: &KbGraph,
-        query_node: ArticleId,
-        out: &mut Vec<(ArticleId, u32)>,
-    ) {
-        let query_cats = graph.categories_of(query_node);
-        if query_cats.is_empty() {
-            return;
-        }
-        // One-way out-links instead of mutual links.
-        for &cand_raw in graph.out_links(query_node) {
-            let cand = ArticleId::new(cand_raw);
-            let cand_cats = graph.categories_of(cand);
-            let mut squares = 0u32;
-            for &cq in query_cats {
-                for &cc in cand_cats {
-                    if cq != cc
-                        && graph.category_adjacent(
-                            kbgraph::CategoryId::new(cq),
-                            kbgraph::CategoryId::new(cc),
-                        )
-                    {
-                        squares += 1;
-                    }
-                }
-            }
-            if squares > 0 {
-                out.push((cand, squares));
-            }
-        }
-    }
-}
 
 fn eval_p10(ctx: &ExperimentContext, weighted: bool, one_way: bool) -> f64 {
     let runner = ctx.runner("imageclef");
@@ -66,14 +23,19 @@ fn eval_p10(ctx: &ExperimentContext, weighted: bool, one_way: bool) -> f64 {
         }
     }
     let graph = &ctx.bed.kb.graph;
-    let builder = if one_way {
-        QueryGraphBuilder::new(
-            graph,
-            vec![Box::new(MotifSpec::triangular()), Box::new(OneWaySquare)],
-        )
+    let motifs = if one_way {
+        // The square without the reciprocal-link requirement (ablation:
+        // is "doubly linked" load-bearing?).
+        let one_way_square = MotifSpec {
+            link: LinkCondition::OutLink,
+            category: CategoryScope::Adjacent,
+            weight: WeightRule::Counted,
+        };
+        MotifSet::new(vec![MotifSpec::triangular(), one_way_square])
     } else {
-        QueryGraphBuilder::from_set(graph, &MotifSet::t_and_s())
+        MotifSet::t_and_s()
     };
+    let builder = QueryGraphBuilder::from_set(graph, &motifs);
     let mut run = Run::new("ablation");
     for q in &dataset.queries {
         let nodes = runner.manual_nodes(q);
@@ -129,7 +91,8 @@ fn bench_ablations(c: &mut Criterion) {
         .iter()
         .map(|q| runner.manual_nodes(q))
         .collect();
-    let builder = QueryGraphBuilder::from_set(graph, &MotifSet::t_and_s());
+    let motifs = MotifSet::t_and_s();
+    let builder = QueryGraphBuilder::from_set(graph, &motifs);
     let mut pg = c.benchmark_group("parallel_expansion");
     for threads in [1usize, 4] {
         pg.bench_function(format!("threads_{threads}"), |b| {

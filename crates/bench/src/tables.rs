@@ -167,12 +167,23 @@ pub fn table1_rows(ctx: &ExperimentContext) -> Vec<EvalRow> {
 pub fn ablation(ctx: &ExperimentContext) -> String {
     use ireval::Run;
     use kbgraph::KbGraph;
-    use sqe::{expand, CategoryCondition, LinkCondition, PatternMotif, QueryGraphBuilder};
+    use sqe::{expand, CategoryScope, LinkCondition, MotifSpec, WeightRule};
 
     let r = ctx.runner("imageclef");
     let qrels = ctx.qrels("imageclef");
     let pipeline = r.pipeline();
     let graph: &KbGraph = pipeline.graph();
+    let counted = |link, category| MotifSpec {
+        link,
+        category,
+        weight: WeightRule::Counted,
+    };
+    let one_way = MotifSet::new(vec![
+        counted(LinkCondition::OutLink, CategoryScope::Superset),
+        counted(LinkCondition::OutLink, CategoryScope::Adjacent),
+    ]);
+    let no_category =
+        MotifSet::single(counted(LinkCondition::Mutual, CategoryScope::Unconstrained));
 
     // Each variant builds its own query graph / expansion config.
     #[allow(clippy::type_complexity)]
@@ -209,20 +220,7 @@ pub fn ablation(ctx: &ExperimentContext) -> String {
             "one-way links",
             Box::new(|q: &synthwiki::QuerySpec| {
                 let nodes = r.manual_nodes(q);
-                let builder = QueryGraphBuilder::new(
-                    graph,
-                    vec![
-                        Box::new(PatternMotif {
-                            link: LinkCondition::OutLink,
-                            category: CategoryCondition::Superset,
-                        }),
-                        Box::new(PatternMotif {
-                            link: LinkCondition::OutLink,
-                            category: CategoryCondition::Adjacent,
-                        }),
-                    ],
-                );
-                let qg = builder.build(&nodes);
+                let qg = pipeline.build_query_graph(&nodes, &one_way);
                 expand::build_expanded_query(
                     graph,
                     &q.text,
@@ -256,14 +254,7 @@ pub fn ablation(ctx: &ExperimentContext) -> String {
             "no category conds",
             Box::new(|q: &synthwiki::QuerySpec| {
                 let nodes = r.manual_nodes(q);
-                let builder = QueryGraphBuilder::new(
-                    graph,
-                    vec![Box::new(PatternMotif {
-                        link: LinkCondition::Mutual,
-                        category: CategoryCondition::Unconstrained,
-                    })],
-                );
-                let qg = builder.build(&nodes);
+                let qg = pipeline.build_query_graph(&nodes, &no_category);
                 expand::build_expanded_query(
                     graph,
                     &q.text,
@@ -383,5 +374,18 @@ mod tests {
         let t3 = table3(&ctx, "chic2013");
         assert!(t3.contains("SQE_C/PRF"));
         assert!(t3.contains("%G"));
+        let ablation = ablation(&ctx);
+        for variant in [
+            "full (T&S)",
+            "no |m_a| weighting",
+            "one-way links",
+            "no user part",
+            "no category conds",
+        ] {
+            assert!(
+                ablation.lines().any(|l| l.starts_with(variant)),
+                "{variant} row missing"
+            );
+        }
     }
 }

@@ -2,18 +2,18 @@
 //!
 //! Given ground-truth examples — query nodes paired with their *optimal*
 //! expansion articles, exactly the resource the paper's Section 2.1
-//! analysis consumes — the learner scores every [`PatternMotif`] by how
-//! well its expansions match the optimal sets, and ranks them by F1 (or
-//! precision / recall). Running it on the synthetic Wikipedia recovers
-//! the paper's hand-crafted choice: mutual linking with category
-//! superset/adjacency conditions dominates link-only and one-way
-//! patterns.
+//! analysis consumes — the learner scores every counted [`MotifSpec`] by
+//! how well its expansions match the optimal sets, and ranks them by F1
+//! (or precision / recall). The weight rule never changes which articles
+//! a spec proposes, so the grid is the 15 counted specs (link × category
+//! scope). Running it on the synthetic Wikipedia recovers the paper's
+//! hand-crafted choice: mutual linking with category superset/adjacency
+//! conditions dominates link-only and one-way specs.
 
 use kbgraph::{ArticleId, KbGraph};
 use rustc_hash::FxHashSet;
 
-use crate::motif::Motif;
-use crate::pattern::PatternMotif;
+use crate::spec::{MotifSpec, WeightRule};
 
 /// One training example: a query's nodes and its optimal expansions.
 #[derive(Debug, Clone)]
@@ -24,11 +24,11 @@ pub struct Example {
     pub optimal: Vec<ArticleId>,
 }
 
-/// A scored pattern.
+/// A scored spec.
 #[derive(Debug, Clone)]
 pub struct LearnedMotif {
-    /// The pattern.
-    pub pattern: PatternMotif,
+    /// The spec (always [`WeightRule::Counted`]).
+    pub spec: MotifSpec,
     /// Micro-averaged precision of its expansions against the optima.
     pub precision: f64,
     /// Micro-averaged recall.
@@ -40,21 +40,20 @@ pub struct LearnedMotif {
     pub avg_expansions: f64,
 }
 
-/// Scoring mode for ranking patterns.
+/// Scoring mode for ranking specs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
     /// Rank by F1 (balanced; the default).
     F1,
-    /// Rank by precision (yields triangular-like patterns — best for
-    /// small tops).
-    Precision,
-    /// Rank by recall (yields square-like patterns — best for large
+    /// Rank by precision (yields triangular-like specs — best for small
     /// tops).
+    Precision,
+    /// Rank by recall (yields square-like specs — best for large tops).
     Recall,
 }
 
-/// Scores one pattern over the examples.
-pub fn score_pattern(graph: &KbGraph, pattern: PatternMotif, examples: &[Example]) -> LearnedMotif {
+/// Scores one spec over the examples.
+pub fn score_spec(graph: &KbGraph, spec: MotifSpec, examples: &[Example]) -> LearnedMotif {
     let mut tp = 0usize;
     let mut proposed = 0usize;
     let mut optimal_total = 0usize;
@@ -63,7 +62,7 @@ pub fn score_pattern(graph: &KbGraph, pattern: PatternMotif, examples: &[Example
         optimal_total += optimal.len();
         let mut seen: FxHashSet<ArticleId> = FxHashSet::default();
         for &qn in &ex.query_nodes {
-            for (a, _) in pattern.expansions(graph, qn) {
+            for (a, _) in spec.expansions(graph, qn) {
                 if !ex.query_nodes.contains(&a) {
                     seen.insert(a);
                 }
@@ -88,7 +87,7 @@ pub fn score_pattern(graph: &KbGraph, pattern: PatternMotif, examples: &[Example
         2.0 * precision * recall / (precision + recall)
     };
     LearnedMotif {
-        pattern,
+        spec,
         precision,
         recall,
         f1,
@@ -100,16 +99,17 @@ pub fn score_pattern(graph: &KbGraph, pattern: PatternMotif, examples: &[Example
     }
 }
 
-/// Scores the whole pattern space and returns it ranked by the
-/// objective (best first; ties by pattern name for determinism).
+/// Scores every counted spec and returns them ranked by the objective
+/// (best first; ties by spec name for determinism).
 pub fn learn_motifs(
     graph: &KbGraph,
     examples: &[Example],
     objective: Objective,
 ) -> Vec<LearnedMotif> {
-    let mut scored: Vec<LearnedMotif> = PatternMotif::all()
+    let mut scored: Vec<LearnedMotif> = MotifSpec::all()
         .into_iter()
-        .map(|p| score_pattern(graph, p, examples))
+        .filter(|s| s.weight == WeightRule::Counted)
+        .map(|s| score_spec(graph, s, examples))
         .collect();
     scored.sort_by(|a, b| {
         let key = |m: &LearnedMotif| match objective {
@@ -117,7 +117,7 @@ pub fn learn_motifs(
             Objective::Precision => m.precision,
             Objective::Recall => m.recall,
         };
-        scorecmp::by_score_desc_then_id(key(a), key(b), a.pattern.name(), b.pattern.name())
+        scorecmp::by_score_desc_then_id(key(a), key(b), a.spec.name(), b.spec.name())
     });
     scored
 }
@@ -125,7 +125,7 @@ pub fn learn_motifs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::{CategoryCondition, LinkCondition};
+    use crate::spec::{CategoryScope, LinkCondition};
     use kbgraph::GraphBuilder;
 
     /// A world where optimal expansions are exactly the mutual+shared-cat
@@ -165,18 +165,18 @@ mod tests {
         let ranked = learn_motifs(&g, &examples, Objective::F1);
         let best = &ranked[0];
         assert_eq!(
-            best.pattern.link,
+            best.spec.link,
             LinkCondition::Mutual,
             "best: {}",
-            best.pattern.name()
+            best.spec.name()
         );
         assert!(
             matches!(
-                best.pattern.category,
-                CategoryCondition::Superset | CategoryCondition::SharedAny
+                best.spec.category,
+                CategoryScope::Superset | CategoryScope::SharedAny
             ),
             "best: {}",
-            best.pattern.name()
+            best.spec.name()
         );
         assert!((best.f1 - 1.0).abs() < 1e-9, "perfect on this toy world");
     }
@@ -188,8 +188,8 @@ mod tests {
         let mutual_free = ranked
             .iter()
             .find(|m| {
-                m.pattern.link == LinkCondition::Mutual
-                    && m.pattern.category == CategoryCondition::Unconstrained
+                m.spec.link == LinkCondition::Mutual
+                    && m.spec.category == CategoryScope::Unconstrained
             })
             .unwrap();
         // Link-only proposes `linkonly*` too: precision 0.5.
@@ -201,7 +201,7 @@ mod tests {
     fn precision_recall_bounds() {
         let (g, examples) = world();
         for m in learn_motifs(&g, &examples, Objective::F1) {
-            assert!((0.0..=1.0).contains(&m.precision), "{}", m.pattern.name());
+            assert!((0.0..=1.0).contains(&m.precision), "{}", m.spec.name());
             assert!((0.0..=1.0).contains(&m.recall));
             assert!((0.0..=1.0).contains(&m.f1));
             assert!(m.f1 <= m.precision.max(m.recall) + 1e-12);
@@ -212,7 +212,7 @@ mod tests {
     fn empty_examples_are_harmless() {
         let (g, _) = world();
         let ranked = learn_motifs(&g, &[], Objective::F1);
-        assert_eq!(ranked.len(), 12);
+        assert_eq!(ranked.len(), 15);
         assert!(ranked.iter().all(|m| m.f1 == 0.0));
     }
 
@@ -220,18 +220,19 @@ mod tests {
     fn recall_objective_prefers_broader_patterns() {
         let (g, examples) = world();
         let by_recall = learn_motifs(&g, &examples, Objective::Recall);
-        // Any top-recall pattern must reach every optimal node here.
+        // Any top-recall spec must reach every optimal node here.
         assert!((by_recall[0].recall - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn avg_expansions_reports_feature_budget() {
         let (g, examples) = world();
-        let scored = score_pattern(
+        let scored = score_spec(
             &g,
-            PatternMotif {
+            MotifSpec {
                 link: LinkCondition::Mutual,
-                category: CategoryCondition::Unconstrained,
+                category: CategoryScope::Unconstrained,
+                weight: WeightRule::Counted,
             },
             &examples,
         );

@@ -10,7 +10,7 @@
 //!    the generalized [`spec::MotifSpec`] space (the paper's triangular
 //!    and square are [`spec::MotifSpec::triangular`] and
 //!    [`spec::MotifSpec::square`]) — that, anchored at a query node,
-//!    enumerate expansion articles ([`motif`], [`spec`]);
+//!    enumerate expansion articles ([`spec`]);
 //! 3. the **query graph builder** unions motif hits over all query nodes,
 //!    counting for every article `a` the number of motifs `|m_a|` it
 //!    appears in ([`query_graph`]);
@@ -23,10 +23,10 @@
 //! 6. [`pipeline`] wires everything against a concrete index and entity
 //!    linker.
 //!
-//! Beyond the paper's published system, [`pattern`] factors the motif
-//! family into a declarative, enumerable space and [`learn`] implements
-//! the conclusion's future work: identifying the right motifs
-//! automatically from ground-truth query graphs. The [`serve`] module
+//! Beyond the paper's published system, the [`spec`] space makes the
+//! motif family enumerable and [`learn`] implements the conclusion's
+//! future work: identifying the right motifs automatically from
+//! ground-truth query graphs. The [`serve`] module
 //! (with [`cache`] and [`metrics`]) wraps the pipeline in a concurrent
 //! query service over one or more shards — work-stealing batch
 //! execution, LRU expansion caching, live ingestion over segmented
@@ -41,8 +41,6 @@ pub mod combine;
 pub mod expand;
 pub mod learn;
 pub mod metrics;
-pub mod motif;
-pub mod pattern;
 pub mod pipeline;
 pub mod query_graph;
 pub mod serve;
@@ -56,13 +54,12 @@ pub use metrics::{
     Clock, HistogramSnapshot, IngestHistograms, LadderMetrics, LatencyHistogram, ManualClock,
     MetricsSnapshot, MonotonicClock, NullClock, ServeMetrics, INGEST_STAGE_NAMES, STAGE_NAMES,
 };
-pub use motif::{Motif, MotifKind};
-pub use pattern::{CategoryCondition, LinkCondition, PatternMotif};
 pub use pipeline::{SqeConfig, SqePipeline, SqeScratch};
 pub use query_graph::{QueryGraph, QueryGraphBuilder, QueryGraphScratch};
 pub use serve::{run_indexed, QueryService, ServeConfig, ServeRequest, ShardedService};
 pub use spec::{
-    CategoryScope, MotifFingerprint, MotifLadder, MotifRung, MotifSet, MotifSpec, WeightRule,
+    CategoryScope, LinkCondition, MotifFingerprint, MotifLadder, MotifRung, MotifSet, MotifSpec,
+    WeightRule,
 };
 // The admission subsystem's vocabulary types, re-exported so serving
 // callers need only the `sqe` crate.

@@ -10,8 +10,7 @@
 use kbgraph::{ArticleId, KbGraph};
 use rustc_hash::FxHashMap;
 
-use crate::motif::Motif;
-use crate::spec::MotifSet;
+use crate::spec::{MotifSet, MotifSpec};
 
 /// The query graph: query nodes plus weighted expansion nodes.
 #[derive(Debug, Clone, Default)]
@@ -87,21 +86,19 @@ impl QueryGraphScratch {
 /// Builds query graphs by running a motif set from every query node.
 pub struct QueryGraphBuilder<'g> {
     graph: &'g KbGraph,
-    motifs: Vec<Box<dyn Motif>>,
+    specs: &'g [MotifSpec],
 }
 
 impl<'g> QueryGraphBuilder<'g> {
-    /// Creates a builder over the KB with the given motif set.
-    pub fn new(graph: &'g KbGraph, motifs: Vec<Box<dyn Motif>>) -> Self {
-        QueryGraphBuilder { graph, motifs }
-    }
-
-    /// Builds from a canonical [`MotifSet`], compiling every spec to its
-    /// CSR traversal. The paper's configurations are
+    /// Creates a builder over the KB that runs every spec of a canonical
+    /// [`MotifSet`]. The paper's configurations are
     /// [`MotifSet::triangular`] (`SQE_T`), [`MotifSet::square`]
     /// (`SQE_S`) and [`MotifSet::t_and_s`] (`SQE_T&S`).
-    pub fn from_set(graph: &'g KbGraph, motifs: &MotifSet) -> Self {
-        QueryGraphBuilder::new(graph, motifs.compile())
+    pub fn from_set(graph: &'g KbGraph, motifs: &'g MotifSet) -> Self {
+        QueryGraphBuilder {
+            graph,
+            specs: motifs.specs(),
+        }
     }
 
     /// The underlying KB graph.
@@ -127,9 +124,9 @@ impl<'g> QueryGraphBuilder<'g> {
     ) -> QueryGraph {
         scratch.counts.clear();
         for &qn in query_nodes {
-            for motif in &self.motifs {
+            for spec in self.specs {
                 scratch.motif_buf.clear();
-                motif.expansions_into(self.graph, qn, &mut scratch.motif_buf);
+                spec.expansions_into(self.graph, qn, &mut scratch.motif_buf);
                 for &(a, m) in &scratch.motif_buf {
                     if !query_nodes.contains(&a) {
                         *scratch.counts.entry(a).or_insert(0) += m;
@@ -180,7 +177,8 @@ mod tests {
     #[test]
     fn multiplicity_sums_over_query_nodes() {
         let (g, qns, shared) = toy();
-        let builder = QueryGraphBuilder::from_set(&g, &MotifSet::triangular());
+        let set = MotifSet::triangular();
+        let builder = QueryGraphBuilder::from_set(&g, &set);
         let qg = builder.build(&qns);
         assert_eq!(qg.num_expansions(), 1);
         // One triangle from q1 and one from q2.
@@ -197,7 +195,8 @@ mod tests {
         b.add_membership(q2, c);
         b.add_mutual_link(q1, q2);
         let g = b.build();
-        let builder = QueryGraphBuilder::from_set(&g, &MotifSet::t_and_s());
+        let set = MotifSet::t_and_s();
+        let builder = QueryGraphBuilder::from_set(&g, &set);
         let qg = builder.build(&[q1, q2]);
         assert_eq!(
             qg.num_expansions(),
@@ -209,7 +208,8 @@ mod tests {
     #[test]
     fn empty_motif_set_builds_empty_graph() {
         let (g, qns, _) = toy();
-        let builder = QueryGraphBuilder::new(&g, Vec::new());
+        let empty = MotifSet::empty();
+        let builder = QueryGraphBuilder::from_set(&g, &empty);
         let qg = builder.build(&qns);
         assert!(qg.expansions.is_empty());
         assert_eq!(qg.query_nodes, qns);
@@ -238,7 +238,8 @@ mod tests {
     #[test]
     fn expansions_sorted_by_multiplicity() {
         let (g, qns, _) = toy();
-        let builder = QueryGraphBuilder::from_set(&g, &MotifSet::t_and_s());
+        let set = MotifSet::t_and_s();
+        let builder = QueryGraphBuilder::from_set(&g, &set);
         let qg = builder.build(&qns);
         for w in qg.expansions.windows(2) {
             assert!(w[0].1 >= w[1].1);
@@ -274,7 +275,8 @@ mod tests {
     #[test]
     fn build_many_matches_sequential() {
         let (g, qns, _) = toy();
-        let builder = QueryGraphBuilder::from_set(&g, &MotifSet::t_and_s());
+        let set = MotifSet::t_and_s();
+        let builder = QueryGraphBuilder::from_set(&g, &set);
         let queries: Vec<Vec<ArticleId>> = vec![qns.clone(), vec![qns[0]], vec![qns[1]]];
         let seq = builder.build_many(&queries, 1);
         let par = builder.build_many(&queries, 4);

@@ -1,9 +1,20 @@
-//! First-class motif specifications: the generalized motif engine.
+//! Motif specifications: the one motif vocabulary.
 //!
-//! The paper hand-crafts two motifs and closes by asking "what other
-//! motifs may be relevant for other KBs". [`MotifSpec`] makes the answer
-//! a *value* instead of a code change: every motif in the family is a
-//! point in a three-axis space —
+//! A motif is a short cycle through the query node in the KB graph. The
+//! paper hand-crafts two of them:
+//!
+//! * **Triangular** (length-3 cycle, Figure 3a): the query node and the
+//!   expansion node are *doubly linked* (each hyperlinks the other) and
+//!   the expansion node belongs to **at least the same categories** as the
+//!   query node. Every category shared this way closes one triangle.
+//! * **Square** (length-4 cycle, Figure 3b): the pair is doubly linked and
+//!   **some category of one is inside some category of the other** (a
+//!   direct sub-category edge, in either direction). Every such category
+//!   pair closes one square.
+//!
+//! It closes by asking "what other motifs may be relevant for other KBs".
+//! [`MotifSpec`] makes the answer a *value* instead of a code change:
+//! every motif in the family is a point in a three-axis space —
 //!
 //! * **link reciprocity** ([`LinkCondition`]): mutual, out-link only, or
 //!   either direction;
@@ -20,14 +31,16 @@
 //!   instance (`|m_a|`, the paper's weighting) or flatten to 1 per
 //!   expansion article.
 //!
+//! The paper's motifs are [`MotifSpec::triangular`] and
+//! [`MotifSpec::square`]; the learner in [`crate::learn`] ranks the
+//! counted specs against ground-truth query graphs.
+//!
 //! A [`MotifSet`] is a canonical (sorted, deduplicated) set of specs with
 //! a stable [`MotifFingerprint`] — a bitmask over the enumeration order —
 //! used as the expansion-cache key and as the identity of a set in
 //! reports and benchmarks. The paper's configurations are
 //! [`MotifSet::triangular`], [`MotifSet::square`] and
-//! [`MotifSet::t_and_s`]; each spec compiles to the same CSR traversals
-//! the hand-written motifs used, byte for byte (pinned by the
-//! serve-determinism wall).
+//! [`MotifSet::t_and_s`].
 //!
 //! [`MotifLadder`] generalizes the serving layer's degraded-mode ladder:
 //! an ordered list of named rungs, each either a motif set or the
@@ -39,11 +52,59 @@ use std::sync::Arc;
 
 use kbgraph::{ArticleId, CategoryId, KbGraph};
 
-use crate::motif::{Motif, MotifKind};
-use crate::pattern::{category_instances, link_candidates, CategoryCondition, LinkCondition};
+/// How the candidate article must be hyperlinked with the query node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LinkCondition {
+    /// Reciprocal links in both directions (the paper's "doubly linked").
+    Mutual,
+    /// A link from the query node to the candidate suffices.
+    OutLink,
+    /// A link in either direction suffices.
+    AnyDirection,
+}
 
-/// How the candidate's categories must relate to the query node's —
-/// [`CategoryCondition`] extended with the depth-2 containment scope.
+impl LinkCondition {
+    const ALL: [LinkCondition; 3] = [
+        LinkCondition::Mutual,
+        LinkCondition::OutLink,
+        LinkCondition::AnyDirection,
+    ];
+
+    /// Stable lower-case name.
+    pub fn name(self) -> &'static str {
+        match self {
+            LinkCondition::Mutual => "mutual",
+            LinkCondition::OutLink => "outlink",
+            LinkCondition::AnyDirection => "anylink",
+        }
+    }
+
+    /// Candidate articles satisfying the link condition, ascending and
+    /// distinct.
+    fn candidates(self, graph: &KbGraph, query_node: ArticleId) -> Vec<ArticleId> {
+        match self {
+            LinkCondition::Mutual => graph.mutual_links(query_node),
+            LinkCondition::OutLink => graph
+                .out_links(query_node)
+                .iter()
+                .map(|&x| ArticleId::new(x))
+                .collect(),
+            LinkCondition::AnyDirection => {
+                let mut v: Vec<u32> = graph
+                    .out_links(query_node)
+                    .iter()
+                    .chain(graph.in_links(query_node).iter())
+                    .copied()
+                    .collect();
+                v.sort_unstable();
+                v.dedup();
+                v.into_iter().map(ArticleId::new).collect()
+            }
+        }
+    }
+}
+
+/// How the candidate's categories must relate to the query node's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CategoryScope {
     /// `cats(candidate) ⊇ cats(query)` — the triangular condition
@@ -74,18 +135,6 @@ impl CategoryScope {
         CategoryScope::Cousin,
         CategoryScope::Unconstrained,
     ];
-
-    /// The [`CategoryCondition`] this scope shares semantics with, when
-    /// one exists (`Cousin` is the extension point).
-    fn as_condition(self) -> Option<CategoryCondition> {
-        match self {
-            CategoryScope::Superset => Some(CategoryCondition::Superset),
-            CategoryScope::SharedAny => Some(CategoryCondition::SharedAny),
-            CategoryScope::Adjacent => Some(CategoryCondition::Adjacent),
-            CategoryScope::Unconstrained => Some(CategoryCondition::Unconstrained),
-            CategoryScope::Cousin => None,
-        }
-    }
 
     /// Stable lower-case name.
     pub fn name(self) -> &'static str {
@@ -122,23 +171,8 @@ impl WeightRule {
     }
 }
 
-const LINKS: [LinkCondition; 3] = [
-    LinkCondition::Mutual,
-    LinkCondition::OutLink,
-    LinkCondition::AnyDirection,
-];
-
-fn link_name(link: LinkCondition) -> &'static str {
-    match link {
-        LinkCondition::Mutual => "mutual",
-        LinkCondition::OutLink => "outlink",
-        LinkCondition::AnyDirection => "anylink",
-    }
-}
-
 /// One motif, fully specified: link reciprocity × category containment
-/// depth × multiplicity weighting. Compiles to the same CSR traversals
-/// the paper's hand-written motifs used.
+/// depth × multiplicity weighting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MotifSpec {
     /// Link requirement between query node and expansion candidate.
@@ -171,26 +205,17 @@ impl MotifSpec {
     }
 
     /// Number of specs in the enumerable space
-    /// (`LINKS × CategoryScope::ALL × WeightRule::ALL`).
-    pub const COUNT: usize = LINKS.len() * CategoryScope::ALL.len() * WeightRule::ALL.len();
+    /// (`LinkCondition × CategoryScope × WeightRule`).
+    pub const COUNT: usize =
+        LinkCondition::ALL.len() * CategoryScope::ALL.len() * WeightRule::ALL.len();
 
     /// Every spec in the space, in canonical enumeration order
     /// (link-major, then category scope, then weight rule). Indexes into
     /// this list are the bit positions of [`MotifFingerprint`].
     pub fn all() -> Vec<MotifSpec> {
-        let mut out = Vec::with_capacity(LINKS.len() * CategoryScope::ALL.len() * 2);
-        for &link in &LINKS {
-            for &category in &CategoryScope::ALL {
-                for &weight in &WeightRule::ALL {
-                    out.push(MotifSpec {
-                        link,
-                        category,
-                        weight,
-                    });
-                }
-            }
-        }
-        out
+        (0..MotifSpec::COUNT)
+            .filter_map(MotifSpec::from_index)
+            .collect()
     }
 
     /// The canonical enumeration index of this spec (the fingerprint bit
@@ -222,7 +247,7 @@ impl MotifSpec {
         let c = rest % CategoryScope::ALL.len();
         let l = rest / CategoryScope::ALL.len();
         Some(MotifSpec {
-            link: *LINKS.get(l)?,
+            link: *LinkCondition::ALL.get(l)?,
             category: *CategoryScope::ALL.get(c)?,
             weight: *WeightRule::ALL.get(w)?,
         })
@@ -243,31 +268,21 @@ impl MotifSpec {
     /// Stable display form, e.g. `mutual+superset` (counted) or
     /// `mutual+superset+unit`. Parseable by [`MotifSpec::from_name`].
     pub fn name(self) -> String {
+        let (link, category) = (self.link.name(), self.category.name());
         match self.weight {
-            WeightRule::Counted => format!("{}+{}", link_name(self.link), self.category.name()),
-            WeightRule::Unit => {
-                format!("{}+{}+unit", link_name(self.link), self.category.name())
-            }
+            WeightRule::Counted => format!("{link}+{category}"),
+            WeightRule::Unit => format!("{link}+{category}+unit"),
         }
     }
 
     /// Parses a [`MotifSpec::name`] back into a spec.
     pub fn from_name(name: &str) -> Option<MotifSpec> {
         let mut parts = name.split('+');
-        let link = match parts.next()? {
-            "mutual" => LinkCondition::Mutual,
-            "outlink" => LinkCondition::OutLink,
-            "anylink" => LinkCondition::AnyDirection,
-            _ => return None,
-        };
-        let category = match parts.next()? {
-            "superset" => CategoryScope::Superset,
-            "shared" => CategoryScope::SharedAny,
-            "adjacent" => CategoryScope::Adjacent,
-            "cousin" => CategoryScope::Cousin,
-            "free" => CategoryScope::Unconstrained,
-            _ => return None,
-        };
+        let (link, category) = (parts.next()?, parts.next()?);
+        let link = LinkCondition::ALL.into_iter().find(|l| l.name() == link)?;
+        let category = CategoryScope::ALL
+            .into_iter()
+            .find(|c| c.name() == category)?;
         let weight = match parts.next() {
             None => WeightRule::Counted,
             Some("unit") => WeightRule::Unit,
@@ -283,61 +298,18 @@ impl MotifSpec {
         })
     }
 
-    /// Number of motif instances the candidate closes (0 = no match),
-    /// before the weight rule is applied.
-    fn instances(self, graph: &KbGraph, query_node: ArticleId, cand: ArticleId) -> u32 {
-        match self.category.as_condition() {
-            Some(cond) => category_instances(graph, cond, query_node, cand),
-            None => cousin_pairs(graph, query_node, cand),
-        }
-    }
-}
-
-/// Number of distinct, non-adjacent category pairs `(cq, cc)` exactly two
-/// hierarchy steps apart — each closes one 5-cycle with the article link.
-fn cousin_pairs(graph: &KbGraph, query_node: ArticleId, cand: ArticleId) -> u32 {
-    let qc = graph.categories_of(query_node);
-    let cc = graph.categories_of(cand);
-    let mut pairs = 0u32;
-    for &a in qc {
-        for &b in cc {
-            if a == b {
-                continue;
-            }
-            let (ca, cb) = (CategoryId::new(a), CategoryId::new(b));
-            if graph.category_adjacent(ca, cb) {
-                // Distance 1 is the square scope's territory.
-                continue;
-            }
-            let two_steps = graph
-                .parents_of(ca)
-                .iter()
-                .chain(graph.children_of(ca).iter())
-                .any(|&z| graph.category_adjacent(CategoryId::new(z), cb));
-            if two_steps {
-                pairs += 1;
-            }
-        }
-    }
-    pairs
-}
-
-impl Motif for MotifSpec {
-    fn kind(&self) -> MotifKind {
-        // Specs generalize both; report the closest classical kind.
-        match self.category {
-            CategoryScope::Superset | CategoryScope::SharedAny => MotifKind::Triangular,
-            _ => MotifKind::Square,
-        }
-    }
-
-    fn expansions_into(
-        &self,
+    /// Appends `(expansion article, multiplicity)` pairs for
+    /// `query_node` to `out` (which is *not* cleared — callers batch
+    /// several traversals into one buffer), in ascending article order.
+    /// Multiplicities are ≥ 1; articles absent from the result close no
+    /// instance of this motif with the query node.
+    pub fn expansions_into(
+        self,
         graph: &KbGraph,
         query_node: ArticleId,
         out: &mut Vec<(ArticleId, u32)>,
     ) {
-        for cand in link_candidates(graph, self.link, query_node) {
+        for cand in self.link.candidates(graph, query_node) {
             if cand == query_node {
                 continue;
             }
@@ -351,6 +323,60 @@ impl Motif for MotifSpec {
             }
         }
     }
+
+    /// [`MotifSpec::expansions_into`] into a fresh vector.
+    pub fn expansions(self, graph: &KbGraph, query_node: ArticleId) -> Vec<(ArticleId, u32)> {
+        let mut out = Vec::new();
+        self.expansions_into(graph, query_node, &mut out);
+        out
+    }
+
+    /// Number of motif instances the candidate closes (0 = no match),
+    /// before the weight rule is applied.
+    fn instances(self, graph: &KbGraph, query_node: ArticleId, cand: ArticleId) -> u32 {
+        let qc = graph.categories_of(query_node);
+        let cc = graph.categories_of(cand);
+        match self.category {
+            CategoryScope::Superset => {
+                // False when the query node has no categories.
+                if graph.categories_superset(query_node, cand) {
+                    qc.len() as u32
+                } else {
+                    0
+                }
+            }
+            // Both category lists are sorted and distinct.
+            CategoryScope::SharedAny => {
+                qc.iter().filter(|c| cc.binary_search(c).is_ok()).count() as u32
+            }
+            CategoryScope::Adjacent => count_pairs(qc, cc, |a, b| graph.category_adjacent(a, b)),
+            // Distinct, non-adjacent pairs exactly two hierarchy steps
+            // apart; distance 1 is the square scope's territory.
+            CategoryScope::Cousin => count_pairs(qc, cc, |a, b| {
+                !graph.category_adjacent(a, b)
+                    && graph
+                        .parents_of(a)
+                        .iter()
+                        .chain(graph.children_of(a).iter())
+                        .any(|&z| graph.category_adjacent(CategoryId::new(z), b))
+            }),
+            CategoryScope::Unconstrained => 1,
+        }
+    }
+}
+
+/// Number of distinct category pairs `(a, b)`, `a` from `qc` and `b`
+/// from `cc`, that satisfy `related` — each closes one motif instance.
+fn count_pairs(qc: &[u32], cc: &[u32], related: impl Fn(CategoryId, CategoryId) -> bool) -> u32 {
+    let mut pairs = 0u32;
+    for &a in qc {
+        for &b in cc {
+            if a != b && related(CategoryId::new(a), CategoryId::new(b)) {
+                pairs += 1;
+            }
+        }
+    }
+    pairs
 }
 
 /// The canonical, stable identity of a [`MotifSet`]: a bitmask over the
@@ -464,15 +490,6 @@ impl MotifSet {
         }
         let names: Vec<String> = self.specs.iter().map(|s| s.name()).collect();
         names.join("&")
-    }
-
-    /// Compiles the set into boxed [`Motif`] traversals for
-    /// [`crate::QueryGraphBuilder`].
-    pub fn compile(&self) -> Vec<Box<dyn Motif>> {
-        self.specs
-            .iter()
-            .map(|&s| Box::new(s) as Box<dyn Motif>)
-            .collect()
     }
 }
 
@@ -834,7 +851,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_set_runs_every_spec() {
+    fn set_specs_run_every_traversal() {
         let mut b = GraphBuilder::new();
         let q = b.add_article("q");
         let x = b.add_article("x");
@@ -846,14 +863,93 @@ mod tests {
         b.add_subcategory(sub, c);
         b.add_mutual_link(q, x);
         let g = b.build();
-        let compiled = MotifSet::t_and_s().compile();
-        assert_eq!(compiled.len(), 2);
+        let set = MotifSet::t_and_s();
+        assert_eq!(set.specs().len(), 2);
         let mut out = Vec::new();
-        for m in &compiled {
-            m.expansions_into(&g, q, &mut out);
+        for spec in set.specs() {
+            spec.expansions_into(&g, q, &mut out);
         }
         // One triangle (shared c) and one square (sub inside c).
         assert_eq!(out, vec![(x, 1), (x, 1)]);
+    }
+
+    #[test]
+    fn triangular_expansion_may_have_extra_categories() {
+        let mut b = GraphBuilder::new();
+        let a = b.add_article("a");
+        let x = b.add_article("x");
+        let c1 = b.add_category("c1");
+        let c2 = b.add_category("c2");
+        b.add_mutual_link(a, x);
+        b.add_membership(a, c1);
+        b.add_membership(x, c1);
+        b.add_membership(x, c2);
+        let g = b.build();
+        assert_eq!(MotifSpec::triangular().expansions(&g, a), vec![(x, 1)]);
+    }
+
+    #[test]
+    fn triangular_superset_is_directional() {
+        let mut b = GraphBuilder::new();
+        let a = b.add_article("a");
+        let x = b.add_article("x");
+        let c1 = b.add_category("c1");
+        let c2 = b.add_category("c2");
+        b.add_mutual_link(a, x);
+        b.add_membership(a, c1);
+        b.add_membership(a, c2);
+        b.add_membership(x, c1); // missing c2 ⇒ not a superset
+        let g = b.build();
+        assert!(MotifSpec::triangular().expansions(&g, a).is_empty());
+        // From x's perspective a IS a superset partner.
+        assert_eq!(MotifSpec::triangular().expansions(&g, x), vec![(a, 1)]);
+    }
+
+    #[test]
+    fn square_requires_category_adjacency() {
+        let mut b = GraphBuilder::new();
+        let a = b.add_article("a");
+        let x = b.add_article("x");
+        let c1 = b.add_category("c1");
+        let c2 = b.add_category("c2");
+        b.add_mutual_link(a, x);
+        b.add_membership(a, c1);
+        b.add_membership(x, c2);
+        // c1 and c2 unrelated ⇒ no square.
+        let g = b.build();
+        assert!(MotifSpec::square().expansions(&g, a).is_empty());
+    }
+
+    #[test]
+    fn square_ignores_shared_identical_category() {
+        // A shared category is the *triangular* pattern, not a square:
+        // the square needs two distinct, hierarchy-adjacent categories.
+        let mut b = GraphBuilder::new();
+        let a = b.add_article("a");
+        let x = b.add_article("x");
+        let c = b.add_category("c");
+        b.add_mutual_link(a, x);
+        b.add_membership(a, c);
+        b.add_membership(x, c);
+        let g = b.build();
+        assert!(MotifSpec::square().expansions(&g, a).is_empty());
+        assert_eq!(MotifSpec::triangular().expansions(&g, a), vec![(x, 1)]);
+    }
+
+    #[test]
+    fn expansions_into_appends_without_clearing() {
+        let mut b = GraphBuilder::new();
+        let a = b.add_article("a");
+        let x = b.add_article("x");
+        let c = b.add_category("c");
+        b.add_mutual_link(a, x);
+        b.add_membership(a, c);
+        b.add_membership(x, c);
+        let g = b.build();
+        let sentinel = (ArticleId::new(99), 7);
+        let mut out = vec![sentinel];
+        MotifSpec::triangular().expansions_into(&g, a, &mut out);
+        assert_eq!(out, vec![sentinel, (x, 1)]);
     }
 
     #[test]

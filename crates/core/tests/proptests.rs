@@ -4,7 +4,7 @@
 use kbgraph::{ArticleId, CategoryId, GraphBuilder, KbGraph};
 use proptest::prelude::*;
 use sqe::combine::{combine_rankings, sqe_c, RankSegment};
-use sqe::{Motif, MotifSet, MotifSpec, QueryGraphBuilder};
+use sqe::{MotifSet, MotifSpec, QueryGraphBuilder};
 
 /// A random small KB: articles, categories, directed links, memberships,
 /// subcategory edges.
@@ -110,7 +110,8 @@ proptest! {
     fn more_query_nodes_reach_no_fewer(kb in random_kb(), a1 in 0usize..10, a2 in 0usize..10) {
         prop_assume!(a1 != a2);
         let (g, arts) = build(&kb);
-        let builder = QueryGraphBuilder::from_set(&g, &MotifSet::t_and_s());
+        let set = MotifSet::t_and_s();
+        let builder = QueryGraphBuilder::from_set(&g, &set);
         let single = builder.build(&[arts[a1]]);
         let both = builder.build(&[arts[a1], arts[a2]]);
         for &(a, m1) in &single.expansions {

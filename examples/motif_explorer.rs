@@ -8,7 +8,7 @@
 //! ```
 
 use kbgraph::{ArticleId, CycleFinder, CycleLimits, Node};
-use sqe::{Motif, MotifSet, MotifSpec};
+use sqe::{MotifSet, MotifSpec};
 use synthwiki::{TestBed, TestBedConfig};
 
 fn main() {

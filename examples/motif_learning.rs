@@ -1,6 +1,6 @@
 //! Automatic motif identification (the paper's future work, Section 6):
-//! score every pattern in the motif space against the ground-truth
-//! optimal query graphs and see the paper's hand-crafted motifs emerge.
+//! score every counted motif spec against the ground-truth optimal query
+//! graphs and see the paper's hand-crafted motifs emerge.
 //!
 //! ```text
 //! cargo run --release --example motif_learning
@@ -30,15 +30,12 @@ fn main() {
         println!("=== ranked by {objective:?} ===");
         println!(
             "{:<20}{:>10}{:>10}{:>8}{:>12}",
-            "pattern", "precision", "recall", "F1", "avg feats"
+            "spec", "precision", "recall", "F1", "avg feats"
         );
-        for m in learn_motifs(&bed.kb.graph, &examples, objective)
-            .iter()
-            .take(5)
-        {
+        for m in learn_motifs(&bed.kb.graph, &examples, objective) {
             println!(
                 "{:<20}{:>10.3}{:>10.3}{:>8.3}{:>12.2}",
-                m.pattern.name(),
+                m.spec.name(),
                 m.precision,
                 m.recall,
                 m.f1,
@@ -50,7 +47,7 @@ fn main() {
     println!(
         "The paper's hand-crafted motifs are mutual+superset (triangular)\n\
          and mutual+adjacent (square): the precision objective should rank\n\
-         a triangular-like pattern first (few, reliable features), the\n\
+         a triangular-like spec first (few, reliable features), the\n\
          recall objective a square-like one (broad coverage) — exactly the\n\
          small-top / large-top split of Section 4.1."
     );

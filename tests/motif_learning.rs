@@ -1,7 +1,7 @@
 //! The learning extension must recover the paper's hand-crafted motifs
 //! from the planted ground truth.
 
-use sqe::{learn_motifs, CategoryCondition, Example, LinkCondition, Objective};
+use sqe::{learn_motifs, CategoryScope, Example, LinkCondition, Objective};
 use synthwiki::{GroundTruth, TestBed, TestBedConfig};
 
 fn examples() -> (TestBed, Vec<Example>) {
@@ -28,10 +28,10 @@ fn precision_objective_recovers_triangular_condition() {
     let ranked = learn_motifs(&bed.kb.graph, &examples, Objective::Precision);
     let best = &ranked[0];
     assert_eq!(
-        best.pattern.category,
-        CategoryCondition::Superset,
+        best.spec.category,
+        CategoryScope::Superset,
         "the triangular category condition must top the precision ranking: got {}",
-        best.pattern.name()
+        best.spec.name()
     );
     assert!(best.precision > 0.9, "precision {}", best.precision);
     assert!(
@@ -48,17 +48,17 @@ fn balanced_objective_recovers_square_like_condition() {
     let best = &ranked[0];
     assert!(
         matches!(
-            best.pattern.category,
-            CategoryCondition::Adjacent | CategoryCondition::SharedAny
+            best.spec.category,
+            CategoryScope::Adjacent | CategoryScope::SharedAny
         ),
         "a square-like category condition must top F1: got {}",
-        best.pattern.name()
+        best.spec.name()
     );
     assert!(
         best.recall
             > ranked
                 .iter()
-                .find(|m| m.pattern.category == CategoryCondition::Superset)
+                .find(|m| m.spec.category == CategoryScope::Superset)
                 .unwrap()
                 .recall,
         "square-like patterns out-recall triangular ones"
@@ -71,11 +71,12 @@ fn category_free_patterns_never_win_on_precision() {
     let ranked = learn_motifs(&bed.kb.graph, &examples, Objective::Precision);
     let best_free = ranked
         .iter()
-        .position(|m| m.pattern.category == CategoryCondition::Unconstrained)
+        .position(|m| m.spec.category == CategoryScope::Unconstrained)
         .unwrap();
     assert!(
-        best_free >= 6,
-        "link-only motifs must rank in the bottom half: position {best_free}"
+        best_free >= ranked.len() / 2,
+        "link-only motifs must rank in the bottom half: position {best_free} of {}",
+        ranked.len()
     );
 }
 
@@ -83,18 +84,18 @@ fn category_free_patterns_never_win_on_precision() {
 fn mutual_links_beat_one_way_links_on_precision() {
     let (bed, examples) = examples();
     let ranked = learn_motifs(&bed.kb.graph, &examples, Objective::F1);
-    let prec = |link: LinkCondition, cat: CategoryCondition| -> f64 {
+    let prec = |link: LinkCondition, cat: CategoryScope| -> f64 {
         ranked
             .iter()
-            .find(|m| m.pattern.link == link && m.pattern.category == cat)
+            .find(|m| m.spec.link == link && m.spec.category == cat)
             .unwrap()
             .precision
     };
     // With the category condition fixed to unconstrained, requiring
     // reciprocity filters noise links: the paper's "doubly linked".
     assert!(
-        prec(LinkCondition::Mutual, CategoryCondition::Unconstrained)
-            >= prec(LinkCondition::OutLink, CategoryCondition::Unconstrained),
+        prec(LinkCondition::Mutual, CategoryScope::Unconstrained)
+            >= prec(LinkCondition::OutLink, CategoryScope::Unconstrained),
         "reciprocity must not hurt precision"
     );
 }

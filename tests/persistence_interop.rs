@@ -77,7 +77,7 @@ fn index_persistence_preserves_full_retrieval() {
 
 #[test]
 fn graph_persistence_preserves_motifs() {
-    use sqe::{Motif, MotifSpec};
+    use sqe::MotifSpec;
     let bed = TestBed::generate(&TestBedConfig::small());
     let g = &bed.kb.graph;
 
